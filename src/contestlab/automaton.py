@@ -28,6 +28,7 @@ __all__ = [
     "build_mk1",
     "build_extension",
     "min_length",
+    "terminal_distances",
     "check_exchangeable",
     "default_exchangeability_depth",
     "swap_involution",
@@ -133,6 +134,9 @@ class ContestAutomaton:
             raise StructureError("automaton has no states")
         if not 0 <= self.start < self.n:
             raise StructureError("start state out of range")
+        for s, w in self.transitions:
+            if w not in WINNERS:
+                raise StructureError(f"transition from {s} has invalid winner {w!r}")
         for s in range(self.n):
             if s in self.terminal:
                 if self.terminal[s] not in WINNERS:
@@ -149,8 +153,10 @@ class ContestAutomaton:
                     for t, p in dist:
                         if not 0 <= t < self.n:
                             raise StructureError(f"transition from {s} targets unknown state {t}")
-                        if p <= 0.0:
-                            raise StructureError("chance probabilities must be positive")
+                        if not (math.isfinite(p) and p > 0.0):
+                            raise StructureError(
+                                "chance probabilities must be positive and finite"
+                            )
                         total += p
                     if abs(total - 1.0) > _PROB_TOL:
                         raise StructureError(
@@ -446,9 +452,12 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def min_length(m: ContestAutomaton) -> float:
-    """Battles in the shortest terminal history, or +inf if none exists."""
-    # multi-source BFS from terminals over reversed positive-probability edges
+def terminal_distances(m: ContestAutomaton) -> dict:
+    """Battles on the shortest history from each state to a terminal.
+
+    Multi-source BFS from the terminals over reversed positive-probability
+    edges; states that reach no terminal are absent from the result.
+    """
     rev: dict[int, list[int]] = {s: [] for s in range(m.n)}
     for (s, _w), dist in m.transitions.items():
         for t, _p in dist:
@@ -461,7 +470,12 @@ def min_length(m: ContestAutomaton) -> float:
             if s not in depth:
                 depth[s] = depth[t] + 1
                 queue.append(s)
-    return depth.get(m.start, math.inf)
+    return depth
+
+
+def min_length(m: ContestAutomaton) -> float:
+    """Battles in the shortest terminal history, or +inf if none exists."""
+    return terminal_distances(m).get(m.start, math.inf)
 
 
 def default_exchangeability_depth(m: ContestAutomaton) -> int:
@@ -755,7 +769,7 @@ def automaton_from_dict(data: dict) -> ContestAutomaton:
                 (int(leg["state"]), float(leg["prob"])) for leg in edge["to"]
             )
         start = int(data["start"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed automaton document: {exc}") from exc
     return ContestAutomaton(
         start=start, transitions=transitions, terminal=terminal, labels=labels

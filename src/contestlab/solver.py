@@ -21,6 +21,7 @@ from .automaton import (
     build_consecutive_win,
     build_tug_of_war,
     swap_involution,
+    terminal_distances,
 )
 from .errors import (
     ConvergenceError,
@@ -30,7 +31,8 @@ from .errors import (
 )
 from .success import (
     SuccessFunction,
-    augmented_gain,
+    battle_gain,
+    battle_gain_partials,
     psi,
     psi_inverse,
     solve_battle,
@@ -164,103 +166,48 @@ class _Layer:
         ea_w, ea_l, eb_w, eb_l = self.stakes(va, vb)
         da = ea_w - ea_l
         db = eb_w - eb_l
-        ga = _gain_vector(self.spec.sf, da, db)
-        gb = _gain_vector(self.spec.sf, db, da)
-        return ea_l + ga, eb_l + gb
+        sf = self.spec.sf
+        return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da)
 
 
-def _gain_vector(sf: SuccessFunction, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Elementwise battle gain over the losing continuation, with degenerate guards.
+def _battle_detail(sf: SuccessFunction, da: float, db: float):
+    """Efforts, A's win probability and both battle payoffs at stakes (da, db).
 
-    Positive stakes on both sides give the equilibrium gain Pi*(da, db).  A
-    player whose opponent has no stake takes (nearly) the whole stake; a
-    state where neither player has a positive stake is a zero-effort fair
-    coin battle, i.e. the gain is half the (nonpositive) stake.
+    Off the both-positive case nobody exerts effort; the side with a stake
+    wins with the limit odds and an idle battle is a fair coin.
     """
-    out = np.zeros_like(da)
-    both = (da > 0.0) & (db > 0.0)
-    if sf.homogeneous:
-        if np.any(both):
-            out[both] = da[both] * sf.phi(da[both] / db[both])
-    else:
-        for i in np.nonzero(both)[0]:
-            out[i] = augmented_gain(sf, float(da[i]), float(db[i]))
-    solo = (da > 0.0) & (db <= 0.0)
-    if np.any(solo):
-        out[solo] = da[solo] * (sf.gain_limit if sf.homogeneous else 1.0)
-    idle = (da <= 0.0) & (db <= 0.0)
-    if np.any(idle):
-        out[idle] = 0.5 * da[idle]
-    return out
-
-
-def _battle_quantities(sf: SuccessFunction, da: float, db: float):
-    """Efforts and win probability of one battle, with degenerate limits."""
     if da > 0.0 and db > 0.0:
         eq = solve_battle(sf, da, db)
-        return eq.effort_a, eq.effort_b, eq.win_prob_a
-    if da > 0.0 >= db:
-        return 0.0, 0.0, sf.win_limit
-    if db > 0.0 >= da:
-        return 0.0, 0.0, 1.0 - sf.win_limit
-    return 0.0, 0.0, 0.5
+        return eq.effort_a, eq.effort_b, eq.win_prob_a, eq.payoff_a, eq.payoff_b
+    win = sf.win_limit if da > 0.0 else (1.0 - sf.win_limit if db > 0.0 else 0.5)
+    return 0.0, 0.0, win, battle_gain(sf, da, db), battle_gain(sf, db, da)
 
 
-def _battle_row(sf: SuccessFunction, va_pair, vb_pair, da: float, db: float) -> StateValues:
-    """Detail row for one state given stakes and post-battle expectations."""
-    ea_w, ea_l = va_pair
-    eb_w, eb_l = vb_pair
-    if da > 0.0 and db > 0.0:
-        eq = solve_battle(sf, da, db)
-        return StateValues(
-            value_a=ea_l + eq.payoff_a,
-            value_b=eb_l + eq.payoff_b,
-            stake_a=da,
-            stake_b=db,
-            effort_a=eq.effort_a,
-            effort_b=eq.effort_b,
-            win_prob_a=eq.win_prob_a,
-        )
-    # degenerate stakes: no effort is exerted in the limit
-    if da > 0.0 >= db:
-        win, gain_a, gain_b = sf.win_limit, augmented_gain(sf, da, 0.0), 0.0
-    elif db > 0.0 >= da:
-        win, gain_a, gain_b = 1.0 - sf.win_limit, 0.0, augmented_gain(sf, db, 0.0)
-    else:
-        # neither player values winning: a zero-effort fair coin battle
-        win, gain_a, gain_b = 0.5, 0.5 * da, 0.5 * db
-    return StateValues(
-        value_a=ea_l + gain_a,
-        value_b=eb_l + gain_b,
-        stake_a=da,
-        stake_b=db,
-        effort_a=0.0,
-        effort_b=0.0,
-        win_prob_a=win,
-    )
+def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) -> ValueSolution:
+    """Build the solution object (detail rows + exact residual) from value vectors.
 
-
-def _assemble(spec: ContestSpec, method: str, iterations: int, va, vb) -> ValueSolution:
-    """Build the solution object (detail rows + exact residual) from value vectors."""
+    Rows take their stakes from the value differences and their values from
+    one operator application.  A closed form may pass ``stakes`` (arrays over
+    ``layer.nt``) derived exactly from its own recursion; its rows then
+    report the given values.
+    """
+    spec = layer.spec
     m = spec.automaton
-    layer = _Layer(spec)
     ea_w, ea_l, eb_w, eb_l = layer.stakes(va, vb)
+    da, db = (ea_w - ea_l, eb_w - eb_l) if stakes is None else stakes
     rows = {}
     for i, s in enumerate(layer.nt):
-        rows[s] = _battle_row(
-            spec.sf,
-            (ea_w[i], ea_l[i]),
-            (eb_w[i], eb_l[i]),
-            ea_w[i] - ea_l[i],
-            eb_w[i] - eb_l[i],
+        effort_a, effort_b, win, gain_a, gain_b = _battle_detail(spec.sf, da[i], db[i])
+        rows[s] = StateValues(
+            value_a=ea_l[i] + gain_a if stakes is None else float(va[s]),
+            value_b=eb_l[i] + gain_b if stakes is None else float(vb[s]),
+            stake_a=da[i],
+            stake_b=db[i],
+            effort_a=effort_a,
+            effort_b=effort_b,
+            win_prob_a=win,
         )
-    ua, ub = layer.bellman_update(va, vb)
-    res = 0.0
-    if layer.nt:
-        res = max(
-            float(np.max(np.abs(ua - va[layer.nt]))),
-            float(np.max(np.abs(ub - vb[layer.nt]))),
-        )
+    res = _bellman_residual(layer, va, vb) if layer.nt else 0.0
     return ValueSolution(
         method=method,
         residual=res,
@@ -321,10 +268,10 @@ def solve_finite(spec: ContestSpec) -> ValueSolution:
         ea_l = sum(p * va[t] for t, p in m.successors(s, "B"))
         eb_w = sum(p * vb[t] for t, p in m.successors(s, "B"))
         eb_l = sum(p * vb[t] for t, p in m.successors(s, "A"))
-        row = _battle_row(sf, (ea_w, ea_l), (eb_w, eb_l), ea_w - ea_l, eb_w - eb_l)
-        va[s] = row.value_a
-        vb[s] = row.value_b
-    return _assemble(spec, "backward", 0, va, vb)
+        *_, gain_a, gain_b = _battle_detail(sf, ea_w - ea_l, eb_w - eb_l)
+        va[s] = ea_l + gain_a
+        vb[s] = eb_l + gain_b
+    return _assemble(_Layer(spec), "backward", 0, va, vb)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +394,12 @@ def solve_tow_closed(
         s = i + n
         va[s] = prize * decision[i]
         vb[s] = prize * decision[-i]
-    out = _assemble(ContestSpec(m, sf, prize), "closed_tow", 0, va, vb)
-    # rebuild the battle rows from the ring increments: differencing the
-    # stored values cannot resolve stakes at saturated leads, and a mixed
-    # zero/tiny classification there would even break absorption
+    # battle stakes come from the ring increments: differencing the stored
+    # values cannot resolve stakes at saturated leads, and a mixed zero/tiny
+    # classification there would even break absorption
     scale = prize / span
-    for i in range(-(n - 1), n):
+    stakes_a, stakes_b = [], []
+    for i in range(-(n - 1), n):  # the nonterminal states in id order
         k = abs(i)
         if k == 0:
             sa = sb = (d_plus[1] + d_minus[1]) * scale
@@ -460,17 +407,10 @@ def solve_tow_closed(
             lead = (d_plus[k + 1] + d_plus[k]) * scale
             lag = (d_minus[k + 1] + d_minus[k]) * scale
             sa, sb = (lead, lag) if i > 0 else (lag, lead)
-        effort_a, effort_b, win = _battle_quantities(sf, sa, sb)
-        s = i + n
-        out.states[s] = StateValues(
-            value_a=out.values_a[s],
-            value_b=out.values_b[s],
-            stake_a=sa,
-            stake_b=sb,
-            effort_a=effort_a,
-            effort_b=effort_b,
-            win_prob_a=win,
-        )
+        stakes_a.append(sa)
+        stakes_b.append(sb)
+    layer = _Layer(ContestSpec(m, sf, prize))
+    out = _assemble(layer, "closed_tow", 0, va, vb, stakes=(stakes_a, stakes_b))
     out.extras.update(
         delta_plus=d_plus[1:],
         delta_minus=d_minus[1:],
@@ -568,7 +508,7 @@ def solve_consecutive_closed(
         s = i + k
         va[s] = values[i]
         vb[s] = values[-i]
-    out = _assemble(ContestSpec(m, sf, prize), "closed_cw", 0, va, vb)
+    out = _assemble(_Layer(ContestSpec(m, sf, prize)), "closed_cw", 0, va, vb)
     out.extras.update(streak_root=rho, survival_product=prod)
     return out
 
@@ -608,7 +548,7 @@ def solve_cyclic(
     nt = layer.nt
     if not nt:
         va, vb = layer.full_vectors(np.zeros(0), np.zeros(0))
-        return _assemble(spec, "fixed_point", 0, va, vb)
+        return _assemble(layer, "fixed_point", 0, va, vb)
     # With a player-swap involution the symmetric equilibrium satisfies
     # V_B = V_A o sigma; enforcing it keeps the iteration away from the
     # asymmetric discouragement profiles the operator also admits.
@@ -619,7 +559,7 @@ def solve_cyclic(
     prize = spec.prize
 
     def finish(fa, fb, iterations):
-        return _assemble(spec, "fixed_point", iterations, fa, fb)
+        return _assemble(layer, "fixed_point", iterations, fa, fb)
 
     phase_inits = [None, 0.05, 0.25, 0.45]  # None = position-interpolated
     phase_budget = 800
@@ -646,14 +586,14 @@ def solve_cyclic(
                 ea_l = float(layer.PB[i] @ va)
                 eb_w = float(layer.PB[i] @ vb)
                 eb_l = float(layer.PA[i] @ vb)
-                ua = ea_l + _gain_scalar(sf, ea_w - ea_l, eb_w - eb_l)
+                ua = ea_l + battle_gain(sf, ea_w - ea_l, eb_w - eb_l)
                 new_a = (1.0 - lam) * va[s] + lam * ua
                 sweep_delta = max(sweep_delta, abs(new_a - va[s]))
                 va[s] = new_a
                 if sigma is not None:
                     vb[sigma[s]] = new_a
                 else:
-                    ub = eb_l + _gain_scalar(sf, eb_w - eb_l, ea_w - ea_l)
+                    ub = eb_l + battle_gain(sf, eb_w - eb_l, ea_w - ea_l)
                     new_b = (1.0 - lam) * vb[s] + lam * ub
                     sweep_delta = max(sweep_delta, abs(new_b - vb[s]))
                     vb[s] = new_b
@@ -715,28 +655,6 @@ def solve_cyclic(
     )
 
 
-def _gain_partials(sf: SuccessFunction, da: np.ndarray, db: np.ndarray):
-    """Partial derivatives of the battle gain Pi*(da, db) in each stake.
-
-    On the competitive branch the envelope gives d/d(da) = phi + theta phi'
-    and d/d(db) = -theta^2 phi'; the degenerate branches are piecewise
-    linear in da alone.
-    """
-    gda = np.zeros_like(da)
-    gdb = np.zeros_like(da)
-    both = (da > 0.0) & (db > 0.0)
-    if np.any(both):
-        theta = da[both] / db[both]
-        slope = sf.phi_prime(theta)
-        gda[both] = sf.phi(theta) + theta * slope
-        gdb[both] = -(theta**2) * slope
-    solo = (da > 0.0) & (db <= 0.0)
-    gda[solo] = sf.gain_limit
-    idle = (da <= 0.0) & (db <= 0.0)
-    gda[idle] = 0.5
-    return gda, gdb
-
-
 def _analytic_polish(layer: _Layer, va, vb, tol: float, sigma: dict | None, thorough: bool):
     """Least-squares refinement of V - T(V) with the exact battle-gain Jacobian.
 
@@ -778,10 +696,11 @@ def _analytic_polish(layer: _Layer, va, vb, tol: float, sigma: dict | None, thor
         ea_w, ea_l, eb_w, eb_l = layer.stakes(fa, fb)
         da = ea_w - ea_l
         db = eb_w - eb_l
-        res_a = (x if sigma is not None else x[:size]) - (ea_l + _gain_vector(sf, da, db))
+        # with the involution only A's rows are unknowns: skip B's battles
+        res_a = (x if sigma is not None else x[:size]) - (ea_l + battle_gain(sf, da, db))
         if sigma is not None:
             return res_a
-        res_b = x[size:] - (eb_l + _gain_vector(sf, db, da))
+        res_b = x[size:] - (eb_l + battle_gain(sf, db, da))
         return np.concatenate([res_a, res_b])
 
     def jac(x):
@@ -789,13 +708,13 @@ def _analytic_polish(layer: _Layer, va, vb, tol: float, sigma: dict | None, thor
         ea_w, ea_l, eb_w, eb_l = layer.stakes(fa, fb)
         da = ea_w - ea_l
         db = eb_w - eb_l
-        gda, gdb = _gain_partials(sf, da, db)
+        gda, gdb = battle_gain_partials(sf, da, db)
         d_fa = PB[:, nt_idx] + gda[:, None] * DA[:, nt_idx]
         if sigma is not None:
             d_fb = -gdb[:, None] * DA[:, mirror_cols]
             return np.eye(size) - (d_fa + d_fb)
         d_fb = -gdb[:, None] * DA[:, nt_idx]
-        own_b, cross_b = _gain_partials(sf, db, da)
+        own_b, cross_b = battle_gain_partials(sf, db, da)
         d_fb_own = PA[:, nt_idx] - own_b[:, None] * DA[:, nt_idx]
         d_fa_cross = cross_b[:, None] * DA[:, nt_idx]
         top = np.hstack([np.eye(size) - d_fa, -d_fb])
@@ -923,34 +842,9 @@ def _newton_candidates(
     return found, near
 
 
-def _gain_scalar(sf: SuccessFunction, da: float, db: float) -> float:
-    if da > 0.0 and db > 0.0:
-        if sf.homogeneous:
-            return da * float(sf.phi(da / db))
-        return augmented_gain(sf, da, db)
-    if da > 0.0:
-        return da * (sf.gain_limit if sf.homogeneous else 1.0)
-    if db > 0.0:
-        return 0.0
-    return 0.5 * da  # zero-effort fair coin battle
-
-
 def _sweep_order(m: ContestAutomaton) -> list:
     """Nonterminal states ordered by battle distance to a terminal, nearest first."""
-    from collections import deque
-
-    rev: dict[int, list[int]] = {s: [] for s in range(m.n)}
-    for (s, _w), dist in m.transitions.items():
-        for t, _p in dist:
-            rev[t].append(s)
-    depth = {t: 0 for t in m.terminal}
-    queue = deque(m.terminal)
-    while queue:
-        t = queue.popleft()
-        for s in rev[t]:
-            if s not in depth:
-                depth[s] = depth[t] + 1
-                queue.append(s)
+    depth = terminal_distances(m)
     nonterm = [s for s in range(m.n) if not m.is_terminal(s)]
     return sorted(nonterm, key=lambda s: (depth.get(s, m.n + 1), s))
 
@@ -982,7 +876,6 @@ def residual(spec: ContestSpec, values) -> float:
     a (value_a, value_b) pair.  Zero exactly when the profile is a symmetric
     MPE value function.
     """
-    m = spec.automaton
     layer = _Layer(spec)
     if isinstance(values, ValueSolution):
         pairs = {s: (values.values_a[s], values.values_b[s]) for s in layer.nt}
@@ -995,13 +888,7 @@ def residual(spec: ContestSpec, values) -> float:
         np.array([pairs[s][0] for s in layer.nt], dtype=float),
         np.array([pairs[s][1] for s in layer.nt], dtype=float),
     )
-    ua, ub = layer.bellman_update(va, vb)
-    if not layer.nt:
-        return 0.0
-    return max(
-        float(np.max(np.abs(ua - va[layer.nt]))),
-        float(np.max(np.abs(ub - vb[layer.nt]))),
-    )
+    return _bellman_residual(layer, va, vb) if layer.nt else 0.0
 
 
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:

@@ -28,6 +28,8 @@ __all__ = [
     "phi_complement",
     "solve_battle",
     "augmented_gain",
+    "battle_gain",
+    "battle_gain_partials",
     "psi",
     "psi_inverse",
     "parse_sf",
@@ -89,7 +91,11 @@ class SuccessFunction:
 
     @property
     def gain_limit(self) -> float:
-        """Limit of the gain ratio as the stake ratio grows without bound."""
+        """Limit of the gain ratio Pi*(d', d) / d' as the opponent's stake d vanishes.
+
+        Every kind states it exactly, with no numeric probe; ``battle_gain``
+        pays it in every one-sided battle.
+        """
         raise UnsupportedKindError(f"{self.kind} has no gain function")
 
     @property
@@ -385,6 +391,12 @@ class RatioForm(SuccessFunction):
         return ga / (ga + gb)
 
     @property
+    def gain_limit(self) -> float:
+        # against a vanishing opponent stake both efforts vanish and the win
+        # probability tends to 1, so the whole stake is kept in the limit
+        return 1.0
+
+    @property
     def win_limit(self) -> float:
         return 1.0
 
@@ -593,22 +605,78 @@ def solve_battle(sf: SuccessFunction, delta_a: float, delta_b: float) -> BattleE
     raise UnsupportedKindError(f"no battle solver for kind {sf.kind}")
 
 
+def _competitive_gain(sf: SuccessFunction, da, db):
+    """Pi*(da, db) for positive stakes: da * phi(da / db) for homogeneous kinds."""
+    if sf.homogeneous:
+        return da * sf.phi(da / db)
+    if not isinstance(da, np.ndarray):
+        return solve_battle(sf, da, db).payoff_a
+    return np.array([solve_battle(sf, a, b).payoff_a for a, b in zip(da.tolist(), db.tolist())])
+
+
+def _degenerate_slope(sf: SuccessFunction, da, db):
+    """Slope in da of the gain off the both-positive case, where it is linear:
+    gain_limit when only da is positive, 0 when only db is, 1/2 when neither is."""
+    return np.where(da > 0.0, sf.gain_limit, np.where(db > 0.0, 0.0, 0.5))
+
+
+def battle_gain(sf: SuccessFunction, da, db):
+    """Battle payoff over the losing continuation at winning stakes (da, db).
+
+    The one rule for every stake pair, elementwise on arrays:
+
+    * both stakes positive: the equilibrium payoff Pi*(da, db);
+    * only da positive: the opponent does not compete and the player keeps
+      da * gain_limit at zero effort;
+    * only db positive: the player does not compete and gains nothing;
+    * neither positive: a zero-effort fair coin, worth da / 2.
+
+    Scalars take a cheap path with the same arithmetic as the array path.
+    """
+    if not isinstance(da, np.ndarray):
+        if da > 0.0 and db > 0.0:
+            return _competitive_gain(sf, da, db)
+        return da * (sf.gain_limit if da > 0.0 else 0.0 if db > 0.0 else 0.5)
+    da = np.asarray(da, dtype=float)
+    db = np.asarray(db, dtype=float)
+    out = _degenerate_slope(sf, da, db) * da
+    both = (da > 0.0) & (db > 0.0)
+    if np.any(both):
+        out[both] = _competitive_gain(sf, da[both], db[both])
+    return out
+
+
+def battle_gain_partials(sf: SuccessFunction, da, db):
+    """Partial derivatives of ``battle_gain`` in each stake (homogeneous kinds).
+
+    On the competitive case the envelope theorem gives d/d(da) = phi +
+    theta phi' and d/d(db) = -theta^2 phi' at theta = da / db; the other
+    cases are linear in da alone.
+    """
+    da = np.asarray(da, dtype=float)
+    db = np.asarray(db, dtype=float)
+    gda = _degenerate_slope(sf, da, db)
+    gdb = np.zeros_like(gda)
+    both = (da > 0.0) & (db > 0.0)
+    if np.any(both):
+        theta = da[both] / db[both]
+        slope = sf.phi_prime(theta)
+        gda[both] = sf.phi(theta) + theta * slope
+        gdb[both] = -(theta**2) * slope
+    return gda, gdb
+
+
 def augmented_gain(sf: SuccessFunction, delta_prime: float, delta: float) -> float:
     """Equilibrium battle payoff Pi*(delta_prime, delta), extended to zero stakes.
 
-    Continuous on the closed quadrant; for homogeneous kinds the opponent's
-    vanishing stake yields delta_prime times the gain-ratio limit.  Ratio-form
-    kinds evaluate the limit numerically at a small positive opponent stake.
+    Continuous on the closed quadrant: against a vanishing opponent stake the
+    payoff is delta_prime * gain_limit, the exact limit for every kind, and
+    a player without a stake gains nothing.  This is ``battle_gain`` on
+    nonnegative stakes.
     """
     if delta_prime < 0.0 or delta < 0.0:
         raise DomainError("stakes must be nonnegative")
-    if delta_prime == 0.0:
-        return 0.0
-    if delta == 0.0:
-        if sf.homogeneous:
-            return delta_prime * sf.gain_limit
-        return solve_battle(sf, delta_prime, 1e-9 * delta_prime).payoff_a
-    return solve_battle(sf, delta_prime, delta).payoff_a
+    return battle_gain(sf, delta_prime, delta)
 
 
 def psi(sf: SuccessFunction, theta: float) -> float:

@@ -312,6 +312,26 @@ class TestValidationAndJson:
         with pytest.raises(StructureError):
             automaton_from_dict({"states": [], "edges": []})
 
+    def test_rejects_unknown_winner(self):
+        doc = automaton_to_dict(build_best_of(0))
+        doc["edges"].append({"from": 0, "winner": "C", "to": [{"state": 1, "prob": 1.0}]})
+        with pytest.raises(StructureError):
+            automaton_from_dict(doc)
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(StructureError):
+            ContestAutomaton(
+                start=0,
+                transitions={(0, "A"): ((1, math.nan),), (0, "B"): ((2, 1.0),)},
+                terminal={1: "A", 2: "B"},
+            )
+
+    def test_rejects_non_numeric_probability(self):
+        doc = automaton_to_dict(build_best_of(0))
+        doc["edges"][0]["to"][0]["prob"] = "abc"
+        with pytest.raises(StructureError):
+            automaton_from_dict(doc)
+
 
 class TestMinLengthEdge:
     def test_infinite_when_unreachable(self):

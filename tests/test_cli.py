@@ -187,6 +187,14 @@ class TestExitCodes:
             ["solve", "--automaton", str(tmp_path / "nope.json"), "--sf", "tullock:r=1"]
         ) == 2
 
+    def test_non_numeric_probability(self, tmp_path, capsys):
+        doc = automaton_to_dict(build_tug_of_war(2))
+        doc["edges"][0]["to"][0]["prob"] = "abc"
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_nonconvergence_exit_three(self, tmp_path, monkeypatch):
         from contestlab.errors import ConvergenceError
 

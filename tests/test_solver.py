@@ -307,6 +307,60 @@ class TestResidual:
             residual(spec, {0: (0.1, 0.1)})
 
 
+class TestOneSidedBattle:
+    """A start state where only player A has a positive stake.
+
+    A's win leads to a fair lottery over the terminals, B's win to a single
+    deciding battle worth a quarter of the prize to each side, so B's stake
+    at the start is negative and the start battle is one-sided.
+    """
+
+    RULE = {
+        "states": [
+            {"id": 0, "label": "start", "terminal": None},
+            {"id": 1, "label": "decider", "terminal": None},
+            {"id": 2, "label": "A wins", "terminal": "A"},
+            {"id": 3, "label": "B wins", "terminal": "B"},
+        ],
+        "start": 0,
+        "edges": [
+            {"from": 0, "winner": "A",
+             "to": [{"state": 2, "prob": 0.5}, {"state": 3, "prob": 0.5}]},
+            {"from": 0, "winner": "B", "to": [{"state": 1, "prob": 1.0}]},
+            {"from": 1, "winner": "A", "to": [{"state": 2, "prob": 1.0}]},
+            {"from": 1, "winner": "B", "to": [{"state": 3, "prob": 1.0}]},
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "tullock:r=1",
+            "noisy:q=0.5,base=tullock:r=1",
+            "ratio:pow,alpha=0.8",
+            "ratio:powsum,alpha=0.6,beta=0.9",
+            "noisy:q=0.5,base=ratio:pow,alpha=0.8",
+        ],
+    )
+    def test_values_match_the_operator(self, text):
+        from contestlab import automaton_from_dict, parse_sf
+
+        sf = parse_sf(text)
+        spec = ContestSpec(automaton_from_dict(self.RULE), sf, 1.0)
+        sol = solve(spec)
+        assert sol.method == "backward"
+        assert residual(spec, sol) <= 1e-12
+        ea_w = 0.5 * sol.values_a[2] + 0.5 * sol.values_a[3]
+        ea_l = sol.values_a[1]
+        eb_w = sol.values_b[1]
+        eb_l = 0.5 * sol.values_b[2] + 0.5 * sol.values_b[3]
+        da = ea_w - ea_l
+        assert da > 0.0 > eb_w - eb_l
+        assert sol.v0_a == pytest.approx(ea_l + sf.gain_limit * da, abs=1e-15)
+        row = sol.states[0]
+        assert (row.effort_a, row.effort_b, row.win_prob_a) == (0.0, 0.0, sf.win_limit)
+
+
 class TestSelfReinforcement:
     def test_tug_of_war_identity(self):
         sol = solve_tow_closed(10, 0.0, 0, SF1, 1.0)

@@ -25,6 +25,7 @@ from contestlab import (
     psi_inverse,
     solve_battle,
 )
+from contestlab.success import battle_gain, battle_gain_partials
 
 THETA_GRID = np.logspace(-6, 6, 121)
 
@@ -222,7 +223,16 @@ class TestAugmentedGain:
         assert augmented_gain(sf, 1.0, 1.0) == pytest.approx(0.25, abs=1e-15)
         assert augmented_gain(sf, 0.0, 1.0) == 0.0
 
-    @pytest.mark.parametrize("sf", [Tullock(0.5), Serial(0.5), RatioForm("powsum", 0.5, 0.9)])
+    @pytest.mark.parametrize(
+        "sf",
+        [
+            Tullock(0.5),
+            Serial(0.5),
+            RatioForm("powsum", 0.5, 0.9),
+            RatioForm("pow", 0.8),
+            Noisy(RatioForm("pow", 0.8), 0.5),
+        ],
+    )
     def test_continuity_toward_zero_stake(self, sf):
         at_zero = augmented_gain(sf, 1.0, 0.0)
         near = augmented_gain(sf, 1.0, 1e-7)
@@ -238,6 +248,49 @@ class TestAugmentedGain:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             augmented_gain(Tullock(1.0), -1.0, 1.0)
+
+
+class TestBattleGain:
+    KINDS = [
+        Tullock(1.0),
+        Serial(0.5),
+        Noisy(Tullock(0.5), 0.6),
+        RatioForm("pow", 0.8),
+        RatioForm("powsum", 0.6, 0.9),
+        Noisy(RatioForm("pow", 0.8), 0.5),
+    ]
+    STAKES = (-2.0, -0.5, 0.0, 1e-3, 0.3, 1.0, 4.0)
+
+    @pytest.mark.parametrize("sf", KINDS)
+    def test_scalar_path_matches_array_path(self, sf):
+        da, db = (g.ravel() for g in np.meshgrid(self.STAKES, self.STAKES))
+        array = battle_gain(sf, da, db)
+        scalar = [battle_gain(sf, a, b) for a, b in zip(da.tolist(), db.tolist())]
+        assert all(isinstance(x, float) for x in scalar)
+        assert np.array_equal(array, np.array(scalar))
+
+    @pytest.mark.parametrize("sf", KINDS)
+    def test_four_cases(self, sf):
+        assert battle_gain(sf, 2.0, 1.0) == solve_battle(sf, 2.0, 1.0).payoff_a
+        assert battle_gain(sf, 2.0, 0.0) == battle_gain(sf, 2.0, -1.0) == 2.0 * sf.gain_limit
+        assert battle_gain(sf, 0.0, 1.0) == battle_gain(sf, -1.0, 1.0) == 0.0
+        assert battle_gain(sf, -1.0, -3.0) == -0.5
+        assert battle_gain(sf, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("sf", [Tullock(1.0), Serial(0.5), Noisy(Tullock(0.5), 0.6)])
+    def test_partials_match_finite_differences(self, sf):
+        da, db = (g.ravel() for g in np.meshgrid(self.STAKES, self.STAKES))
+        gda, gdb = battle_gain_partials(sf, da, db)
+        h = 1e-7
+        # one-sided differences away from the case boundaries at zero
+        step = np.where(da > 0.0, -h, h)
+        fd_a = (battle_gain(sf, da + step, db) - battle_gain(sf, da, db)) / step
+        step = np.where(db > 0.0, -h, h)
+        fd_b = (battle_gain(sf, da, db + step) - battle_gain(sf, da, db)) / step
+        # Serial's gain function has a kink at equal stakes
+        away = (np.abs(da) > 1e-2) & (np.abs(db) > 1e-2) & (da != db)
+        assert np.allclose(gda[away], fd_a[away], atol=1e-5)
+        assert np.allclose(gdb[away], fd_b[away], atol=1e-5)
 
 
 class TestPsi:
