@@ -7,8 +7,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .automaton import ContestAutomaton, ContestSpec, build_best_of, build_mk1, min_length
 from .errors import DegenerateChainError, DomainError
@@ -140,29 +143,67 @@ def rent_dissipation(solution: ValueSolution, spec: ContestSpec) -> DissipationR
 # ---------------------------------------------------------------------------
 
 
-def _transition_pieces(solution: ValueSolution, spec: ContestSpec):
+class _SolvedChain(NamedTuple):
+    """The chain of play under the solved battle odds, as an edge list.
+
+    One entry per leg of positive mass, in the order of the nonterminal
+    states, winner A before winner B, then the legs as the automaton lists
+    them.  ``row`` maps a state id to its position among the nonterminal
+    states and holds -1 at terminals.
+    """
+
+    nonterminal: tuple
+    row: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    mass: np.ndarray
+
+
+def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
     m = spec.automaton
-    nt = list(m.nonterminal_states)
-    index = {s: i for i, s in enumerate(nt)}
-    size = len(nt)
-    M = np.zeros((size, size))
-    absorb_a = np.zeros(size)
-    absorb_b = np.zeros(size)
+    nt = m.nonterminal_states
+    row = np.full(m.n, -1, dtype=np.intp)
+    row[list(nt)] = np.arange(len(nt))
+    src, tgt, mass = [], [], []
     for i, s in enumerate(nt):
         pa = solution.states[s].win_prob_a
         for weight, w in ((pa, "A"), (1.0 - pa, "B")):
             if weight == 0.0:
                 continue
             for t, p in m.successors(s, w):
-                mass = weight * p
-                if m.is_terminal(t):
-                    if m.winner(t) == "A":
-                        absorb_a[i] += mass
-                    else:
-                        absorb_b[i] += mass
-                else:
-                    M[i, index[t]] += mass
-    return nt, index, M, absorb_a, absorb_b
+                src.append(i)
+                tgt.append(t)
+                mass.append(weight * p)
+    return _SolvedChain(
+        nt,
+        row,
+        np.array(src, dtype=np.intp),
+        np.array(tgt, dtype=np.intp),
+        np.array(mass, dtype=float),
+    )
+
+
+def _transition_pieces(solution: ValueSolution, spec: ContestSpec):
+    """Dense transient block and per-winner absorption masses of the chain.
+
+    ``np.add.at`` accumulates in edge order, so each entry is summed in the
+    order a loop over the edges would sum it.
+    """
+    chain = _solved_chain(solution, spec)
+    size = len(chain.nonterminal)
+    M = np.zeros((size, size))
+    absorb_a = np.zeros(size)
+    absorb_b = np.zeros(size)
+    col = chain.row[chain.tgt]
+    inner = col >= 0
+    np.add.at(M, (chain.src[inner], col[inner]), chain.mass[inner])
+    a_terminal = np.zeros(len(chain.row), dtype=bool)
+    a_terminal[[t for t, w in spec.automaton.terminal.items() if w == "A"]] = True
+    to_a = ~inner & a_terminal[chain.tgt]
+    to_b = ~inner & ~a_terminal[chain.tgt]
+    np.add.at(absorb_a, chain.src[to_a], chain.mass[to_a])
+    np.add.at(absorb_b, chain.src[to_b], chain.mass[to_b])
+    return chain.nonterminal, M, absorb_a, absorb_b
 
 
 def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
@@ -172,7 +213,7 @@ def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
     almost sure under the solved battle probabilities.
     """
     m = spec.automaton
-    nt, _index, M, absorb_a, absorb_b = _transition_pieces(solution, spec)
+    nt, M, absorb_a, absorb_b = _transition_pieces(solution, spec)
     out = {}
     for t, w in m.terminal.items():
         out[t] = (1.0, 0.0) if w == "A" else (0.0, 1.0)
@@ -400,23 +441,40 @@ def transient_dominance(
     Weak sets collect the nonterminal states where a player's continuation
     value is at most epsilon * prize.  The probability that equilibrium play
     visits both sets is computed exactly on the chain augmented with two
-    visited bits, and the certificate demands at least 1 - epsilon.
+    visited bits, by one sparse LU solve, and the certificate demands at
+    least 1 - epsilon.  Raises DegenerateChainError when that linear system
+    is singular.
     """
+    return _certificate(
+        solution,
+        spec,
+        epsilon,
+        lambda set_a, set_b: _reach_both_probability(
+            _solved_chain(solution, spec), spec.automaton.start, set_a, set_b
+        ),
+    )
+
+
+def _weak_sets(solution: ValueSolution, spec: ContestSpec, epsilon: float):
+    cut = epsilon * spec.prize
+    nt = spec.automaton.nonterminal_states
+    return (
+        frozenset(s for s in nt if solution.values_a[s] <= cut),
+        frozenset(s for s in nt if solution.values_b[s] <= cut),
+    )
+
+
+def _certificate(
+    solution: ValueSolution, spec: ContestSpec, epsilon: float, reach_both
+) -> TransientDominanceReport:
+    """The report at epsilon, with ``reach_both(set_a, set_b)`` giving the
+    probability of visiting both nonempty weak sets."""
     if not 0.0 < epsilon < 0.25:
         raise DomainError("epsilon must lie in (0, 1/4)")
-    m = spec.automaton
     v = spec.prize
-    set_a = frozenset(
-        s for s in m.nonterminal_states if solution.values_a[s] <= epsilon * v
-    )
-    set_b = frozenset(
-        s for s in m.nonterminal_states if solution.values_b[s] <= epsilon * v
-    )
+    set_a, set_b = _weak_sets(solution, spec, epsilon)
     effort = v - solution.v0_a - solution.v0_b
-    if not set_a or not set_b:
-        reach = 0.0
-    else:
-        reach = _reach_both_probability(solution, spec, set_a, set_b)
+    reach = reach_both(set_a, set_b) if set_a and set_b else 0.0
     satisfied = bool(set_a) and bool(set_b) and reach >= 1.0 - epsilon
     return TransientDominanceReport(
         epsilon=epsilon,
@@ -431,54 +489,50 @@ def transient_dominance(
 
 
 def _reach_both_probability(
-    solution: ValueSolution, spec: ContestSpec, set_a: frozenset, set_b: frozenset
+    chain: _SolvedChain, start: int, set_a: frozenset, set_b: frozenset
 ) -> float:
-    """Exact probability that play visits both weak sets before absorption.
+    """Exact probability that play from ``start`` visits both weak sets
+    before absorption.
 
-    Solves the linear system over (state, visited-A, visited-B) with the
-    both-visited condition treated as absorbing success.
+    The system runs over (state, visited bits) in three layers: 0 = neither
+    set seen, 1 = A's seen, 2 = B's seen; a leg that completes both bits
+    pays into the right-hand side, and a leg into a terminal pays nothing.
+    Its COO entries come straight from the edge list, and one sparse LU
+    factorisation solves it, so no dense (3n)x(3n) array is formed.  Raises
+    DegenerateChainError when the system is singular, as when play can be
+    trapped away from every terminal without completing both bits.
     """
-    m = spec.automaton
-    nt = list(m.nonterminal_states)
-    index = {}
-    for s in nt:
-        for bits in range(3):  # 0 = none, 1 = A seen, 2 = B seen; both => done
-            index[(s, bits)] = len(index)
-
-    def entry_bits(t: int, bits: int) -> int:
-        if t in set_a:
-            bits |= 1
-        if t in set_b:
-            bits |= 2
-        return bits
-
-    size = len(index)
-    M = np.zeros((size, size))
-    rhs = np.zeros(size)
-    for s in nt:
-        pa = solution.states[s].win_prob_a
-        for bits in range(3):
-            row = index[(s, bits)]
-            for weight, w in ((pa, "A"), (1.0 - pa, "B")):
-                if weight == 0.0:
-                    continue
-                for t, p in m.successors(s, w):
-                    mass = weight * p
-                    if m.is_terminal(t):
-                        # bits cannot change at a terminal state
-                        if bits == 3:
-                            rhs[row] += mass
-                        continue
-                    nb = entry_bits(t, bits)
-                    if nb == 3:
-                        rhs[row] += mass
-                    else:
-                        M[row, index[(t, nb)]] += mass
-    sol = np.linalg.solve(np.eye(size) - M, rhs)
-    start_bits = entry_bits(m.start, 0)
-    if start_bits == 3:
+    flag = np.zeros(len(chain.row), dtype=np.intp)
+    flag[list(set_a)] |= 1
+    flag[list(set_b)] |= 2
+    if flag[start] == 3:
         return 1.0
-    return float(sol[index[(m.start, start_bits)]])
+    col = chain.row[chain.tgt]
+    inner = col >= 0
+    src, col, tgt = chain.src[inner], col[inner], chain.tgt[inner]
+    mass = np.broadcast_to(chain.mass[inner], (3, len(src)))
+    bits = np.arange(3)[:, None]
+    nb = bits | flag[tgt]
+    rows = 3 * src + bits
+    done = nb == 3
+    stay = ~done
+    size = 3 * len(chain.nonterminal)
+    rhs = np.bincount(rows[done], weights=mass[done], minlength=size)
+    diag = np.arange(size)
+    lhs = csc_matrix(
+        (
+            np.concatenate([np.ones(size), -mass[stay]]),
+            (np.concatenate([diag, rows[stay]]), np.concatenate([diag, (3 * col + nb)[stay]])),
+        ),
+        shape=(size, size),
+    )
+    try:
+        x = splu(lhs).solve(rhs)
+    except RuntimeError as exc:
+        raise DegenerateChainError(
+            f"visited-bits system is singular ({exc}): play can be trapped short of both weak sets"
+        ) from exc
+    return float(x[3 * chain.row[start] + flag[start]])
 
 
 def transient_dominance_auto(
@@ -489,22 +543,38 @@ def transient_dominance_auto(
     Satisfaction is monotone in epsilon (weak sets grow, the reach threshold
     falls), so bisection returns the certificate frontier to the requested
     resolution.  When no epsilon below 1/4 certifies, the report at the upper
-    end is returned unsatisfied.
+    end is returned unsatisfied.  The edge list is built once, and the reach
+    probability is solved once per distinct pair of weak sets, since many
+    bisection steps share one.  Raises DegenerateChainError as
+    ``transient_dominance`` does.
     """
+    chain = _solved_chain(solution, spec)
+    reach = {}
+
+    def reach_both(set_a, set_b):
+        key = (set_a, set_b)
+        if key not in reach:
+            reach[key] = _reach_both_probability(chain, spec.automaton.start, set_a, set_b)
+        return reach[key]
+
+    def certify(epsilon):
+        return _certificate(solution, spec, epsilon, reach_both)
+
     hi = 0.25 - 1e-9
-    report_hi = transient_dominance(solution, spec, hi)
+    report_hi = certify(hi)
     if not report_hi.satisfied:
         return report_hi
     lo = resolution
-    if transient_dominance(solution, spec, lo).satisfied:
-        return transient_dominance(solution, spec, lo)
+    report_lo = certify(lo)
+    if report_lo.satisfied:
+        return report_lo
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if transient_dominance(solution, spec, mid).satisfied:
+        if certify(mid).satisfied:
             hi = mid
         else:
             lo = mid
-    return transient_dominance(solution, spec, hi)
+    return certify(hi)
 
 
 # ---------------------------------------------------------------------------

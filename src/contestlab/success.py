@@ -552,7 +552,14 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
         return math.log(sf.curve_value(xa) / sf.curve_value(xb)) - log_odds
 
     span = 45.0  # win probabilities within 1e-19 of the boundary
-    l_star = brentq(excess, -span, span, rtol=_BRENTQ_RTOL, xtol=1e-14)
+    try:
+        l_star = brentq(excess, -span, span, rtol=_BRENTQ_RTOL, xtol=1e-14)
+    except (ZeroDivisionError, ValueError) as exc:
+        # at lopsided stakes a curve value underflows to 0 (division or log
+        # of zero) or no log-odds within the span balances the curves
+        raise ConvergenceError(
+            f"ratio-form FOC solve failed at stakes ({delta_a:.3e}, {delta_b:.3e}): {exc}"
+        ) from exc
     p_star, one_minus = probs(l_star)
     xa, xb = efforts(l_star)
     ga, gb = sf.curve_value(xa), sf.curve_value(xb)

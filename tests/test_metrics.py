@@ -1,6 +1,7 @@
 """Derived-metric tests: dissipation, win probabilities, certificates, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from contestlab import (
     Serial,
     Tullock,
     advantage_profile,
+    automaton_from_dict,
     balanced_gain_ratio,
     build_best_of,
     build_consecutive_win,
     build_tug_of_war,
     extrapolate_supremum,
+    parse_sf,
     rent_dissipation,
     solve,
     solve_consecutive_closed,
@@ -27,10 +30,65 @@ from contestlab import (
     transient_dominance_auto,
     win_probabilities,
 )
+from contestlab import metrics
 from contestlab.automaton import ContestAutomaton
 from contestlab.metrics import SWEEP_COLUMNS
 
 SF1 = Tullock(1.0)
+
+
+def _race_doc(k: int, bonus_p: float) -> dict:
+    """First to k battle wins, where a win jumps two steps with chance bonus_p."""
+    ids, states, edges = {}, [], []
+
+    def sid(a, b):
+        if (a, b) not in ids:
+            ids[(a, b)] = len(ids)
+            terminal = "A" if a >= k else "B" if b >= k else None
+            states.append({"id": ids[(a, b)], "label": f"{a}-{b}", "terminal": terminal})
+        return ids[(a, b)]
+
+    start = sid(0, 0)
+    for a in range(k):
+        for b in range(k):
+            for winner, da, db in (("A", 1, 0), ("B", 0, 1)):
+                one, two = (a + da, b + db), (a + 2 * da, b + 2 * db)
+                legs = [{"state": sid(*one), "prob": 1.0}]
+                if max(two) <= k:
+                    legs = [
+                        {"state": sid(*one), "prob": 1.0 - bonus_p},
+                        {"state": sid(*two), "prob": bonus_p},
+                    ]
+                edges.append({"from": sid(a, b), "winner": winner, "to": legs})
+    return {"states": states, "start": start, "edges": edges}
+
+
+def _dense_reach(sol, spec, set_a, set_b) -> float:
+    """Reference: the visited-bits system written out densely and solved by LU."""
+    m = spec.automaton
+    nt = list(m.nonterminal_states)
+    index = {(s, bits): 3 * i + bits for i, s in enumerate(nt) for bits in range(3)}
+
+    def entry_bits(t, bits):
+        return bits | (1 if t in set_a else 0) | (2 if t in set_b else 0)
+
+    M = np.zeros((len(index), len(index)))
+    rhs = np.zeros(len(index))
+    for s in nt:
+        pa = sol.states[s].win_prob_a
+        for bits in range(3):
+            row = index[(s, bits)]
+            for weight, w in ((pa, "A"), (1.0 - pa, "B")):
+                for t, p in m.successors(s, w):
+                    if m.is_terminal(t):
+                        continue
+                    nb = entry_bits(t, bits)
+                    if nb == 3:
+                        rhs[row] += weight * p
+                    else:
+                        M[row, index[(t, nb)]] += weight * p
+    x = np.linalg.solve(np.eye(len(index)) - M, rhs)
+    return float(x[index[(m.start, entry_bits(m.start, 0))]])
 
 
 class TestRentDissipation:
@@ -244,6 +302,95 @@ class TestTransientDominance:
         spec = ContestSpec(build_tug_of_war(12, 0.4), SF1, 1.0)
         flags = [transient_dominance(sol, spec, e).satisfied for e in (0.02, 0.08, 0.2)]
         assert flags == sorted(flags)
+
+    @pytest.mark.parametrize(
+        "make, eps, tol",
+        [
+            (lambda: ContestSpec(build_best_of(3), SF1, 1.0), 0.1, 1e-12),
+            (lambda: ContestSpec(build_best_of(6), SF1, 1.0), 0.1, 1e-12),
+            (lambda: ContestSpec(build_consecutive_win(5), SF1, 1.0), 0.05, 1e-12),
+            (lambda: ContestSpec(build_tug_of_war(12, 0.4), SF1, 1.0), 0.05, 1e-12),
+            (
+                lambda: ContestSpec(
+                    automaton_from_dict(_race_doc(4, 0.3)), parse_sf("serial:alpha=0.5"), 1.0
+                ),
+                0.1,
+                1e-12,
+            ),
+            # the README certificate frontier; the system's condition number
+            # is about 1e9, so the two solves agree only to about 1e-9
+            (lambda: ContestSpec(build_tug_of_war(30, 0.5), SF1, 1.0), 0.022857006744873051, 1e-8),
+        ],
+    )
+    def test_reach_matches_dense_reference(self, make, eps, tol):
+        spec = make()
+        sol = solve(spec)
+        report = transient_dominance(sol, spec, eps)
+        assert 0.0 < report.reach_both_prob < 1.0
+        ref = _dense_reach(
+            sol, spec, frozenset(report.set_a_minus), frozenset(report.set_b_minus)
+        )
+        assert abs(report.reach_both_prob - ref) <= tol
+
+    def test_auto_solves_each_weak_set_pair_once(self, monkeypatch):
+        sol = solve_tow_closed(30, 0.5, 0, SF1, 1.0)
+        spec = ContestSpec(build_tug_of_war(30, 0.5), SF1, 1.0)
+        used, solved = [], []
+        weak_sets, reach = metrics._weak_sets, metrics._reach_both_probability
+
+        def spy_weak_sets(*args):
+            pair = weak_sets(*args)
+            used.append(pair)
+            return pair
+
+        def spy_reach(chain, start, set_a, set_b):
+            solved.append((set_a, set_b))
+            return reach(chain, start, set_a, set_b)
+
+        monkeypatch.setattr(metrics, "_weak_sets", spy_weak_sets)
+        monkeypatch.setattr(metrics, "_reach_both_probability", spy_reach)
+        report = transient_dominance_auto(sol, spec)
+        distinct = list(dict.fromkeys(pair for pair in used if pair[0] and pair[1]))
+        assert solved == distinct
+        assert len(used) > len(distinct)  # bisection steps share weak-set pairs
+        monkeypatch.undo()
+        assert report == transient_dominance(sol, spec, report.epsilon)
+
+    def test_auto_memory_peak(self):
+        # one dense (3n)x(3n) array at best-of 20 (3n = 1,323) alone is 14 MB
+        spec = ContestSpec(build_best_of(20), parse_sf("tullock:r=0.8"), 1.0)
+        sol = solve(spec)
+        tracemalloc.start()
+        try:
+            transient_dominance_auto(sol, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_degenerate_chain_rejected(self):
+        # B's win from the start falls into a trap half the time; the trap
+        # loops on both winners, so play can stay there forever
+        doc = {
+            "start": 0,
+            "states": [
+                {"id": 0, "label": "start", "terminal": None},
+                {"id": 1, "label": "A wins", "terminal": "A"},
+                {"id": 2, "label": "B wins", "terminal": "B"},
+                {"id": 3, "label": "trap", "terminal": None},
+            ],
+            "edges": [
+                {"from": 0, "winner": "A", "to": [{"state": 1, "prob": 1.0}]},
+                {"from": 0, "winner": "B", "to": [{"state": 3, "prob": 0.5}, {"state": 2, "prob": 0.5}]},
+                {"from": 3, "winner": "A", "to": [{"state": 3, "prob": 1.0}]},
+                {"from": 3, "winner": "B", "to": [{"state": 3, "prob": 1.0}]},
+            ],
+        }
+        spec = ContestSpec(automaton_from_dict(doc), parse_sf("tullock:r=1"), 1.0)
+        sol = solve(spec)
+        sol.values_a[3] = 0.1
+        with pytest.raises(DegenerateChainError):
+            transient_dominance(sol, spec, 0.2)
 
     def test_epsilon_domain(self):
         sol = solve_tow_closed(2, 0.0, 0, SF1, 1.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from contestlab import (
+    ConvergenceError,
     DomainError,
     Noisy,
     RatioForm,
@@ -203,6 +204,13 @@ class TestSolveBattle:
             solve_battle(Tullock(1.0), 0.0, 1.0)
         with pytest.raises(DomainError):
             solve_battle(Tullock(1.0), 1.0, -2.0)
+
+    @pytest.mark.parametrize("stakes", [(4.0, 1e-300), (1e-300, 4.0), (4.0, 1e-200)])
+    def test_ratio_lopsided_stakes_raise_typed_error(self, stakes):
+        # a curve value underflows to 0 or the log-odds bracket holds no sign
+        # change; either way the solver reports a ConvergenceError
+        with pytest.raises(ConvergenceError):
+            solve_battle(RatioForm("pow", 0.8), *stakes)
 
 
 class TestGainRatioSum:
