@@ -162,26 +162,12 @@ class ContestAutomaton:
                         raise StructureError(
                             f"chance probabilities from state {s} on {w} sum to {total}"
                         )
-        reached = self._reachable()
+        reached = _forward_distances(self, self.start)
         if len(reached) != self.n:
-            missing = sorted(set(range(self.n)) - reached)
+            missing = sorted(set(range(self.n)).difference(reached))
             raise StructureError(f"states not reachable from start: {missing}")
         if not any(s in self.terminal for s in reached):
             raise StructureError("no terminal state is reachable: the contest is trivial")
-
-    def _reachable(self) -> set:
-        seen = {self.start}
-        queue = deque([self.start])
-        while queue:
-            s = queue.popleft()
-            if s in self.terminal:
-                continue
-            for w in WINNERS:
-                for t, _ in self.transitions[(s, w)]:
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-        return seen
 
 
 @dataclass(frozen=True)
@@ -478,20 +464,29 @@ def min_length(m: ContestAutomaton) -> float:
     return terminal_distances(m).get(m.start, math.inf)
 
 
-def default_exchangeability_depth(m: ContestAutomaton) -> int:
-    """Twice the start-state eccentricity of the state graph, capped at 12."""
-    dist = {m.start: 0}
-    queue = deque([m.start])
+def _forward_distances(m: ContestAutomaton, source: int) -> dict:
+    """Battles on the shortest history from ``source`` to each state it reaches.
+
+    BFS over positive-probability edges that stops at terminals; the keys
+    are exactly the states reachable from ``source``.
+    """
+    depth = {source: 0}
+    queue = deque([source])
     while queue:
         s = queue.popleft()
-        if m.is_terminal(s):
+        if s in m.terminal:
             continue
         for w in WINNERS:
-            for t, _ in m.successors(s, w):
-                if t not in dist:
-                    dist[t] = dist[s] + 1
+            for t, _ in m.transitions[(s, w)]:
+                if t not in depth:
+                    depth[t] = depth[s] + 1
                     queue.append(t)
-    ecc = max(dist.values())
+    return depth
+
+
+def default_exchangeability_depth(m: ContestAutomaton) -> int:
+    """Twice the start-state eccentricity of the state graph, capped at 12."""
+    ecc = max(_forward_distances(m, m.start).values())
     return max(2, min(12, 2 * ecc))
 
 
@@ -698,17 +693,7 @@ def isomorphic(a: ContestAutomaton, b: ContestAutomaton, up_to_bisimulation: boo
 
 def restrict(m: ContestAutomaton, new_start: int) -> ContestAutomaton:
     """The subcontest rooted at ``new_start`` (reachable subgraph)."""
-    seen = {new_start}
-    queue = deque([new_start])
-    while queue:
-        s = queue.popleft()
-        if m.is_terminal(s):
-            continue
-        for w in WINNERS:
-            for t, _ in m.successors(s, w):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+    seen = _forward_distances(m, new_start)
     remap = {s: i for i, s in enumerate(sorted(seen))}
     transitions = {
         (remap[s], w): tuple((remap[t], p) for t, p in dist)
@@ -769,7 +754,7 @@ def automaton_from_dict(data: dict) -> ContestAutomaton:
                 (int(leg["state"]), float(leg["prob"])) for leg in edge["to"]
             )
         start = int(data["start"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"malformed automaton document: {exc}") from exc
     return ContestAutomaton(
         start=start, transitions=transitions, terminal=terminal, labels=labels

@@ -13,7 +13,15 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .automaton import ContestAutomaton, ContestSpec, build_best_of, build_mk1, min_length
+from .automaton import (
+    ContestAutomaton,
+    ContestSpec,
+    build_best_of,
+    build_consecutive_win,
+    build_mk1,
+    build_tug_of_war,
+    min_length,
+)
 from .errors import DegenerateChainError, DomainError
 from .solver import ValueSolution, solve, solve_consecutive_closed, solve_tow_closed
 from .success import SuccessFunction, solve_battle
@@ -254,7 +262,7 @@ def advantage_profile(
     if family == "tug_of_war":
         n = int(param)
         sol = solve_tow_closed(n, reset_p, 0, sf, prize)
-        spec = ContestSpec(_tow_automaton(sol, n, reset_p), sf, prize)
+        spec = ContestSpec(build_tug_of_war(n, reset_p, 0), sf, prize)
         q = win_probabilities(sol, spec)
         # per-ring win/loss gap ratios from the closed recursion stay exact
         # far past the point where value differences saturate in floats
@@ -313,8 +321,6 @@ def advantage_profile(
     if family == "consecutive_win":
         k = int(param)
         sol = solve_consecutive_closed(k, sf, prize)
-        from .automaton import build_consecutive_win
-
         spec = ContestSpec(build_consecutive_win(k), sf, prize)
         q = win_probabilities(sol, spec)
         rows = []
@@ -330,12 +336,6 @@ def advantage_profile(
             )
         return rows
     raise DomainError(f"advantage_profile supports tug_of_war and consecutive_win, got {family}")
-
-
-def _tow_automaton(sol: ValueSolution, n: int, reset_p: float) -> ContestAutomaton:
-    from .automaton import build_tug_of_war
-
-    return build_tug_of_war(n, reset_p, 0)
 
 
 def _tail_from_partial_sums(fac: dict, i: int, n: int) -> float:
@@ -613,8 +613,6 @@ def _sweep_row(family: str, param: int, sf: SuccessFunction, prize: float, reset
 
 
 def _build_family(family: str, param: int, reset_p: float) -> ContestAutomaton:
-    from .automaton import build_consecutive_win, build_tug_of_war
-
     if family == "best_of":
         return build_best_of(param)
     if family == "tug_of_war":

@@ -105,6 +105,9 @@ def simulate(
             targets[s, wi, j] = t
             cumprob[s, wi, j] = acc
         cumprob[s, wi, len(dist) - 1] = 1.0 + 1e-12  # guard the top leg
+    outcome = np.full(n, -1, dtype=np.int8)  # winner code of each terminal, -1 elsewhere
+    for t, w in m.terminal.items():
+        outcome[t] = WINNERS.index(w)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
@@ -130,17 +133,10 @@ def simulate(
         leg = (u_chance[:, None] > cumprob[cur, wi, :]).sum(axis=1)
         nxt = targets[cur, wi, leg]
         state[alive] = nxt
-        term_a = np.zeros(alive.size, dtype=bool)
-        term_b = np.zeros(alive.size, dtype=bool)
-        for t, w in m.terminal.items():
-            hit = nxt == t
-            if w == "A":
-                term_a |= hit
-            else:
-                term_b |= hit
-        winner[alive[term_a]] = 0
-        winner[alive[term_b]] = 1
-        alive = alive[~(term_a | term_b)]
+        won = outcome[nxt]
+        ended = won >= 0
+        winner[alive[ended]] = won[ended]
+        alive = alive[~ended]
         steps += 1
 
     truncated = int(alive.size)

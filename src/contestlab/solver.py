@@ -530,13 +530,15 @@ def solve_cyclic(
     freshest continuation values (chance-averaged over lotteries), sweeping
     from the states nearest a terminal inward so that boundary information
     crosses the whole graph every pass.  Values move a fraction ``damping``
-    toward each update; checkpoints refine the iterate with exact-Jacobian
-    least squares and a quasi-Newton candidate search.  The operator also
-    admits mutual-discouragement fixed points (idle interior battles, flat
-    values); their basins are escaped by restarting the sweeps from flat
-    low-value profiles, and among verified fixed points the competitive
-    (active-interior) one is preferred, breaking ties toward the smallest
-    total start value.  Stops once the supremum Bellman residual reaches
+    toward each update.  Checkpoints (sweep 50, 100, 200, ... of a phase, or
+    a stalled sweep) run a quasi-Newton candidate search from the iterate,
+    the phase's first one also from flat profiles.  The operator also admits
+    mutual-discouragement fixed points (idle interior battles, flat values);
+    their basins are escaped by restarting the sweeps from flat low-value
+    profiles, and a phase that ends without an answer gets one trust-region
+    least-squares rescue.  A verified competitive (active-interior) fixed
+    point is returned at once, an idle one only when no phase finds a
+    competitive one.  Stops once the supremum Bellman residual reaches
     ``tol`` (default 1e-12 times the prize).
     """
     if not 0.0 < damping <= 1.0:
@@ -575,7 +577,7 @@ def solve_cyclic(
         if sigma is not None:
             vb = va[perm].copy()
         phase_sweeps = 0
-        next_polish = 50
+        next_search = 50
         ran_multistart = False
         while phase_sweeps < phase_budget and iterations < max_iter:
             lam = 1.0 if phase_sweeps == 0 else damping  # pure first sweep seeds the basin
@@ -599,11 +601,11 @@ def solve_cyclic(
                     vb[s] = new_b
             phase_sweeps += 1
             iterations += 1
-            checkpoint = sweep_delta <= tol or phase_sweeps >= next_polish
+            checkpoint = sweep_delta <= tol or phase_sweeps >= next_search
             if not checkpoint:
                 continue
-            if phase_sweeps >= next_polish:
-                next_polish *= 2
+            if phase_sweeps >= next_search:
+                next_search *= 2
             here = _bellman_residual(layer, va, vb)
             res = min(res, here)
             if here <= tol:
@@ -612,34 +614,21 @@ def solve_cyclic(
                 if fallback is None:
                     fallback = (va.copy(), vb.copy(), here)
                 break  # idle basin: restart from the next flat level
-            # exact-Jacobian refinement from the sweep iterate
-            polished = _analytic_polish(layer, va, vb, tol, sigma, thorough=False)
-            if polished is not None and not _has_idle_interior(layer, polished[0], polished[1]):
-                return finish(polished[0], polished[1], iterations)
-            # quasi-Newton candidate search across dissipation scales; the
-            # flat starts are iterate independent, so one pass per phase
-            candidates, near = _newton_candidates(
-                layer, va, vb, tol, sigma, current_only=ran_multistart
+            # the flat starts are iterate independent, so one pass per phase
+            candidates = _newton_candidates(
+                layer, va, vb, tol, perm, current_only=ran_multistart
             )
             ran_multistart = True
-            active = [c for c in candidates if not _has_idle_interior(layer, c[0], c[1])]
-            if active:
-                start = m.start
-                best = min(active, key=lambda c: c[0][start] + c[1][start])
-                return finish(best[0], best[1], iterations)
+            # the search stops at its first active candidate; the rest are idle
+            if candidates and not _has_idle_interior(layer, *candidates[-1][:2]):
+                return finish(*candidates[-1][:2], iterations)
             for idle in candidates:
                 if fallback is None or idle[2] < fallback[2]:
                     fallback = idle
-            if near is not None:
-                polished = _analytic_polish(layer, near[0], near[1], tol, sigma, thorough=False)
-                if polished is not None and not _has_idle_interior(layer, polished[0], polished[1]):
-                    return finish(polished[0], polished[1], iterations)
-                if near[2] < 0.01 * here:
-                    va, vb = near[0].copy(), near[1].copy()
         if iterations >= max_iter:
             break
-        # phase budget exhausted: one thorough trust-region refinement
-        polished = _analytic_polish(layer, va, vb, tol, sigma, thorough=True)
+        # phase budget exhausted or idle basin reached: one trust-region rescue
+        polished = _analytic_polish(layer, va, vb, tol, perm)
         if polished is not None:
             if not _has_idle_interior(layer, polished[0], polished[1]):
                 return finish(polished[0], polished[1], iterations)
@@ -655,15 +644,60 @@ def solve_cyclic(
     )
 
 
-def _analytic_polish(layer: _Layer, va, vb, tol: float, sigma: dict | None, thorough: bool):
-    """Least-squares refinement of V - T(V) with the exact battle-gain Jacobian.
+def _unknowns(layer: _Layer, va, vb, perm):
+    """The root system's unknowns: A's nonterminal values under the swap
+    involution ``perm``, both players' otherwise."""
+    nt = layer.nt
+    return va[nt] if perm is not None else np.concatenate([va[nt], vb[nt]])
 
-    Homogeneous technologies only.  The quick variant runs the fast
-    Levenberg-Marquardt path; the thorough variant switches to the
-    trust-region solver with Jacobian column scaling, which also resolves
+
+def _expand(layer: _Layer, x, perm):
+    """Full value vectors from the unknowns of ``_unknowns``."""
+    size = len(layer.nt)
+    fa = layer.term_a.copy()
+    fa[layer.nt] = x[:size]
+    if perm is not None:
+        # the involution swaps winners, so it also maps terminal values
+        return fa, fa[perm]
+    fb = layer.term_b.copy()
+    fb[layer.nt] = x[size:]
+    return fa, fb
+
+
+def _root_residual(x, layer: _Layer, perm):
+    """x - T(x) over the unknowns.  With the involution only A's rows are
+    unknowns, so B's battles are skipped; A's rows equal the A half of
+    ``bellman_update``."""
+    size = len(layer.nt)
+    sf = layer.spec.sf
+    ea_w, ea_l, eb_w, eb_l = layer.stakes(*_expand(layer, x, perm))
+    da = ea_w - ea_l
+    db = eb_w - eb_l
+    res_a = x[:size] - (ea_l + battle_gain(sf, da, db))
+    if perm is not None:
+        return res_a
+    return np.concatenate([res_a, x[size:] - (eb_l + battle_gain(sf, db, da))])
+
+
+def _verified(layer: _Layer, x, perm, tol: float):
+    """Full value vectors and residual of a root-search result clipped to
+    [0, prize], or None when it is infeasible or misses ``tol``.  A NaN fails
+    the feasibility test."""
+    prize = layer.spec.prize
+    fa, fb = _expand(layer, np.clip(x, 0.0, prize), perm)
+    if not np.all(fa + fb <= prize * (1.0 + 1e-9)):
+        return None
+    res = _bellman_residual(layer, fa, fb)
+    return (fa, fb, res) if res <= tol else None
+
+
+def _analytic_polish(layer: _Layer, va, vb, tol: float, perm):
+    """Trust-region least squares on V - T(V) with the exact battle-gain Jacobian.
+
+    Homogeneous technologies only.  Jacobian column scaling resolves
     instances whose interior couples to the boundary only weakly (nearly
-    singular Jacobians).  Returns verified full value vectors and residual,
-    or None.
+    singular Jacobians), where the quasi-Newton search stalls.  Returns
+    verified full value vectors and residual, or None.
     """
     from scipy.optimize import least_squares
 
@@ -672,46 +706,17 @@ def _analytic_polish(layer: _Layer, va, vb, tol: float, sigma: dict | None, thor
         return None
     nt_idx = np.array(layer.nt)
     size = len(nt_idx)
-    prize = layer.spec.prize
     PA, PB = layer.PA, layer.PB
     DA = PA - PB  # row i dotted with values gives player A's stake
-    n_states = PA.shape[1]
-    if sigma is not None:
-        perm = np.array([sigma[s] for s in range(n_states)])
-        mirror_cols = perm[nt_idx]
-
-    def expand(x):
-        fa = layer.term_a.copy()
-        fb = layer.term_b.copy()
-        if sigma is not None:
-            fa[nt_idx] = x
-            fb = fa[perm].copy()
-        else:
-            fa[nt_idx] = x[:size]
-            fb[nt_idx] = x[size:]
-        return fa, fb
-
-    def fun(x):
-        fa, fb = expand(x)
-        ea_w, ea_l, eb_w, eb_l = layer.stakes(fa, fb)
-        da = ea_w - ea_l
-        db = eb_w - eb_l
-        # with the involution only A's rows are unknowns: skip B's battles
-        res_a = (x if sigma is not None else x[:size]) - (ea_l + battle_gain(sf, da, db))
-        if sigma is not None:
-            return res_a
-        res_b = x[size:] - (eb_l + battle_gain(sf, db, da))
-        return np.concatenate([res_a, res_b])
 
     def jac(x):
-        fa, fb = expand(x)
-        ea_w, ea_l, eb_w, eb_l = layer.stakes(fa, fb)
+        ea_w, ea_l, eb_w, eb_l = layer.stakes(*_expand(layer, x, perm))
         da = ea_w - ea_l
         db = eb_w - eb_l
         gda, gdb = battle_gain_partials(sf, da, db)
         d_fa = PB[:, nt_idx] + gda[:, None] * DA[:, nt_idx]
-        if sigma is not None:
-            d_fb = -gdb[:, None] * DA[:, mirror_cols]
+        if perm is not None:
+            d_fb = -gdb[:, None] * DA[:, perm[nt_idx]]
             return np.eye(size) - (d_fa + d_fb)
         d_fb = -gdb[:, None] * DA[:, nt_idx]
         own_b, cross_b = battle_gain_partials(sf, db, da)
@@ -721,27 +726,15 @@ def _analytic_polish(layer: _Layer, va, vb, tol: float, sigma: dict | None, thor
         bottom = np.hstack([-d_fa_cross, np.eye(size) - d_fb_own])
         return np.vstack([top, bottom])
 
-    x0 = va[nt_idx].copy() if sigma is not None else np.concatenate([va[nt_idx], vb[nt_idx]])
     try:
-        if thorough:
-            sol = least_squares(
-                fun, x0, jac=jac, method="trf", x_scale="jac",
-                ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=6000,
-            )
-        else:
-            sol = least_squares(
-                fun, x0, jac=jac, method="lm",
-                ftol=3e-16, xtol=3e-16, gtol=3e-16, max_nfev=150 * (len(x0) + 1),
-            )
+        sol = least_squares(
+            lambda x: _root_residual(x, layer, perm), _unknowns(layer, va, vb, perm),
+            jac=jac, method="trf", x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+            max_nfev=6000,
+        )
     except Exception:  # noqa: BLE001 - refinement is best-effort
         return None
-    fa, fb = expand(np.clip(sol.x, 0.0, prize))
-    if not np.all(fa + fb <= prize * (1.0 + 1e-9)):
-        return None
-    res = _bellman_residual(layer, fa, fb)
-    if res > tol:
-        return None
-    return fa, fb, res
+    return _verified(layer, sol.x, perm, tol)
 
 
 def _has_idle_interior(layer: _Layer, va, vb) -> bool:
@@ -768,78 +761,41 @@ def _bellman_residual(layer: _Layer, va, vb) -> float:
     )
 
 
-def _newton_candidates(
-    layer: _Layer, va, vb, tol: float, sigma: dict | None, current_only: bool = False
-):
-    """Fixed-point candidates found by quasi-Newton from a handful of starts.
+def _newton_candidates(layer: _Layer, va, vb, tol: float, perm, current_only: bool = False):
+    """Verified fixed points found by quasi-Newton (``hybr``) from a handful of starts.
 
     The starts span several dissipation scales: the sweep iterate itself,
-    then flat profiles.  Returns the verified candidates (Bellman residual
-    within tolerance; the search stops early at the first one whose interior
-    battles are active) together with the best active-interior near miss,
-    which the caller may adopt as a warm iterate.  With a swap involution
+    then, unless ``current_only``, flat profiles.  Returns the candidates
+    whose Bellman residual is within tolerance; the search stops early at
+    the first one whose interior battles are active.  With a swap involution
     the root system is reduced to player A's values, which keeps the search
     on symmetric profiles.  Deterministic by construction.
     """
     from scipy.optimize import root
 
-    nt = layer.nt
-    size = len(nt)
-    prize = layer.spec.prize
-    perm = np.array([sigma[s] for s in range(layer.PA.shape[1])]) if sigma else None
-
-    def expand(x):
-        fa = layer.term_a.copy()
-        fb = layer.term_b.copy()
-        if sigma is not None:
-            fa[nt] = x
-            # the involution swaps winners, so it also maps terminal values
-            fb = fa[perm].copy()
-        else:
-            fa[nt] = x[:size]
-            fb[nt] = x[size:]
-        return fa, fb
-
-    def residual_map(x):
-        fa, fb = expand(x)
-        ua, ub = layer.bellman_update(fa, fb)
-        if sigma is not None:
-            return x - ua
-        return np.concatenate([x[:size] - ua, x[size:] - ub])
-
-    if sigma is not None:
-        current = va[nt].copy()
-    else:
-        current = np.concatenate([va[nt], vb[nt]])
+    current = _unknowns(layer, va, vb, perm)
     starts = [current]
     if not current_only:
+        prize = layer.spec.prize
         starts.extend(
             np.full(len(current), level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)
         )
     budget = 40 * (len(current) + 1)
     found = []
-    near = None
     for x0 in starts:
         try:
-            sol = root(residual_map, x0, method="hybr", tol=1e-14, options={"maxfev": budget})
+            sol = root(
+                _root_residual, x0, args=(layer, perm), method="hybr", tol=1e-14,
+                options={"maxfev": budget},
+            )
         except Exception:  # noqa: BLE001 - the search is best-effort
             continue
-        x = np.clip(sol.x, 0.0, prize)
-        fa, fb = expand(x)
-        if not (
-            np.all(np.isfinite(fa))
-            and np.all(np.isfinite(fb))
-            and np.all(fa + fb <= prize * (1.0 + 1e-9))
-        ):
-            continue
-        res = _bellman_residual(layer, fa, fb)
-        if res <= tol:
-            found.append((fa, fb, res))
-            if not _has_idle_interior(layer, fa, fb):
+        candidate = _verified(layer, sol.x, perm, tol)
+        if candidate is not None:
+            found.append(candidate)
+            if not _has_idle_interior(layer, *candidate[:2]):
                 break
-        elif (near is None or res < near[2]) and not _has_idle_interior(layer, fa, fb):
-            near = (fa, fb, res)
-    return found, near
+    return found
 
 
 def _sweep_order(m: ContestAutomaton) -> list:

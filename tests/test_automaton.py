@@ -332,6 +332,21 @@ class TestValidationAndJson:
         with pytest.raises(StructureError):
             automaton_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["start", "id", "from", "state"])
+    def test_rejects_infinite_integer_field(self, field):
+        # JSON's Infinity parses to a float that int() cannot convert
+        doc = automaton_to_dict(build_best_of(0))
+        if field == "start":
+            doc["start"] = math.inf
+        elif field == "id":
+            doc["states"][1]["id"] = math.inf
+        elif field == "from":
+            doc["edges"][0]["from"] = math.inf
+        else:
+            doc["edges"][0]["to"][0]["state"] = math.inf
+        with pytest.raises(StructureError):
+            automaton_from_dict(doc)
+
 
 class TestMinLengthEdge:
     def test_infinite_when_unreachable(self):

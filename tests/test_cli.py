@@ -195,6 +195,13 @@ class TestExitCodes:
         assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_infinite_state_id(self, tmp_path, capsys):
+        path = tmp_path / "auto.json"
+        text = json.dumps(automaton_to_dict(build_tug_of_war(2)))
+        path.write_text(text.replace('"start": 2', '"start": Infinity', 1))
+        assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_nonconvergence_exit_three(self, tmp_path, monkeypatch):
         from contestlab.errors import ConvergenceError
 

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from contestlab import (
+    ContestAutomaton,
     ContestSpec,
     ConvergenceError,
     CyclicAutomatonError,
@@ -281,6 +282,33 @@ class TestCyclicEngine:
         double = solve_cyclic(ContestSpec(build_tug_of_war(3, 0.3), sf, 2.0), tol=1e-10)
         scale = double.values_a[3] / unit.values_a[3]
         assert scale != pytest.approx(2.0, abs=1e-3)
+
+    def test_trust_region_rescue(self):
+        # The sweeps and the quasi-Newton search only find an idle fixed point
+        # here; the trust-region rescue at the end of a phase finds the one
+        # reported (without it the answer is 0.52413 / 0.12396).
+        m = ContestAutomaton(
+            start=0,
+            transitions={
+                (0, "A"): ((4, 0.1828665948649654), (3, 0.8171334051350346)),
+                (0, "B"): ((2, 1.0),),
+                (1, "A"): ((2, 1.0),),
+                (1, "B"): ((3, 1.0),),
+                (2, "A"): ((6, 1.0),),
+                (2, "B"): ((5, 1.0),),
+                (3, "A"): ((0, 1.0),),
+                (3, "B"): ((2, 1.0),),
+                (4, "A"): ((1, 1.0),),
+                (4, "B"): ((3, 1.0),),
+                (5, "A"): ((7, 1.0),),
+                (5, "B"): ((1, 1.0),),
+            },
+            terminal={6: "A", 7: "B"},
+        )
+        sol = solve_cyclic(ContestSpec(m, Serial(0.5), 1.0))
+        assert sol.v0_a == pytest.approx(0.578301608705025, abs=1e-9)
+        assert sol.v0_b == pytest.approx(0.2562987836164205, abs=1e-9)
+        assert sol.residual <= 1e-12
 
 
 class TestResidual:
