@@ -134,6 +134,8 @@ class ContestAutomaton:
             raise StructureError("automaton has no states")
         if not 0 <= self.start < self.n:
             raise StructureError("start state out of range")
+        if any(s < 0 for s, _ in self.transitions) or any(s < 0 for s in self.terminal):
+            raise StructureError("state ids must be nonnegative")
         for s, w in self.transitions:
             if w not in WINNERS:
                 raise StructureError(f"transition from {s} has invalid winner {w!r}")

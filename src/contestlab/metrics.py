@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
 from .automaton import (
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 SWEEP_COLUMNS = ["param", "V0_A", "V0_B", "total_effort", "dissipation", "thm1_bound", "min_length"]
-
-_SPECTRAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -176,12 +175,11 @@ def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
     for i, s in enumerate(nt):
         pa = solution.states[s].win_prob_a
         for weight, w in ((pa, "A"), (1.0 - pa, "B")):
-            if weight == 0.0:
-                continue
             for t, p in m.successors(s, w):
-                src.append(i)
-                tgt.append(t)
-                mass.append(weight * p)
+                if weight * p > 0.0:
+                    src.append(i)
+                    tgt.append(t)
+                    mass.append(weight * p)
     return _SolvedChain(
         nt,
         row,
@@ -191,52 +189,62 @@ def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
     )
 
 
-def _transition_pieces(solution: ValueSolution, spec: ContestSpec):
-    """Dense transient block and per-winner absorption masses of the chain.
+def _absorbing_lu(size: int, rows, cols, mass, leaks):
+    """Sparse LU factor of I - M for a transient block M of positive COO
+    entries, where ``leaks`` lists the rows that send mass out of the block.
 
-    ``np.add.at`` accumulates in edge order, so each entry is summed in the
-    order a loop over the edges would sum it.
+    Absorption is almost sure, and I - M invertible, exactly when every row
+    reaches a leaking row (Kemeny & Snell, *Finite Markov Chains*, 1960): a
+    breadth-first search over the reversed entries from a virtual sink
+    (index ``size``) that feeds every leaking row.  Otherwise, or should
+    splu still meet a singular pivot, raises DegenerateChainError.
     """
+    diag = np.arange(size)
+    i = np.concatenate([diag, rows, leaks])
+    j = np.concatenate([diag, cols, np.full(len(leaks), size)])
+    reverse = csr_matrix((np.ones(len(i)), (j, i)), shape=(size + 1, size + 1))
+    trapped = size + 1 - len(breadth_first_order(reverse, size, return_predecessors=False))
+    if trapped:
+        raise DegenerateChainError(
+            f"{trapped} of {size} transient states cannot leave: absorption is not almost sure"
+        )
+    entries = size + len(rows)
+    lhs = csc_matrix(
+        (np.concatenate([np.ones(size), -mass]), (i[:entries], j[:entries])), shape=(size, size)
+    )
+    try:
+        return splu(lhs)
+    except RuntimeError as exc:
+        raise DegenerateChainError(f"transient block is singular ({exc})") from exc
+
+
+def _play_factor(solution: ValueSolution, spec: ContestSpec):
+    """The chain of play, the mask of its legs into terminals and the LU
+    factor of its transient block; raises DegenerateChainError unless
+    absorption is almost sure."""
     chain = _solved_chain(solution, spec)
-    size = len(chain.nonterminal)
-    M = np.zeros((size, size))
-    absorb_a = np.zeros(size)
-    absorb_b = np.zeros(size)
     col = chain.row[chain.tgt]
-    inner = col >= 0
-    np.add.at(M, (chain.src[inner], col[inner]), chain.mass[inner])
-    a_terminal = np.zeros(len(chain.row), dtype=bool)
-    a_terminal[[t for t, w in spec.automaton.terminal.items() if w == "A"]] = True
-    to_a = ~inner & a_terminal[chain.tgt]
-    to_b = ~inner & ~a_terminal[chain.tgt]
-    np.add.at(absorb_a, chain.src[to_a], chain.mass[to_a])
-    np.add.at(absorb_b, chain.src[to_b], chain.mass[to_b])
-    return chain.nonterminal, M, absorb_a, absorb_b
+    leak = col < 0
+    inner = ~leak
+    size = len(chain.nonterminal)
+    lu = _absorbing_lu(size, chain.src[inner], col[inner], chain.mass[inner], chain.src[leak])
+    return chain, leak, lu
 
 
 def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
-    """Probability of overall victory per state, by exact linear solve.
+    """Probability of overall victory per state, by exact sparse solve.
 
-    Raises DegenerateChainError when absorption into a terminal state is not
-    almost sure under the solved battle probabilities.
+    Raises DegenerateChainError when some nonterminal state cannot reach a
+    terminal under the solved battle probabilities.
     """
     m = spec.automaton
-    nt, M, absorb_a, absorb_b = _transition_pieces(solution, spec)
-    out = {}
-    for t, w in m.terminal.items():
-        out[t] = (1.0, 0.0) if w == "A" else (0.0, 1.0)
-    if not nt:
-        return out
-    radius = max(abs(np.linalg.eigvals(M))) if M.size else 0.0
-    if radius >= 1.0 - _SPECTRAL_TOL:
-        raise DegenerateChainError(
-            f"transient spectral radius {radius:.12f}: absorption is not almost sure"
-        )
-    lhs = np.eye(len(nt)) - M
-    qa = np.clip(np.linalg.solve(lhs, absorb_a), 0.0, 1.0)
-    qb = np.clip(np.linalg.solve(lhs, absorb_b), 0.0, 1.0)
-    for i, s in enumerate(nt):
-        out[s] = (float(qa[i]), float(qb[i]))
+    out = {t: (1.0, 0.0) if w == "A" else (0.0, 1.0) for t, w in m.terminal.items()}
+    chain, leak, lu = _play_factor(solution, spec)
+    won_b = np.array([m.terminal[t] == "B" for t in chain.tgt[leak]], dtype=np.intp)
+    rhs = np.zeros((len(chain.nonterminal), 2))
+    np.add.at(rhs, (chain.src[leak], won_b), chain.mass[leak])
+    q = np.clip(lu.solve(rhs), 0.0, 1.0)
+    out.update((s, (float(qa), float(qb))) for s, (qa, qb) in zip(chain.nonterminal, q))
     return out
 
 
@@ -442,8 +450,8 @@ def transient_dominance(
     value is at most epsilon * prize.  The probability that equilibrium play
     visits both sets is computed exactly on the chain augmented with two
     visited bits, by one sparse LU solve, and the certificate demands at
-    least 1 - epsilon.  Raises DegenerateChainError when that linear system
-    is singular.
+    least 1 - epsilon.  Raises DegenerateChainError when some state of that
+    system can reach neither a terminal nor both weak sets.
     """
     return _certificate(
         solution,
@@ -499,8 +507,8 @@ def _reach_both_probability(
     pays into the right-hand side, and a leg into a terminal pays nothing.
     Its COO entries come straight from the edge list, and one sparse LU
     factorisation solves it, so no dense (3n)x(3n) array is formed.  Raises
-    DegenerateChainError when the system is singular, as when play can be
-    trapped away from every terminal without completing both bits.
+    DegenerateChainError when play can be trapped away from every terminal
+    without completing both bits.
     """
     flag = np.zeros(len(chain.row), dtype=np.intp)
     flag[list(set_a)] |= 1
@@ -518,21 +526,9 @@ def _reach_both_probability(
     stay = ~done
     size = 3 * len(chain.nonterminal)
     rhs = np.bincount(rows[done], weights=mass[done], minlength=size)
-    diag = np.arange(size)
-    lhs = csc_matrix(
-        (
-            np.concatenate([np.ones(size), -mass[stay]]),
-            (np.concatenate([diag, rows[stay]]), np.concatenate([diag, (3 * col + nb)[stay]])),
-        ),
-        shape=(size, size),
-    )
-    try:
-        x = splu(lhs).solve(rhs)
-    except RuntimeError as exc:
-        raise DegenerateChainError(
-            f"visited-bits system is singular ({exc}): play can be trapped short of both weak sets"
-        ) from exc
-    return float(x[3 * chain.row[start] + flag[start]])
+    leaks = np.concatenate([rows[done], (3 * chain.src[~inner] + bits).ravel()])
+    lu = _absorbing_lu(size, rows[stay], (3 * col + nb)[stay], mass[stay], leaks)
+    return float(lu.solve(rhs)[3 * chain.row[start] + flag[start]])
 
 
 def transient_dominance_auto(

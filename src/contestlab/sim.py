@@ -15,7 +15,7 @@ import numpy as np
 
 from .automaton import ContestSpec, WINNERS
 from .errors import DomainError
-from .metrics import win_probabilities
+from .metrics import _play_factor, win_probabilities
 from .solver import ValueSolution
 
 __all__ = ["SimulationSummary", "simulate", "compare_sim_analytic"]
@@ -62,6 +62,8 @@ def simulate(
     sampled with the solved battle probabilities; lottery legs are resolved
     from their cumulative distribution.  Paths still alive at ``max_steps``
     are flagged truncated: they contribute accrued effort and no winner.
+    Raises DegenerateChainError, before any draw, when some nonterminal
+    state cannot reach a terminal under the solved battle probabilities.
     """
     if paths < 1 or int(paths) != paths:
         raise DomainError("paths must be a positive integer")
@@ -86,6 +88,7 @@ def simulate(
             visit_counts={},
             state_a_wins={},
         )
+    _play_factor(solution, spec)  # the absorption test; its factor is not needed
 
     n = m.n
     p_a = np.zeros(n)

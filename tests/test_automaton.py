@@ -347,6 +347,19 @@ class TestValidationAndJson:
         with pytest.raises(StructureError):
             automaton_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("states", {"id": -1, "label": "ghost", "terminal": "A"}),
+            ("edges", {"from": -2, "winner": "A", "to": [{"state": 1, "prob": 1.0}]}),
+        ],
+    )
+    def test_rejects_negative_state_id(self, key, entry):
+        doc = automaton_to_dict(build_best_of(0))
+        doc[key].append(entry)
+        with pytest.raises(StructureError):
+            automaton_from_dict(doc)
+
 
 class TestMinLengthEdge:
     def test_infinite_when_unreachable(self):

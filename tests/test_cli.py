@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from contestlab import automaton_to_dict, build_tug_of_war
+from contestlab import automaton_to_dict, build_best_of, build_tug_of_war
 from contestlab.cli import main
 from contestlab.errors import ValidationError
 from contestlab.serialize import to_csv, to_json, write_atomic
@@ -199,6 +199,21 @@ class TestExitCodes:
         path = tmp_path / "auto.json"
         text = json.dumps(automaton_to_dict(build_tug_of_war(2)))
         path.write_text(text.replace('"start": 2', '"start": Infinity', 1))
+        assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("states", {"id": -1, "label": "ghost", "terminal": "A"}),
+            ("edges", {"from": -2, "winner": "A", "to": [{"state": 1, "prob": 1.0}]}),
+        ],
+    )
+    def test_negative_state_id(self, tmp_path, capsys, key, entry):
+        doc = automaton_to_dict(build_best_of(0))
+        doc[key].append(entry)
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(doc))
         assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 

@@ -3,7 +3,8 @@
 Each case mutates a small cyclic rule document or draws a malformed or
 degenerate ``--sf`` string, runs ``solve``, ``check`` or ``simulate`` through
 ``cli.main`` in-process, and requires the documented exit-code contract:
-nothing raised, and 0 (success), 2 (validation) or 3 (non-convergence).
+nothing raised, and 0 (success), 2 (validation) or 3 (non-convergence).  A
+successful ``solve`` must report a finite residual of at most 1e-9 * prize.
 """
 
 import copy
@@ -95,7 +96,12 @@ def test_cli_exit_contract(seed, tmp_path):
     path = tmp_path / "rule.json"
     path.write_text(json.dumps(doc))
     command = rng.choice(["solve", "check", "simulate"])
-    argv = [command, "--automaton", str(path), "--sf", sf, "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = [command, "--automaton", str(path), "--sf", sf, "--out", str(out)]
     if command == "simulate":
         argv += ["--paths", "200", "--seed", str(seed)]
-    assert main(argv) in (0, 2, 3)
+    code = main(argv)
+    assert code in (0, 2, 3)
+    if command == "solve" and code == 0:
+        residual = json.loads(out.read_text())["residual"]
+        assert math.isfinite(residual) and residual <= 1e-9  # the default prize is 1

@@ -1,6 +1,7 @@
 """Derived-metric tests: dissipation, win probabilities, certificates, sweeps."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,45 @@ def _dense_reach(sol, spec, set_a, set_b) -> float:
                         M[row, index[(t, nb)]] += weight * p
     x = np.linalg.solve(np.eye(len(index)) - M, rhs)
     return float(x[index[(m.start, entry_bits(m.start, 0))]])
+
+
+def _dense_win(sol, spec) -> dict:
+    """Reference: the absorption system written out densely and solved by LU."""
+    m = spec.automaton
+    nt = list(m.nonterminal_states)
+    index = {s: i for i, s in enumerate(nt)}
+    M = np.zeros((len(nt), len(nt)))
+    absorb = np.zeros((len(nt), 2))
+    for s in nt:
+        pa = sol.states[s].win_prob_a
+        for weight, w in ((pa, "A"), (1.0 - pa, "B")):
+            for t, p in m.successors(s, w):
+                if m.is_terminal(t):
+                    absorb[index[s], "AB".index(m.winner(t))] += weight * p
+                else:
+                    M[index[s], index[t]] += weight * p
+    q = np.linalg.solve(np.eye(len(nt)) - M, absorb)
+    return {s: tuple(q[index[s]]) for s in nt}
+
+
+def _trap_doc(rng: random.Random) -> dict:
+    """B's win from the start falls half the time into a 3-state trap whose
+    three-leg lotteries, drawn uniformly from the simplex, never leave it."""
+
+    def legs():
+        lo, hi = sorted((rng.random(), rng.random()))
+        return [{"state": t, "prob": p} for t, p in zip((3, 4, 5), (lo, hi - lo, 1.0 - hi))]
+
+    states = [
+        {"id": 0, "label": "start", "terminal": None},
+        {"id": 1, "label": "A wins", "terminal": "A"},
+        {"id": 2, "label": "B wins", "terminal": "B"},
+    ] + [{"id": s, "label": f"trap {s}", "terminal": None} for s in (3, 4, 5)]
+    edges = [
+        {"from": 0, "winner": "A", "to": [{"state": 1, "prob": 1.0}]},
+        {"from": 0, "winner": "B", "to": [{"state": 3, "prob": 0.5}, {"state": 2, "prob": 0.5}]},
+    ] + [{"from": s, "winner": w, "to": legs()} for s in (3, 4, 5) for w in "AB"]
+    return {"start": 0, "states": states, "edges": edges}
 
 
 class TestRentDissipation:
@@ -217,6 +257,59 @@ class TestWinProbabilities:
         )
         with pytest.raises(DegenerateChainError):
             win_probabilities(sol, spec)
+
+    @pytest.mark.parametrize(
+        "make, tol",
+        [
+            (lambda: ContestSpec(build_best_of(3), SF1, 1.0), 1e-12),
+            (lambda: ContestSpec(build_best_of(6), SF1, 1.0), 1e-12),
+            (lambda: ContestSpec(build_consecutive_win(5), SF1, 1.0), 1e-12),
+            (lambda: ContestSpec(build_tug_of_war(12, 0.4), SF1, 1.0), 1e-12),
+            (
+                lambda: ContestSpec(
+                    automaton_from_dict(_race_doc(4, 0.3)), parse_sf("serial:alpha=0.5"), 1.0
+                ),
+                1e-12,
+            ),
+            # ill-conditioned near the ends of the ring: the sparse and the
+            # dense solve each sit a few 1e-8 from a 40-digit solve
+            (lambda: ContestSpec(build_tug_of_war(30, 0.5), SF1, 1.0), 1e-8),
+        ],
+    )
+    def test_matches_dense_reference(self, make, tol):
+        spec = make()
+        sol = solve(spec)
+        q = win_probabilities(sol, spec)
+        for s, (qa, qb) in _dense_win(sol, spec).items():
+            assert abs(q[s][0] - qa) <= tol
+            assert abs(q[s][1] - qb) <= tol
+
+    def test_memory_peak(self):
+        # one dense 441x441 array at best-of 20 is 1.5 MB
+        spec = ContestSpec(build_best_of(20), parse_sf("tullock:r=0.8"), 1.0)
+        sol = solve(spec)
+        tracemalloc.start()
+        try:
+            win_probabilities(sol, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_trap_rejected_on_every_draw(self):
+        # play that enters the trap never reaches a terminal, whatever the
+        # lottery masses; rounding in them must not hide that
+        for seed in range(100):
+            spec = ContestSpec(
+                automaton_from_dict(_trap_doc(random.Random(seed))), parse_sf("tullock:r=1"), 1.0
+            )
+            sol = solve(spec)
+            for s in (3, 4, 5):
+                sol.values_a[s] = 0.1
+            with pytest.raises(DegenerateChainError):
+                win_probabilities(sol, spec)
+            with pytest.raises(DegenerateChainError):
+                transient_dominance(sol, spec, 0.2)
 
 
 class TestAdvantageProfile:

@@ -1,23 +1,53 @@
 """Monte Carlo simulation tests: reproducibility and statistical agreement."""
 
+import json
 import math
 
 import pytest
 
 from contestlab import (
+    ContestAutomaton,
     ContestSpec,
+    DegenerateChainError,
     DomainError,
+    Serial,
     Tullock,
+    automaton_to_dict,
     build_best_of,
     build_tug_of_war,
     compare_sim_analytic,
     simulate,
+    solve,
     solve_finite,
     solve_tow_closed,
     win_probabilities,
 )
+from contestlab.cli import main
 
 SF1 = Tullock(1.0)
+
+# The rule of tests/test_solver.py::TestCyclicEngine::test_trust_region_rescue.
+# Under serial:alpha=0.5 its reported equilibrium has A win states 0 and 3 and
+# B win state 1 surely, so play cycles 0 -> 3 -> 0 and 0 -> 4 -> 1 -> 3 -> 0
+# and never reaches a terminal.
+TRAPPED = ContestAutomaton(
+    start=0,
+    transitions={
+        (0, "A"): ((4, 0.1828665948649654), (3, 0.8171334051350346)),
+        (0, "B"): ((2, 1.0),),
+        (1, "A"): ((2, 1.0),),
+        (1, "B"): ((3, 1.0),),
+        (2, "A"): ((6, 1.0),),
+        (2, "B"): ((5, 1.0),),
+        (3, "A"): ((0, 1.0),),
+        (3, "B"): ((2, 1.0),),
+        (4, "A"): ((1, 1.0),),
+        (4, "B"): ((3, 1.0),),
+        (5, "A"): ((7, 1.0),),
+        (5, "B"): ((1, 1.0),),
+    },
+    terminal={6: "A", 7: "B"},
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +161,18 @@ class TestGuards:
         assert summary.win_freq_a == 1.0
         assert summary.mean_length == 0.0
         assert summary.mean_total_effort == 0.0
+
+    def test_trapped_play_rejected(self):
+        spec = ContestSpec(TRAPPED, Serial(0.5), 1.0)
+        with pytest.raises(DegenerateChainError):
+            simulate(solve(spec), spec, 1000, seed=3, max_steps=1000)
+
+    def test_trapped_play_cli_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(automaton_to_dict(TRAPPED)))
+        argv = ["simulate", "--automaton", str(path), "--sf", "serial:alpha=0.5"]
+        assert main([*argv, "--paths", "1000", "--seed", "3", "--max-steps", "1000"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_chance_layer_paths(self):
         spec = ContestSpec(build_tug_of_war(3, reset_p=0.5), SF1, 1.0)
