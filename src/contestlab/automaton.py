@@ -13,6 +13,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, StructureError
 from .success import SuccessFunction
@@ -42,6 +48,24 @@ __all__ = [
 WINNERS = ("A", "B")
 
 _PROB_TOL = 1e-9
+
+
+class Legs(NamedTuple):
+    """The transition table compiled to flat arrays, one entry per lottery leg.
+
+    Legs run by nonterminal state ascending, winner A before winner B, then
+    as the lottery lists them; ``win`` codes the battle winner (0 = A,
+    1 = B).  ``row`` gives each state's position among the nonterminal
+    states (-1 at terminals), ``outcome`` each terminal's winner code (-1
+    elsewhere).
+    """
+
+    src: np.ndarray
+    win: np.ndarray
+    tgt: np.ndarray
+    prob: np.ndarray
+    row: np.ndarray
+    outcome: np.ndarray
 
 
 class ContestAutomaton:
@@ -121,6 +145,29 @@ class ContestAutomaton:
     def deterministic(self) -> bool:
         return all(len(d) == 1 for d in self.transitions.values())
 
+    @cached_property
+    def legs(self) -> Legs:
+        """The leg table (read-only arrays), compiled on first use."""
+        nt = self.nonterminal_states
+        table = [
+            (s, code, t, p)
+            for s in nt
+            for code, w in enumerate(WINNERS)
+            for t, p in self.transitions[(s, w)]
+        ]
+        src, win, tgt, prob = list(zip(*table)) or [()] * 4
+        row = np.full(self.n, -1, dtype=np.intp)
+        row[list(nt)] = np.arange(len(nt))
+        outcome = np.full(self.n, -1, dtype=np.int8)
+        outcome[list(self.terminal)] = [WINNERS.index(w) for w in self.terminal.values()]
+        legs = Legs(
+            np.array(src, dtype=np.intp), np.array(win, dtype=np.int8),
+            np.array(tgt, dtype=np.intp), np.array(prob, dtype=float), row, outcome,
+        )
+        for array in legs:
+            array.flags.writeable = False
+        return legs
+
     def step(self, s: int, w: str) -> int:
         """Deterministic single-step transition; requires a one-point lottery."""
         dist = self.transitions[(s, w)]
@@ -181,8 +228,8 @@ class ContestSpec:
     prize: float = 1.0
 
     def __post_init__(self):
-        if not self.prize > 0.0:
-            raise DomainError("prize must be positive")
+        if not 0.0 < self.prize < math.inf:
+            raise DomainError("prize must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +490,10 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
 def terminal_distances(m: ContestAutomaton) -> dict:
     """Battles on the shortest history from each state to a terminal.
 
-    Multi-source BFS from the terminals over reversed positive-probability
-    edges; states that reach no terminal are absent from the result.
+    A search from the terminals over the reversed legs; states that reach
+    no terminal are absent from the result.
     """
-    rev: dict[int, list[int]] = {s: [] for s in range(m.n)}
-    for (s, _w), dist in m.transitions.items():
-        for t, _p in dist:
-            rev[t].append(s)
-    depth = {t: 0 for t in m.terminal}
-    queue = deque(m.terminal)
-    while queue:
-        t = queue.popleft()
-        for s in rev[t]:
-            if s not in depth:
-                depth[s] = depth[t] + 1
-                queue.append(s)
-    return depth
+    return _hops(m, np.flatnonzero(m.legs.outcome >= 0), m.legs.tgt, m.legs.src)
 
 
 def min_length(m: ContestAutomaton) -> float:
@@ -469,21 +504,24 @@ def min_length(m: ContestAutomaton) -> float:
 def _forward_distances(m: ContestAutomaton, source: int) -> dict:
     """Battles on the shortest history from ``source`` to each state it reaches.
 
-    BFS over positive-probability edges that stops at terminals; the keys
-    are exactly the states reachable from ``source``.
+    Terminals have no legs, so the search stops there; the keys are exactly
+    the states reachable from ``source``.
     """
-    depth = {source: 0}
-    queue = deque([source])
-    while queue:
-        s = queue.popleft()
-        if s in m.terminal:
-            continue
-        for w in WINNERS:
-            for t, _ in m.transitions[(s, w)]:
-                if t not in depth:
-                    depth[t] = depth[s] + 1
-                    queue.append(t)
-    return depth
+    return _hops(m, [source], m.legs.src, m.legs.tgt)
+
+
+def _hops(m: ContestAutomaton, sources, heads, tails) -> dict:
+    """Unweighted shortest-path lengths from ``sources`` over the edges
+    heads -> tails: a breadth-first search from a virtual root (index
+    ``m.n``) one hop before every source."""
+    root = m.n
+    heads = np.concatenate([heads, np.full(len(sources), root)])
+    # CSR rows built directly: a COO conversion costs more than the search
+    tails = np.concatenate([tails, sources])[np.argsort(heads, kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=root + 1))])
+    graph = csr_matrix((np.ones(len(tails)), tails, indptr), shape=(root + 1, root + 1))
+    dist = dijkstra(graph, unweighted=True, indices=root)[:root]
+    return {int(s): int(dist[s]) - 1 for s in np.flatnonzero(np.isfinite(dist))}
 
 
 def default_exchangeability_depth(m: ContestAutomaton) -> int:
@@ -741,7 +779,12 @@ def automaton_to_dict(m: ContestAutomaton) -> dict:
 
 def automaton_from_dict(data: dict) -> ContestAutomaton:
     try:
-        labels = {int(st["id"]): str(st["label"]) for st in data["states"]}
+        labels = {}
+        for st in data["states"]:
+            sid = int(st["id"])
+            if sid in labels:
+                raise StructureError(f"duplicate state id {sid}")
+            labels[sid] = str(st["label"])
         terminal = {
             int(st["id"]): st["terminal"]
             for st in data["states"]

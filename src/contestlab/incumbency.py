@@ -73,8 +73,8 @@ class IncumbencySpec:
             raise DomainError("sub must be an MK1 or TowHeadStart spec")
         if self.sub.k < 1:
             raise DomainError("subcontest parameter must be a positive integer")
-        if self.prize <= 0.0:
-            raise DomainError("prize must be positive")
+        if not 0.0 < self.prize < math.inf:
+            raise DomainError("prize must be positive and finite")
 
 
 @dataclass

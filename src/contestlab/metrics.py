@@ -153,10 +153,9 @@ def rent_dissipation(solution: ValueSolution, spec: ContestSpec) -> DissipationR
 class _SolvedChain(NamedTuple):
     """The chain of play under the solved battle odds, as an edge list.
 
-    One entry per leg of positive mass, in the order of the nonterminal
-    states, winner A before winner B, then the legs as the automaton lists
-    them.  ``row`` maps a state id to its position among the nonterminal
-    states and holds -1 at terminals.
+    One entry per leg of positive mass, in the order of the automaton's leg
+    table; ``src`` is the source's row.  ``row`` maps a state id to its
+    position among the nonterminal states and holds -1 at terminals.
     """
 
     nonterminal: tuple
@@ -167,26 +166,13 @@ class _SolvedChain(NamedTuple):
 
 
 def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
-    m = spec.automaton
-    nt = m.nonterminal_states
-    row = np.full(m.n, -1, dtype=np.intp)
-    row[list(nt)] = np.arange(len(nt))
-    src, tgt, mass = [], [], []
-    for i, s in enumerate(nt):
-        pa = solution.states[s].win_prob_a
-        for weight, w in ((pa, "A"), (1.0 - pa, "B")):
-            for t, p in m.successors(s, w):
-                if weight * p > 0.0:
-                    src.append(i)
-                    tgt.append(t)
-                    mass.append(weight * p)
-    return _SolvedChain(
-        nt,
-        row,
-        np.array(src, dtype=np.intp),
-        np.array(tgt, dtype=np.intp),
-        np.array(mass, dtype=float),
-    )
+    legs = spec.automaton.legs
+    nt = spec.automaton.nonterminal_states
+    src = legs.row[legs.src]
+    win_a = np.array([solution.states[s].win_prob_a for s in nt])[src]
+    mass = np.where(legs.win == 0, win_a, 1.0 - win_a) * legs.prob
+    keep = mass > 0.0
+    return _SolvedChain(nt, legs.row, src[keep], legs.tgt[keep], mass[keep])
 
 
 def _absorbing_lu(size: int, rows, cols, mass, leaks):
@@ -240,9 +226,8 @@ def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
     m = spec.automaton
     out = {t: (1.0, 0.0) if w == "A" else (0.0, 1.0) for t, w in m.terminal.items()}
     chain, leak, lu = _play_factor(solution, spec)
-    won_b = np.array([m.terminal[t] == "B" for t in chain.tgt[leak]], dtype=np.intp)
     rhs = np.zeros((len(chain.nonterminal), 2))
-    np.add.at(rhs, (chain.src[leak], won_b), chain.mass[leak])
+    np.add.at(rhs, (chain.src[leak], m.legs.outcome[chain.tgt[leak]]), chain.mass[leak])
     q = np.clip(lu.solve(rhs), 0.0, 1.0)
     out.update((s, (float(qa), float(qb))) for s, (qa, qb) in zip(chain.nonterminal, q))
     return out

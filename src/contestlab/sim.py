@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import ContestSpec, WINNERS
+from .automaton import ContestSpec
 from .errors import DomainError
 from .metrics import _play_factor, win_probabilities
 from .solver import ValueSolution
@@ -97,20 +97,18 @@ def simulate(
         p_a[s] = sv.win_prob_a
         step_cost[s] = sv.effort_a + sv.effort_b
     # per (state, winner): padded lottery tables
-    width = max(len(d) for d in m.transitions.values())
-    targets = np.zeros((n, 2, width), dtype=np.int64)
-    cumprob = np.full((n, 2, width), 2.0)  # padding above any uniform draw
-    for (s, w), dist in m.transitions.items():
-        wi = WINNERS.index(w)
-        acc = 0.0
-        for j, (t, p) in enumerate(dist):
-            acc += p
-            targets[s, wi, j] = t
-            cumprob[s, wi, j] = acc
-        cumprob[s, wi, len(dist) - 1] = 1.0 + 1e-12  # guard the top leg
-    outcome = np.full(n, -1, dtype=np.int8)  # winner code of each terminal, -1 elsewhere
-    for t, w in m.terminal.items():
-        outcome[t] = WINNERS.index(w)
+    legs = m.legs
+    group = 2 * legs.src + legs.win  # legs of one lottery are adjacent
+    pos = np.arange(len(group)) - np.searchsorted(group, group)
+    at = (legs.src, legs.win, pos)
+    targets = np.zeros((n, 2, pos.max() + 1), dtype=np.int64)
+    targets[at] = legs.tgt
+    chance = np.zeros(targets.shape)
+    chance[at] = legs.prob
+    cumprob = np.full(targets.shape, 2.0)  # padding above any uniform draw
+    cumprob[at] = np.cumsum(chance, axis=2)[at]  # a running sum, leg by leg
+    top = np.r_[pos[1:] == 0, True]
+    cumprob[legs.src[top], legs.win[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
@@ -136,7 +134,7 @@ def simulate(
         leg = (u_chance[:, None] > cumprob[cur, wi, :]).sum(axis=1)
         nxt = targets[cur, wi, leg]
         state[alive] = nxt
-        won = outcome[nxt]
+        won = legs.outcome[nxt]  # winner code of each terminal, -1 elsewhere
         ended = won >= 0
         winner[alive[ended]] = won[ended]
         alive = alive[~ended]

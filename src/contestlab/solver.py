@@ -17,7 +17,6 @@ from scipy.optimize import brentq
 from .automaton import (
     ContestAutomaton,
     ContestSpec,
-    WINNERS,
     build_consecutive_win,
     build_tug_of_war,
     swap_involution,
@@ -124,28 +123,16 @@ class ValueSolution:
 
 
 class _Layer:
-    """Dense chance-averaged transition operators for one automaton."""
+    """The Bellman operator of one automaton, summed over its leg table."""
 
     def __init__(self, spec: ContestSpec):
-        m = spec.automaton
         self.spec = spec
-        self.nt = list(m.nonterminal_states)
-        self.index = {s: i for i, s in enumerate(self.nt)}
-        n = m.n
-        self.PA = np.zeros((len(self.nt), n))
-        self.PB = np.zeros((len(self.nt), n))
-        for i, s in enumerate(self.nt):
-            for t, p in m.successors(s, "A"):
-                self.PA[i, t] += p
-            for t, p in m.successors(s, "B"):
-                self.PB[i, t] += p
-        self.term_a = np.zeros(n)
-        self.term_b = np.zeros(n)
-        for t, w in m.terminal.items():
-            if w == "A":
-                self.term_a[t] = spec.prize
-            else:
-                self.term_b[t] = spec.prize
+        self.legs = legs = spec.automaton.legs
+        self.nt = np.flatnonzero(legs.row >= 0)  # the nonterminal states
+        # the (row, winner) bucket of each leg: 2 * row + winner code
+        self.bucket = 2 * legs.row[legs.src] + legs.win
+        self.term_a = np.where(legs.outcome == 0, spec.prize, 0.0)
+        self.term_b = np.where(legs.outcome == 1, spec.prize, 0.0)
 
     def full_vectors(self, values_nt_a, values_nt_b):
         va = self.term_a.copy()
@@ -154,60 +141,78 @@ class _Layer:
         vb[self.nt] = values_nt_b
         return va, vb
 
-    def stakes(self, va, vb):
-        ea_w = self.PA @ va
-        ea_l = self.PB @ va
-        eb_w = self.PB @ vb
-        eb_l = self.PA @ vb
-        return ea_w, ea_l, eb_w, eb_l
+    def stakes(self, va, vb, rows=None):
+        """Expected continuations (ea_w, ea_l, eb_w, eb_l) at every row or at
+        ``rows``.  Each (row, winner) bucket sums its legs in table order, so
+        a row's stakes do not depend on which other rows are evaluated."""
+        legs = self.legs
+        size = 2 * len(self.nt)
+        cont_a = np.bincount(self.bucket, legs.prob * va[legs.tgt], size).reshape(-1, 2)
+        cont_b = np.bincount(self.bucket, legs.prob * vb[legs.tgt], size).reshape(-1, 2)
+        if rows is not None:
+            cont_a, cont_b = cont_a[rows], cont_b[rows]
+        return cont_a[:, 0], cont_a[:, 1], cont_b[:, 1], cont_b[:, 0]
 
-    def bellman_update(self, va, vb):
-        """One application of the equilibrium operator to full value vectors."""
-        ea_w, ea_l, eb_w, eb_l = self.stakes(va, vb)
+    def bellman_update(self, va, vb, rows=None):
+        """One application of the equilibrium operator to full value vectors,
+        at every row or at ``rows``."""
+        ea_w, ea_l, eb_w, eb_l = self.stakes(va, vb, rows)
         da = ea_w - ea_l
         db = eb_w - eb_l
         sf = self.spec.sf
         return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da)
 
 
-def _battle_detail(sf: SuccessFunction, da: float, db: float):
-    """Efforts, A's win probability and both battle payoffs at stakes (da, db).
+def _lottery_matrices(layer: _Layer):
+    """Dense lottery matrices (PA, PB): row i holds the chance over next
+    states after A's (B's) win at the i-th nonterminal state."""
+    legs = layer.legs
+    mats = np.zeros((2, len(layer.nt), len(legs.row)))
+    np.add.at(mats, (legs.win, legs.row[legs.src], legs.tgt), legs.prob)
+    return mats[0], mats[1]
+
+
+def _battle_detail(sf: SuccessFunction, da, db):
+    """Efforts and A's win probability at stake arrays (da, db).
 
     Off the both-positive case nobody exerts effort; the side with a stake
     wins with the limit odds and an idle battle is a fair coin.
     """
-    if da > 0.0 and db > 0.0:
-        eq = solve_battle(sf, da, db)
-        return eq.effort_a, eq.effort_b, eq.win_prob_a, eq.payoff_a, eq.payoff_b
-    win = sf.win_limit if da > 0.0 else (1.0 - sf.win_limit if db > 0.0 else 0.5)
-    return 0.0, 0.0, win, battle_gain(sf, da, db), battle_gain(sf, db, da)
+    effort_a, effort_b = np.zeros((2, len(da)))
+    win = np.where(da > 0.0, sf.win_limit, np.where(db > 0.0, 1.0 - sf.win_limit, 0.5))
+    both = (da > 0.0) & (db > 0.0)
+    if sf.homogeneous:
+        theta = da[both] / db[both]
+        effort_a[both] = db[both] * sf.gamma_prime(1.0 / theta)
+        effort_b[both] = da[both] * sf.gamma_prime(theta)
+        win[both] = sf.gamma(theta)
+        return effort_a, effort_b, win
+    for i in np.flatnonzero(both):
+        eq = solve_battle(sf, da[i], db[i])
+        effort_a[i], effort_b[i], win[i] = eq.effort_a, eq.effort_b, eq.win_prob_a
+    return effort_a, effort_b, win
 
 
 def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) -> ValueSolution:
     """Build the solution object (detail rows + exact residual) from value vectors.
 
-    Rows take their stakes from the value differences and their values from
-    one operator application.  A closed form may pass ``stakes`` (arrays over
-    ``layer.nt``) derived exactly from its own recursion; its rows then
-    report the given values.
+    Rows report the given values and take their stakes from the value
+    differences.  A closed form may pass ``stakes`` (arrays over
+    ``layer.nt``) derived exactly from its own recursion instead.
     """
     spec = layer.spec
     m = spec.automaton
-    ea_w, ea_l, eb_w, eb_l = layer.stakes(va, vb)
-    da, db = (ea_w - ea_l, eb_w - eb_l) if stakes is None else stakes
-    rows = {}
-    for i, s in enumerate(layer.nt):
-        effort_a, effort_b, win, gain_a, gain_b = _battle_detail(spec.sf, da[i], db[i])
-        rows[s] = StateValues(
-            value_a=ea_l[i] + gain_a if stakes is None else float(va[s]),
-            value_b=eb_l[i] + gain_b if stakes is None else float(vb[s]),
-            stake_a=da[i],
-            stake_b=db[i],
-            effort_a=effort_a,
-            effort_b=effort_b,
-            win_prob_a=win,
-        )
-    res = _bellman_residual(layer, va, vb) if layer.nt else 0.0
+    if stakes is None:
+        ea_w, ea_l, eb_w, eb_l = layer.stakes(va, vb)
+        stakes = (ea_w - ea_l, eb_w - eb_l)
+    da, db = (np.asarray(x, dtype=float) for x in stakes)
+    # per state: the stakes, then the efforts and A's win probability
+    columns = (layer.nt, da, db, *_battle_detail(spec.sf, da, db))
+    rows = {
+        s: StateValues(float(va[s]), float(vb[s]), *detail)
+        for s, *detail in zip(*(column.tolist() for column in columns))
+    }
+    res = _bellman_residual(layer, va, vb) if len(layer.nt) else 0.0
     return ValueSolution(
         method=method,
         residual=res,
@@ -227,51 +232,27 @@ def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) 
 # ---------------------------------------------------------------------------
 
 
-def _topological_order(m: ContestAutomaton) -> list:
-    indeg = {s: 0 for s in range(m.n)}
-    for (s, _w), dist in m.transitions.items():
-        for t, _p in dist:
-            indeg[t] += 1
-    queue = [s for s in range(m.n) if indeg[s] == 0]
-    order = []
-    while queue:
-        s = queue.pop()
-        order.append(s)
-        if m.is_terminal(s):
-            continue
-        for w in WINNERS:
-            for t, _ in m.successors(s, w):
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-    if len(order) != m.n:
-        raise CyclicAutomatonError(
-            "automaton contains cycles; use the cyclic fixed-point solver"
-        )
-    return order
-
-
 def solve_finite(spec: ContestSpec) -> ValueSolution:
-    """One-pass backward induction over a topological order (acyclic rules)."""
-    m = spec.automaton
-    order = _topological_order(m)
-    va = np.zeros(m.n)
-    vb = np.zeros(m.n)
-    for t, w in m.terminal.items():
-        va[t] = spec.prize if w == "A" else 0.0
-        vb[t] = spec.prize if w == "B" else 0.0
-    sf = spec.sf
-    for s in reversed(order):
-        if m.is_terminal(s):
-            continue
-        ea_w = sum(p * va[t] for t, p in m.successors(s, "A"))
-        ea_l = sum(p * va[t] for t, p in m.successors(s, "B"))
-        eb_w = sum(p * vb[t] for t, p in m.successors(s, "B"))
-        eb_l = sum(p * vb[t] for t, p in m.successors(s, "A"))
-        *_, gain_a, gain_b = _battle_detail(sf, ea_w - ea_l, eb_w - eb_l)
-        va[s] = ea_l + gain_a
-        vb[s] = eb_l + gain_b
-    return _assemble(_Layer(spec), "backward", 0, va, vb)
+    """Backward induction by levels (acyclic rules).
+
+    Each pass applies the Bellman operator to the states whose every leg
+    ends at a terminal or at a state already solved, so the values are the
+    operator's own and the residual is exactly zero.
+    """
+    layer = _Layer(spec)
+    legs = layer.legs
+    va, vb = layer.full_vectors(0.0, 0.0)
+    done = legs.row < 0  # terminals are solved from the start
+    while not done.all():
+        waiting = np.bincount(legs.src[~done[legs.tgt]], minlength=len(done)) > 0
+        ready = np.flatnonzero(~done & ~waiting)
+        if not len(ready):
+            raise CyclicAutomatonError(
+                "automaton contains cycles; use the cyclic fixed-point solver"
+            )
+        va[ready], vb[ready] = layer.bellman_update(va, vb, legs.row[ready])
+        done[ready] = True
+    return _assemble(layer, "backward", 0, va, vb)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +279,8 @@ def solve_tow_closed(
         raise UnsupportedKindError(
             "closed-form tug-of-war requires a homogeneous success function"
         )
-    if prize <= 0.0:
-        raise DomainError("prize must be positive")
     m = build_tug_of_war(n, reset_p, head_start)
+    spec = ContestSpec(m, sf, prize)
     p = float(reset_p)
     n = int(n)
 
@@ -409,8 +389,7 @@ def solve_tow_closed(
             sa, sb = (lead, lag) if i > 0 else (lag, lead)
         stakes_a.append(sa)
         stakes_b.append(sb)
-    layer = _Layer(ContestSpec(m, sf, prize))
-    out = _assemble(layer, "closed_tow", 0, va, vb, stakes=(stakes_a, stakes_b))
+    out = _assemble(_Layer(spec), "closed_tow", 0, va, vb, stakes=(stakes_a, stakes_b))
     out.extras.update(
         delta_plus=d_plus[1:],
         delta_minus=d_minus[1:],
@@ -473,10 +452,9 @@ def solve_consecutive_closed(
         )
     if k < 1 or int(k) != k:
         raise DomainError("k must be a positive integer")
-    if prize <= 0.0:
-        raise DomainError("prize must be positive")
     k = int(k)
-    m = build_consecutive_win(k)
+    spec = ContestSpec(build_consecutive_win(k), sf, prize)
+    m = spec.automaton
 
     rho = streak_root(sf, k)
     prod = 1.0
@@ -508,7 +486,7 @@ def solve_consecutive_closed(
         s = i + k
         va[s] = values[i]
         vb[s] = values[-i]
-    out = _assemble(_Layer(ContestSpec(m, sf, prize)), "closed_cw", 0, va, vb)
+    out = _assemble(_Layer(spec), "closed_cw", 0, va, vb)
     out.extras.update(streak_root=rho, survival_product=prod)
     return out
 
@@ -548,7 +526,7 @@ def solve_cyclic(
     m = spec.automaton
     layer = _Layer(spec)
     nt = layer.nt
-    if not nt:
+    if not len(nt):
         va, vb = layer.full_vectors(np.zeros(0), np.zeros(0))
         return _assemble(layer, "fixed_point", 0, va, vb)
     # With a player-swap involution the symmetric equilibrium satisfies
@@ -556,7 +534,10 @@ def solve_cyclic(
     # asymmetric discouragement profiles the operator also admits.
     sigma = swap_involution(m)
     perm = np.array([sigma[s] for s in range(m.n)]) if sigma is not None else None
-    order = _sweep_order(m)
+    # dense lottery rows: their dot products decide which fixed point the
+    # sweeps reach where several exist
+    PA, PB = _lottery_matrices(layer)
+    order = [(s, layer.legs.row[s]) for s in _sweep_order(m)]
     sf = spec.sf
     prize = spec.prize
 
@@ -582,12 +563,11 @@ def solve_cyclic(
         while phase_sweeps < phase_budget and iterations < max_iter:
             lam = 1.0 if phase_sweeps == 0 else damping  # pure first sweep seeds the basin
             sweep_delta = 0.0
-            for s in order:
-                i = layer.index[s]
-                ea_w = float(layer.PA[i] @ va)
-                ea_l = float(layer.PB[i] @ va)
-                eb_w = float(layer.PB[i] @ vb)
-                eb_l = float(layer.PA[i] @ vb)
+            for s, i in order:
+                ea_w = float(PA[i] @ va)
+                ea_l = float(PB[i] @ va)
+                eb_w = float(PB[i] @ vb)
+                eb_l = float(PA[i] @ vb)
                 ua = ea_l + battle_gain(sf, ea_w - ea_l, eb_w - eb_l)
                 new_a = (1.0 - lam) * va[s] + lam * ua
                 sweep_delta = max(sweep_delta, abs(new_a - va[s]))
@@ -654,14 +634,11 @@ def _unknowns(layer: _Layer, va, vb, perm):
 def _expand(layer: _Layer, x, perm):
     """Full value vectors from the unknowns of ``_unknowns``."""
     size = len(layer.nt)
-    fa = layer.term_a.copy()
-    fa[layer.nt] = x[:size]
-    if perm is not None:
-        # the involution swaps winners, so it also maps terminal values
-        return fa, fa[perm]
-    fb = layer.term_b.copy()
-    fb[layer.nt] = x[size:]
-    return fa, fb
+    if perm is None:
+        return layer.full_vectors(x[:size], x[size:])
+    # the involution swaps winners, so it also maps terminal values
+    fa, _ = layer.full_vectors(x[:size], x[:size])
+    return fa, fa[perm]
 
 
 def _root_residual(x, layer: _Layer, perm):
@@ -704,9 +681,9 @@ def _analytic_polish(layer: _Layer, va, vb, tol: float, perm):
     sf = layer.spec.sf
     if not sf.homogeneous:
         return None
-    nt_idx = np.array(layer.nt)
+    nt_idx = layer.nt
     size = len(nt_idx)
-    PA, PB = layer.PA, layer.PB
+    PA, PB = _lottery_matrices(layer)
     DA = PA - PB  # row i dotted with values gives player A's stake
 
     def jac(x):
@@ -801,8 +778,7 @@ def _newton_candidates(layer: _Layer, va, vb, tol: float, perm, current_only: bo
 def _sweep_order(m: ContestAutomaton) -> list:
     """Nonterminal states ordered by battle distance to a terminal, nearest first."""
     depth = terminal_distances(m)
-    nonterm = [s for s in range(m.n) if not m.is_terminal(s)]
-    return sorted(nonterm, key=lambda s: (depth.get(s, m.n + 1), s))
+    return sorted(m.nonterminal_states, key=lambda s: (depth.get(s, m.n + 1), s))
 
 
 def _initial_values(m: ContestAutomaton, prize: float):
@@ -833,18 +809,19 @@ def residual(spec: ContestSpec, values) -> float:
     MPE value function.
     """
     layer = _Layer(spec)
+    nt = layer.nt.tolist()
     if isinstance(values, ValueSolution):
-        pairs = {s: (values.values_a[s], values.values_b[s]) for s in layer.nt}
+        pairs = {s: (values.values_a[s], values.values_b[s]) for s in nt}
     else:
         pairs = dict(values)
-    missing = [s for s in layer.nt if s not in pairs]
+    missing = [s for s in nt if s not in pairs]
     if missing:
         raise DomainError(f"values missing for nonterminal states {missing}")
     va, vb = layer.full_vectors(
-        np.array([pairs[s][0] for s in layer.nt], dtype=float),
-        np.array([pairs[s][1] for s in layer.nt], dtype=float),
+        np.array([pairs[s][0] for s in nt], dtype=float),
+        np.array([pairs[s][1] for s in nt], dtype=float),
     )
-    return _bellman_residual(layer, va, vb) if layer.nt else 0.0
+    return _bellman_residual(layer, va, vb) if nt else 0.0
 
 
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:

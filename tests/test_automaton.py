@@ -23,7 +23,7 @@ from contestlab import (
     min_length,
     minimize,
 )
-from contestlab.automaton import restrict
+from contestlab.automaton import _forward_distances, restrict, terminal_distances
 
 
 def walk(m, outcomes):
@@ -359,6 +359,41 @@ class TestValidationAndJson:
         doc[key].append(entry)
         with pytest.raises(StructureError):
             automaton_from_dict(doc)
+
+
+    def test_rejects_duplicate_state_id(self):
+        # listed twice, state 1 would otherwise silently become B's terminal
+        doc = automaton_to_dict(build_best_of(0))
+        doc["states"].append({"id": 1, "label": "again", "terminal": "B"})
+        with pytest.raises(StructureError, match="duplicate state id 1"):
+            automaton_from_dict(doc)
+
+
+def _reference_hops(m, sources, reverse):
+    """Breadth-first search over the transition table, edge by edge."""
+    edges = [(s, t) for (s, _w), dist in m.transitions.items() for t, _p in dist]
+    if reverse:
+        edges = [(t, s) for s, t in edges]
+    depth = dict.fromkeys(sources, 0)
+    frontier = list(sources)
+    while frontier:
+        reached = [(a, b) for a, b in edges if a in frontier and b not in depth]
+        for a, b in reached:
+            depth.setdefault(b, depth[a] + 1)
+        frontier = [b for _a, b in reached]
+    return depth
+
+
+class TestGraphSearches:
+    @pytest.mark.parametrize(
+        "m",
+        [build_best_of(3), build_tug_of_war(4, 0.3), build_consecutive_win(3), build_mk1(3)],
+        ids=["best_of", "tug_of_war", "consecutive_win", "mk1"],
+    )
+    def test_match_a_plain_search(self, m):
+        assert terminal_distances(m) == _reference_hops(m, list(m.terminal), reverse=True)
+        for s in range(m.n):
+            assert _forward_distances(m, s) == _reference_hops(m, [s], reverse=False)
 
 
 class TestMinLengthEdge:

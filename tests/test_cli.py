@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -216,6 +217,31 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_duplicate_state_id(self, tmp_path, capsys):
+        doc = automaton_to_dict(build_best_of(0))
+        doc["states"].append({"id": 1, "label": "again", "terminal": "B"})
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
+        assert "duplicate state id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--family", "tug-of-war", "--margin", "3", "--sf", "tullock:r=1"],
+            ["incumbency", "--rounds", "3", "--shock-q", "0.5", "--sub", "mk1:k=2",
+             "--sf", "tullock:r=1"],
+        ],
+    )
+    def test_infinite_prize(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--prize", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "prize must be positive and finite" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_nonconvergence_exit_three(self, tmp_path, monkeypatch):
         from contestlab.errors import ConvergenceError

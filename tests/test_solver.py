@@ -7,16 +7,20 @@ engine and against high-precision frozen constants.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from contestlab import (
+    MK1,
     ContestAutomaton,
     ContestSpec,
     ConvergenceError,
     CyclicAutomatonError,
     DomainError,
+    IncumbencySpec,
     Noisy,
     Serial,
     Tullock,
@@ -25,6 +29,7 @@ from contestlab import (
     build_consecutive_win,
     build_mk1,
     build_tug_of_war,
+    parse_sf,
     residual,
     solve,
     solve_battle,
@@ -34,6 +39,7 @@ from contestlab import (
     solve_tow_closed,
 )
 from contestlab.metrics import reinforcement_residuals
+from contestlab.solver import _Layer
 
 SF1 = Tullock(1.0)
 
@@ -387,6 +393,127 @@ class TestOneSidedBattle:
         assert sol.v0_a == pytest.approx(ea_l + sf.gain_limit * da, abs=1e-15)
         row = sol.states[0]
         assert (row.effort_a, row.effort_b, row.win_prob_a) == (0.0, 0.0, sf.win_limit)
+
+
+def race_rule(k: int = 4, bonus_p: float = 0.3) -> ContestAutomaton:
+    """First to k battle wins, where a win jumps two steps with chance
+    ``bonus_p`` unless that overshoots k.  Acyclic and symmetric."""
+    ids = {}
+
+    def sid(a, b):
+        return ids.setdefault((a, b), len(ids))
+
+    transitions = {}
+    for a in range(k):
+        for b in range(k):
+            s = sid(a, b)
+            for w, da, db in (("A", 1, 0), ("B", 0, 1)):
+                one, two = sid(a + da, b + db), (a + 2 * da, b + 2 * db)
+                transitions[(s, w)] = (
+                    ((one, 1.0),) if max(two) > k else ((one, 1.0 - bonus_p), (sid(*two), bonus_p))
+                )
+    terminal = {s: "A" if a >= k else "B" for (a, b), s in ids.items() if max(a, b) >= k}
+    return ContestAutomaton(ids[(0, 0)], transitions, terminal)
+
+
+class TestOneOperator:
+    """Backward induction runs through the operator that measures the
+    residual, so the residual is exactly zero and symmetric rules give
+    bitwise-symmetric start values."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("text", ["serial:alpha=0.5", "tullock:r=0.8"])
+    def test_best_of(self, text, k):
+        sol = solve(ContestSpec(build_best_of(k), parse_sf(text), 1.0))
+        assert sol.method == "backward"
+        assert sol.residual == 0.0
+        assert sol.v0_a == sol.v0_b
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "tullock:r=1",
+            "tullock:r=0.8",
+            "serial:alpha=0.5",
+            "ratio:pow,alpha=0.7",
+            "noisy:q=0.5,base=ratio:pow,alpha=0.7",
+        ],
+    )
+    def test_bonus_race(self, text):
+        sol = solve(ContestSpec(race_rule(), parse_sf(text), 1.0))
+        assert sol.method == "backward"
+        assert sol.residual == 0.0
+        assert sol.v0_a == sol.v0_b
+
+    def test_stakes_equal_per_state_sums(self):
+        m = race_rule()
+        spec = ContestSpec(m, Tullock(0.8), 1.0)
+        sol = solve(spec)
+        va = np.array([sol.values_a[s] for s in range(m.n)])
+        vb = np.array([sol.values_b[s] for s in range(m.n)])
+        layer = _Layer(spec)
+
+        def by_hand(rows):
+            sums = []
+            for i in rows:
+                s = layer.nt[i]
+                win_a, win_b = m.successors(s, "A"), m.successors(s, "B")
+                sums.append((
+                    sum(p * va[t] for t, p in win_a),
+                    sum(p * va[t] for t, p in win_b),
+                    sum(p * vb[t] for t, p in win_b),
+                    sum(p * vb[t] for t, p in win_a),
+                ))
+            return list(zip(*sums))
+
+        for rows in (None, [5], [3, 5, 11]):
+            got = layer.stakes(va, vb, rows)
+            want = by_hand(range(len(layer.nt)) if rows is None else rows)
+            for column, expected in zip(got, want):
+                assert column.tolist() == list(expected)
+
+    def test_leg_table_follows_the_transitions(self):
+        m = race_rule()
+        legs = m.legs
+        walk = [
+            (s, code, t, p)
+            for s in m.nonterminal_states
+            for code, w in enumerate("AB")
+            for t, p in m.successors(s, w)
+        ]
+        table = zip(legs.src.tolist(), legs.win.tolist(), legs.tgt.tolist(), legs.prob.tolist())
+        assert list(table) == walk
+        nt = m.nonterminal_states
+        assert legs.row.tolist() == [nt.index(s) if s in nt else -1 for s in range(m.n)]
+        assert legs.outcome.tolist() == [
+            {"A": 0, "B": 1}.get(m.winner(s), -1) for s in range(m.n)
+        ]
+        assert m.legs is legs
+        assert not legs.prob.flags.writeable
+
+    def test_backward_route_memory(self):
+        # the operator keeps only the leg table: no dense states-by-states arrays
+        spec = ContestSpec(build_best_of(40), Tullock(0.8), 1.0)
+        tracemalloc.start()
+        try:
+            residual(spec, solve(spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestPrizeDomain:
+    @pytest.mark.parametrize("prize", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_prize(self, prize):
+        with pytest.raises(DomainError):
+            ContestSpec(build_best_of(2), SF1, prize)
+        with pytest.raises(DomainError):
+            solve_tow_closed(3, 0.0, 0, SF1, prize)
+        with pytest.raises(DomainError):
+            solve_consecutive_closed(3, SF1, prize)
+        with pytest.raises(DomainError):
+            IncumbencySpec(rounds=3, shock_q=0.5, sub=MK1(2), sf=SF1, prize=prize)
 
 
 class TestSelfReinforcement:
