@@ -228,8 +228,13 @@ class ContestSpec:
     prize: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.prize < math.inf:
-            raise DomainError("prize must be positive and finite")
+        _check_prize(self.prize)
+
+
+def _check_prize(prize: float) -> None:
+    """The one prize rule of every spec and sweep: positive and finite."""
+    if not 0.0 < prize < math.inf:
+        raise DomainError("prize must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +498,7 @@ def terminal_distances(m: ContestAutomaton) -> dict:
     A search from the terminals over the reversed legs; states that reach
     no terminal are absent from the result.
     """
-    return _hops(m, np.flatnonzero(m.legs.outcome >= 0), m.legs.tgt, m.legs.src)
+    return _reached(_hops(m.n, np.flatnonzero(m.legs.outcome >= 0), m.legs.tgt, m.legs.src))
 
 
 def min_length(m: ContestAutomaton) -> float:
@@ -507,21 +512,24 @@ def _forward_distances(m: ContestAutomaton, source: int) -> dict:
     Terminals have no legs, so the search stops there; the keys are exactly
     the states reachable from ``source``.
     """
-    return _hops(m, [source], m.legs.src, m.legs.tgt)
+    return _reached(_hops(m.n, [source], m.legs.src, m.legs.tgt))
 
 
-def _hops(m: ContestAutomaton, sources, heads, tails) -> dict:
-    """Unweighted shortest-path lengths from ``sources`` over the edges
-    heads -> tails: a breadth-first search from a virtual root (index
-    ``m.n``) one hop before every source."""
-    root = m.n
-    heads = np.concatenate([heads, np.full(len(sources), root)])
+def _hops(n: int, sources, heads, tails) -> np.ndarray:
+    """Unweighted shortest-path lengths from the nearest of ``sources`` over
+    the edges heads -> tails among nodes 0..n-1, -1 where unreached."""
     # CSR rows built directly: a COO conversion costs more than the search
-    tails = np.concatenate([tails, sources])[np.argsort(heads, kind="stable")]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=root + 1))])
-    graph = csr_matrix((np.ones(len(tails)), tails, indptr), shape=(root + 1, root + 1))
-    dist = dijkstra(graph, unweighted=True, indices=root)[:root]
-    return {int(s): int(dist[s]) - 1 for s in np.flatnonzero(np.isfinite(dist))}
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
+    tails = np.asarray(tails)[np.argsort(heads, kind="stable")]
+    graph = csr_matrix((np.ones(len(tails)), tails, indptr), shape=(n, n))
+    dist = dijkstra(graph, unweighted=True, indices=sources, min_only=True)
+    return np.where(np.isfinite(dist), dist, -1).astype(int)
+
+
+def _reached(depth: np.ndarray) -> dict:
+    """The reached nodes of a ``_hops`` result and their distances."""
+    reached = np.flatnonzero(depth >= 0)
+    return dict(zip(reached.tolist(), depth[reached].tolist()))
 
 
 def default_exchangeability_depth(m: ContestAutomaton) -> int:

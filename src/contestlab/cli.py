@@ -124,7 +124,7 @@ def _build_contest(args, sf):
     if (args.family is None) == (args.automaton is None):
         raise ValidationError("provide exactly one of --family or --automaton")
     if args.automaton is not None:
-        with open(args.automaton) as handle:
+        with open(args.automaton, encoding="utf-8") as handle:
             data = json.load(handle)
         auto = am.automaton_from_dict(data)
         return am.ContestSpec(auto, sf, args.prize)
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         else:
             sys.stderr.write(text)
         return 3
-    except (ValidationError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ContestError as exc:

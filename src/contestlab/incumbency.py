@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .automaton import ContestAutomaton, ContestSpec, build_mk1, build_tug_of_war, min_length
+from .automaton import (
+    ContestAutomaton, ContestSpec, _check_prize, build_mk1, build_tug_of_war, min_length
+)
 from .errors import DomainError, UnsupportedKindError
 from .metrics import (
     DissipationReport,
@@ -73,8 +75,7 @@ class IncumbencySpec:
             raise DomainError("sub must be an MK1 or TowHeadStart spec")
         if self.sub.k < 1:
             raise DomainError("subcontest parameter must be a positive integer")
-        if not 0.0 < self.prize < math.inf:
-            raise DomainError("prize must be positive and finite")
+        _check_prize(self.prize)
 
 
 @dataclass

@@ -10,13 +10,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .automaton import (
     ContestAutomaton,
     ContestSpec,
+    _check_prize,
+    _hops,
     build_best_of,
     build_consecutive_win,
     build_mk1,
@@ -181,23 +182,18 @@ def _absorbing_lu(size: int, rows, cols, mass, leaks):
 
     Absorption is almost sure, and I - M invertible, exactly when every row
     reaches a leaking row (Kemeny & Snell, *Finite Markov Chains*, 1960): a
-    breadth-first search over the reversed entries from a virtual sink
-    (index ``size``) that feeds every leaking row.  Otherwise, or should
-    splu still meet a singular pivot, raises DegenerateChainError.
+    search over the reversed entries from the leaking rows.  Otherwise, or
+    should splu still meet a singular pivot, raises DegenerateChainError.
     """
-    diag = np.arange(size)
-    i = np.concatenate([diag, rows, leaks])
-    j = np.concatenate([diag, cols, np.full(len(leaks), size)])
-    reverse = csr_matrix((np.ones(len(i)), (j, i)), shape=(size + 1, size + 1))
-    trapped = size + 1 - len(breadth_first_order(reverse, size, return_predecessors=False))
+    trapped = int(np.sum(_hops(size, leaks, cols, rows) < 0))
     if trapped:
         raise DegenerateChainError(
             f"{trapped} of {size} transient states cannot leave: absorption is not almost sure"
         )
-    entries = size + len(rows)
-    lhs = csc_matrix(
-        (np.concatenate([np.ones(size), -mass]), (i[:entries], j[:entries])), shape=(size, size)
-    )
+    diag = np.arange(size)
+    i = np.concatenate([diag, rows])
+    j = np.concatenate([diag, cols])
+    lhs = csc_matrix((np.concatenate([np.ones(size), -mass]), (i, j)), shape=(size, size))
     try:
         return splu(lhs)
     except RuntimeError as exc:
@@ -620,6 +616,7 @@ def sweep(
     """
     if family not in ("best_of", "tug_of_war", "consecutive_win", "mk1"):
         raise DomainError(f"unknown sweep family {family!r}")
+    _check_prize(prize)
     params = list(params)
     if any(int(p) != p for p in params):
         raise DomainError("sweep parameters must be integers")

@@ -31,7 +31,6 @@ from .errors import (
 from .success import (
     SuccessFunction,
     battle_gain,
-    battle_gain_partials,
     psi,
     psi_inverse,
     solve_battle,
@@ -495,10 +494,11 @@ def solve_consecutive_closed(
 # Damped fixed-point engine (general cyclic rules)
 # ---------------------------------------------------------------------------
 
+_DAMPING = 0.5  # the fraction of each update a sweep after the first applies
+
 
 def solve_cyclic(
     spec: ContestSpec,
-    damping: float = 0.5,
     tol: float | None = None,
     max_iter: int = 10**6,
 ) -> ValueSolution:
@@ -507,20 +507,17 @@ def solve_cyclic(
     Each iteration updates every nonterminal state's battle against the
     freshest continuation values (chance-averaged over lotteries), sweeping
     from the states nearest a terminal inward so that boundary information
-    crosses the whole graph every pass.  Values move a fraction ``damping``
-    toward each update.  Checkpoints (sweep 50, 100, 200, ... of a phase, or
-    a stalled sweep) run a quasi-Newton candidate search from the iterate,
-    the phase's first one also from flat profiles.  The operator also admits
-    mutual-discouragement fixed points (idle interior battles, flat values);
-    their basins are escaped by restarting the sweeps from flat low-value
-    profiles, and a phase that ends without an answer gets one trust-region
-    least-squares rescue.  A verified competitive (active-interior) fixed
-    point is returned at once, an idle one only when no phase finds a
-    competitive one.  Stops once the supremum Bellman residual reaches
-    ``tol`` (default 1e-12 times the prize).
+    crosses the whole graph every pass.  After a pure first sweep, values
+    move halfway toward each update.  Checkpoints (sweep 50, 100, 200, ... of
+    a phase, or a stalled sweep) run a quasi-Newton candidate search from the
+    iterate, the phase's first one also from flat profiles.  The operator
+    also admits mutual-discouragement fixed points (idle interior battles,
+    flat values); their basins are escaped by restarting the sweeps from flat
+    low-value profiles.  A verified competitive (active-interior) fixed point
+    is returned at once, an idle one only when no phase finds a competitive
+    one.  Stops once the supremum Bellman residual reaches ``tol`` (default
+    1e-12 times the prize).
     """
-    if not 0.0 < damping <= 1.0:
-        raise DomainError("damping must lie in (0, 1]")
     if tol is None:
         tol = 1e-12 * spec.prize
     m = spec.automaton
@@ -561,7 +558,7 @@ def solve_cyclic(
         next_search = 50
         ran_multistart = False
         while phase_sweeps < phase_budget and iterations < max_iter:
-            lam = 1.0 if phase_sweeps == 0 else damping  # pure first sweep seeds the basin
+            lam = 1.0 if phase_sweeps == 0 else _DAMPING  # pure first sweep seeds the basin
             sweep_delta = 0.0
             for s, i in order:
                 ea_w = float(PA[i] @ va)
@@ -607,13 +604,6 @@ def solve_cyclic(
                     fallback = idle
         if iterations >= max_iter:
             break
-        # phase budget exhausted or idle basin reached: one trust-region rescue
-        polished = _analytic_polish(layer, va, vb, tol, perm)
-        if polished is not None:
-            if not _has_idle_interior(layer, polished[0], polished[1]):
-                return finish(polished[0], polished[1], iterations)
-            if fallback is None or polished[2] < fallback[2]:
-                fallback = polished
     if fallback is not None:
         # only mutual-discouragement equilibria were found; report the best
         return finish(fallback[0], fallback[1], iterations)
@@ -624,15 +614,9 @@ def solve_cyclic(
     )
 
 
-def _unknowns(layer: _Layer, va, vb, perm):
-    """The root system's unknowns: A's nonterminal values under the swap
-    involution ``perm``, both players' otherwise."""
-    nt = layer.nt
-    return va[nt] if perm is not None else np.concatenate([va[nt], vb[nt]])
-
-
 def _expand(layer: _Layer, x, perm):
-    """Full value vectors from the unknowns of ``_unknowns``."""
+    """Full value vectors from the root system's unknowns: A's nonterminal
+    values under the swap involution ``perm``, both players' otherwise."""
     size = len(layer.nt)
     if perm is None:
         return layer.full_vectors(x[:size], x[size:])
@@ -666,52 +650,6 @@ def _verified(layer: _Layer, x, perm, tol: float):
         return None
     res = _bellman_residual(layer, fa, fb)
     return (fa, fb, res) if res <= tol else None
-
-
-def _analytic_polish(layer: _Layer, va, vb, tol: float, perm):
-    """Trust-region least squares on V - T(V) with the exact battle-gain Jacobian.
-
-    Homogeneous technologies only.  Jacobian column scaling resolves
-    instances whose interior couples to the boundary only weakly (nearly
-    singular Jacobians), where the quasi-Newton search stalls.  Returns
-    verified full value vectors and residual, or None.
-    """
-    from scipy.optimize import least_squares
-
-    sf = layer.spec.sf
-    if not sf.homogeneous:
-        return None
-    nt_idx = layer.nt
-    size = len(nt_idx)
-    PA, PB = _lottery_matrices(layer)
-    DA = PA - PB  # row i dotted with values gives player A's stake
-
-    def jac(x):
-        ea_w, ea_l, eb_w, eb_l = layer.stakes(*_expand(layer, x, perm))
-        da = ea_w - ea_l
-        db = eb_w - eb_l
-        gda, gdb = battle_gain_partials(sf, da, db)
-        d_fa = PB[:, nt_idx] + gda[:, None] * DA[:, nt_idx]
-        if perm is not None:
-            d_fb = -gdb[:, None] * DA[:, perm[nt_idx]]
-            return np.eye(size) - (d_fa + d_fb)
-        d_fb = -gdb[:, None] * DA[:, nt_idx]
-        own_b, cross_b = battle_gain_partials(sf, db, da)
-        d_fb_own = PA[:, nt_idx] - own_b[:, None] * DA[:, nt_idx]
-        d_fa_cross = cross_b[:, None] * DA[:, nt_idx]
-        top = np.hstack([np.eye(size) - d_fa, -d_fb])
-        bottom = np.hstack([-d_fa_cross, np.eye(size) - d_fb_own])
-        return np.vstack([top, bottom])
-
-    try:
-        sol = least_squares(
-            lambda x: _root_residual(x, layer, perm), _unknowns(layer, va, vb, perm),
-            jac=jac, method="trf", x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15,
-            max_nfev=6000,
-        )
-    except Exception:  # noqa: BLE001 - refinement is best-effort
-        return None
-    return _verified(layer, sol.x, perm, tol)
 
 
 def _has_idle_interior(layer: _Layer, va, vb) -> bool:
@@ -750,7 +688,8 @@ def _newton_candidates(layer: _Layer, va, vb, tol: float, perm, current_only: bo
     """
     from scipy.optimize import root
 
-    current = _unknowns(layer, va, vb, perm)
+    nt = layer.nt
+    current = va[nt] if perm is not None else np.concatenate([va[nt], vb[nt]])
     starts = [current]
     if not current_only:
         prize = layer.spec.prize

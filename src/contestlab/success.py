@@ -29,7 +29,6 @@ __all__ = [
     "solve_battle",
     "augmented_gain",
     "battle_gain",
-    "battle_gain_partials",
     "psi",
     "psi_inverse",
     "parse_sf",
@@ -65,10 +64,6 @@ class SuccessFunction:
 
     def phi_complement(self, theta):
         """1 - phi(theta), evaluated stably for large ratios."""
-        raise UnsupportedKindError(f"{self.kind} has no gain function")
-
-    def phi_prime(self, theta):
-        """Derivative of the gain function; equals -theta * gamma''(theta)."""
         raise UnsupportedKindError(f"{self.kind} has no gain function")
 
     def log_phi(self, theta: float) -> float:
@@ -163,18 +158,6 @@ class Tullock(SuccessFunction):
         out = np.where(small, lo, hi)
         out = np.where(np.isposinf(th), 0.0, out)
         return _scalar_or_array(theta, out)
-
-    def phi_prime(self, theta):
-        r = self.r
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        zl = tl**r
-        wb = tb ** (-r)
-        lo = r * tl ** (r - 1.0) * (1.0 - r + (1.0 + r) * zl) / (1.0 + zl) ** 3
-        hi = r * tb ** (-r - 1.0) * ((1.0 - r) * wb + 1.0 + r) / (1.0 + wb) ** 3
-        return _scalar_or_array(theta, np.where(small, lo, hi))
 
     def log_phi(self, theta: float) -> float:
         if theta >= 1.0:
@@ -273,16 +256,6 @@ class Serial(SuccessFunction):
         tb = np.where(small, 1.0, th)
         out = np.where(small, 1.0 - 0.5 * (1.0 - a) * tl**a, 0.5 * (1.0 + a) * tb ** (-a))
         return _scalar_or_array(theta, out)
-
-    def phi_prime(self, theta):
-        a = self.alpha
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        lo = 0.5 * a * (1.0 - a) * tl ** (a - 1.0)
-        hi = 0.5 * a * (1.0 + a) * tb ** (-a - 1.0)
-        return _scalar_or_array(theta, np.where(small, lo, hi))
 
     def log_phi(self, theta: float) -> float:
         if theta >= 1.0:
@@ -432,9 +405,6 @@ class Noisy(SuccessFunction):
 
     def phi_complement(self, theta):
         return 0.5 * (1.0 - self.q) + self.q * self.base.phi_complement(theta)
-
-    def phi_prime(self, theta):
-        return self.q * self.base.phi_prime(theta)
 
     def log_phi(self, theta: float) -> float:
         return math.log(self.phi(theta))
@@ -621,12 +591,6 @@ def _competitive_gain(sf: SuccessFunction, da, db):
     return np.array([solve_battle(sf, a, b).payoff_a for a, b in zip(da.tolist(), db.tolist())])
 
 
-def _degenerate_slope(sf: SuccessFunction, da, db):
-    """Slope in da of the gain off the both-positive case, where it is linear:
-    gain_limit when only da is positive, 0 when only db is, 1/2 when neither is."""
-    return np.where(da > 0.0, sf.gain_limit, np.where(db > 0.0, 0.0, 0.5))
-
-
 def battle_gain(sf: SuccessFunction, da, db):
     """Battle payoff over the losing continuation at winning stakes (da, db).
 
@@ -646,31 +610,12 @@ def battle_gain(sf: SuccessFunction, da, db):
         return da * (sf.gain_limit if da > 0.0 else 0.0 if db > 0.0 else 0.5)
     da = np.asarray(da, dtype=float)
     db = np.asarray(db, dtype=float)
-    out = _degenerate_slope(sf, da, db) * da
+    # off the both-positive case the gain is linear in da
+    out = np.where(da > 0.0, sf.gain_limit, np.where(db > 0.0, 0.0, 0.5)) * da
     both = (da > 0.0) & (db > 0.0)
     if np.any(both):
         out[both] = _competitive_gain(sf, da[both], db[both])
     return out
-
-
-def battle_gain_partials(sf: SuccessFunction, da, db):
-    """Partial derivatives of ``battle_gain`` in each stake (homogeneous kinds).
-
-    On the competitive case the envelope theorem gives d/d(da) = phi +
-    theta phi' and d/d(db) = -theta^2 phi' at theta = da / db; the other
-    cases are linear in da alone.
-    """
-    da = np.asarray(da, dtype=float)
-    db = np.asarray(db, dtype=float)
-    gda = _degenerate_slope(sf, da, db)
-    gdb = np.zeros_like(gda)
-    both = (da > 0.0) & (db > 0.0)
-    if np.any(both):
-        theta = da[both] / db[both]
-        slope = sf.phi_prime(theta)
-        gda[both] = sf.phi(theta) + theta * slope
-        gdb[both] = -(theta**2) * slope
-    return gda, gdb
 
 
 def augmented_gain(sf: SuccessFunction, delta_prime: float, delta: float) -> float:

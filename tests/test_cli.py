@@ -218,6 +218,18 @@ class TestExitCodes:
         assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_automaton_directory(self, tmp_path, capsys):
+        assert main(["solve", "--automaton", str(tmp_path), "--sf", "tullock:r=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_automaton_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "auto.json"
+        path.write_bytes(b'{"start": 0, "name": "\xff"}')
+        assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_duplicate_state_id(self, tmp_path, capsys):
         doc = automaton_to_dict(build_best_of(0))
         doc["states"].append({"id": 1, "label": "again", "terminal": "B"})
@@ -232,6 +244,8 @@ class TestExitCodes:
             ["solve", "--family", "tug-of-war", "--margin", "3", "--sf", "tullock:r=1"],
             ["incumbency", "--rounds", "3", "--shock-q", "0.5", "--sub", "mk1:k=2",
              "--sf", "tullock:r=1"],
+            ["sweep", "--family", "best-of", "--k", "1..2", "--sf", "tullock:r=1",
+             "--format", "csv"],
         ],
     )
     def test_infinite_prize(self, capsys, argv):

@@ -544,6 +544,11 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep("unknown", [1], SF1)
 
+    def test_invalid_prize_raises(self):
+        # a spec-level domain error is no row failure: it stops the sweep
+        with pytest.raises(DomainError, match="prize must be positive and finite"):
+            sweep("best_of", [1, 2], SF1, prize=0.0)
+
 
 class TestExtrapolation:
     def test_geometric_series(self):

@@ -26,10 +26,10 @@ from contestlab.cli import main
 
 SF1 = Tullock(1.0)
 
-# The rule of tests/test_solver.py::TestCyclicEngine::test_trust_region_rescue.
+# The rule of tests/test_solver.py::TestCyclicEngine::test_idle_fallback_is_verified.
 # Under serial:alpha=0.5 its reported equilibrium has A win states 0 and 3 and
-# B win state 1 surely, so play cycles 0 -> 3 -> 0 and 0 -> 4 -> 1 -> 3 -> 0
-# and never reaches a terminal.
+# B win state 4 surely, so play cycles 0 -> 3 -> 0 and 0 -> 4 -> 3 -> 0 and
+# never reaches a terminal.
 TRAPPED = ContestAutomaton(
     start=0,
     transitions={

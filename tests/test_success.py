@@ -26,7 +26,7 @@ from contestlab import (
     psi_inverse,
     solve_battle,
 )
-from contestlab.success import battle_gain, battle_gain_partials
+from contestlab.success import battle_gain
 
 THETA_GRID = np.logspace(-6, 6, 121)
 
@@ -284,21 +284,6 @@ class TestBattleGain:
         assert battle_gain(sf, 0.0, 1.0) == battle_gain(sf, -1.0, 1.0) == 0.0
         assert battle_gain(sf, -1.0, -3.0) == -0.5
         assert battle_gain(sf, 0.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("sf", [Tullock(1.0), Serial(0.5), Noisy(Tullock(0.5), 0.6)])
-    def test_partials_match_finite_differences(self, sf):
-        da, db = (g.ravel() for g in np.meshgrid(self.STAKES, self.STAKES))
-        gda, gdb = battle_gain_partials(sf, da, db)
-        h = 1e-7
-        # one-sided differences away from the case boundaries at zero
-        step = np.where(da > 0.0, -h, h)
-        fd_a = (battle_gain(sf, da + step, db) - battle_gain(sf, da, db)) / step
-        step = np.where(db > 0.0, -h, h)
-        fd_b = (battle_gain(sf, da, db + step) - battle_gain(sf, da, db)) / step
-        # Serial's gain function has a kink at equal stakes
-        away = (np.abs(da) > 1e-2) & (np.abs(db) > 1e-2) & (da != db)
-        assert np.allclose(gda[away], fd_a[away], atol=1e-5)
-        assert np.allclose(gdb[away], fd_b[away], atol=1e-5)
 
 
 class TestPsi:
