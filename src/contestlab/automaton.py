@@ -82,9 +82,6 @@ class ContestAutomaton:
         Overall winner ("A" or "B") at each terminal state.
     labels : dict[int, str], optional
         Human-readable tags such as "lead +2" or "streak -1".
-    coords : dict[int, int], optional
-        Signed position indices used for ordering diagnostics and
-        solver initialization.
     """
 
     def __init__(
@@ -93,10 +90,8 @@ class ContestAutomaton:
         transitions: dict,
         terminal: dict,
         labels: dict | None = None,
-        coords: dict | None = None,
         family: str | None = None,
         params: dict | None = None,
-        mirror_map: dict | None = None,
         validate: bool = True,
     ):
         self.start = int(start)
@@ -109,10 +104,8 @@ class ContestAutomaton:
         ids.add(self.start)
         self.n = (max(ids) + 1) if ids else 0
         self.labels = dict(labels) if labels else {s: f"s{s}" for s in range(self.n)}
-        self.coords = dict(coords) if coords else None
         self.family = family
         self.params = dict(params) if params else {}
-        self.mirror_map = dict(mirror_map) if mirror_map else None
         if validate:
             self._validate()
 
@@ -260,11 +253,9 @@ def build_best_of(k: int) -> ContestAutomaton:
         if not (i == goal and j == goal)
     ]
     idx = {key: n for n, key in enumerate(keys)}
-    transitions, terminal, labels, coords, mirror = {}, {}, {}, {}, {}
+    transitions, terminal, labels = {}, {}, {}
     for (i, j), s in idx.items():
         labels[s] = f"score {i}-{j}"
-        coords[s] = i - j
-        mirror[s] = idx[(j, i)]
         if i == goal:
             terminal[s] = "A"
         elif j == goal:
@@ -277,10 +268,8 @@ def build_best_of(k: int) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        coords=coords,
         family="best_of",
         params={"k": k},
-        mirror_map=mirror,
     )
 
 
@@ -298,12 +287,10 @@ def build_tug_of_war(n: int, reset_p: float = 0.0, head_start: int = 0) -> Conte
         raise DomainError("head start must satisfy |head_start| < margin")
     n = int(n)
     idx = {i: i + n for i in range(-n, n + 1)}
-    transitions, terminal, labels, coords, mirror = {}, {}, {}, {}, {}
+    transitions, terminal, labels = {}, {}, {}
     for i in range(-n, n + 1):
         s = idx[i]
         labels[s] = f"lead {i:+d}"
-        coords[s] = i
-        mirror[s] = idx[-i]
         if i == n:
             terminal[s] = "A"
         elif i == -n:
@@ -320,10 +307,8 @@ def build_tug_of_war(n: int, reset_p: float = 0.0, head_start: int = 0) -> Conte
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        coords=coords,
         family="tug_of_war",
         params={"n": n, "reset_p": float(reset_p), "head_start": int(head_start)},
-        mirror_map=mirror,
     )
 
 
@@ -333,12 +318,10 @@ def build_consecutive_win(k: int) -> ContestAutomaton:
         raise DomainError("k must be a positive integer")
     k = int(k)
     idx = {i: i + k for i in range(-k, k + 1)}
-    transitions, terminal, labels, coords, mirror = {}, {}, {}, {}, {}
+    transitions, terminal, labels = {}, {}, {}
     for i in range(-k, k + 1):
         s = idx[i]
         labels[s] = f"streak {i:+d}"
-        coords[s] = i
-        mirror[s] = idx[-i]
         if i == k:
             terminal[s] = "A"
         elif i == -k:
@@ -351,10 +334,8 @@ def build_consecutive_win(k: int) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        coords=coords,
         family="consecutive_win",
         params={"k": k},
-        mirror_map=mirror,
     )
 
 
@@ -368,24 +349,20 @@ def build_mk1(k: int) -> ContestAutomaton:
         raise DomainError("k must be a positive integer")
     k = int(k)
     # ids: 0..k-1 nonterminal, k = B's victory, k+1 = A's victory
-    transitions, terminal, labels, coords = {}, {}, {}, {}
+    transitions, terminal, labels = {}, {}, {}
     for j in range(k):
         labels[j] = f"challenger wins {j}"
-        coords[j] = -j
         transitions[(j, "A")] = ((k + 1, 1.0),)
         transitions[(j, "B")] = ((j + 1, 1.0),)
     terminal[k] = "B"
     labels[k] = "challenger victory"
-    coords[k] = -k
     terminal[k + 1] = "A"
     labels[k + 1] = "incumbent victory"
-    coords[k + 1] = 1
     return ContestAutomaton(
         start=0,
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        coords=coords,
         family="mk1",
         params={"k": k},
     )
@@ -417,7 +394,7 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
             ids[key] = len(ids)
         return ids[key]
 
-    transitions, terminal, labels, coords = {}, {}, {}, {}
+    transitions, terminal, labels = {}, {}, {}
 
     def embed(msource: int) -> int:
         return intern(("sub", msource))
@@ -433,15 +410,12 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
 
     start = intern(("chain", 0, 0))
     labels[start] = "start"
-    coords[start] = 0
     win_a = intern(("chainwin", "A"))
     win_b = intern(("chainwin", "B"))
     terminal[win_a] = "A"
     terminal[win_b] = "B"
     labels[win_a] = f"streak {n} by A"
     labels[win_b] = f"streak {n} by B"
-    coords[win_a] = n
-    coords[win_b] = -n
 
     transitions[(start, "A")] = ((win_a if n == 1 else intern(("chain", 1, 1)), 1.0),)
     transitions[(start, "B")] = ((win_b if n == 1 else intern(("chain", 1, -1)), 1.0),)
@@ -449,7 +423,6 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
         for side, w_on, w_off, goal in ((1, "A", "B", win_a), (-1, "B", "A", win_b)):
             s = intern(("chain", j, side))
             labels[s] = f"pure streak {j} by {w_on}"
-            coords[s] = j * side
             on_target = goal if j + 1 == n else intern(("chain", j + 1, side))
             transitions[(s, w_on)] = ((on_target, 1.0),)
             transitions[(s, w_off)] = ((walk(j - 1, w_on), 1.0),)
@@ -462,8 +435,6 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
         ms = key[1]
         s = ids[key]
         labels[s] = f"sub:{m.labels.get(ms, str(ms))}"
-        if m.coords and ms in m.coords:
-            coords[s] = m.coords[ms]
         if m.is_terminal(ms):
             terminal[s] = m.winner(ms)
             continue
@@ -475,13 +446,11 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
                 pending.append(tkey)
             transitions[(s, w)] = ((intern(tkey), 1.0),)
 
-    have_coords = all(s in coords for s in range(len(ids)))
     return ContestAutomaton(
         start=start,
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        coords=coords if have_coords else None,
         family="extension",
         params={"n": n, "base_family": m.family},
     )
@@ -579,13 +548,10 @@ def check_exchangeable(m: ContestAutomaton, depth: int) -> tuple[bool, tuple | N
 def swap_involution(m: ContestAutomaton) -> dict | None:
     """Find the A/B-swapping state involution, or None if the rule is biased.
 
-    Uses the builder-provided candidate when present; otherwise constructs
-    one by propagating from the start state (chance-free automata only).
+    Propagates the candidate from the start state, which the swap must fix:
+    leg k of a state's A-win lottery maps onto leg k of its image's B-win
+    lottery, and the candidate is then checked on every leg.
     """
-    if m.mirror_map is not None:
-        return m.mirror_map if _verify_involution(m, m.mirror_map) else None
-    if not m.deterministic:
-        return None
     sigma = {m.start: m.start}
     queue = deque([m.start])
     while queue:
@@ -596,14 +562,16 @@ def swap_involution(m: ContestAutomaton) -> dict | None:
         if m.is_terminal(o):
             return None
         for w, wflip in (("A", "B"), ("B", "A")):
-            t = m.step(s, w)
-            u = m.step(o, wflip)
-            if t in sigma:
-                if sigma[t] != u:
-                    return None
-            else:
-                sigma[t] = u
-                queue.append(t)
+            dist, image = m.successors(s, w), m.successors(o, wflip)
+            if len(dist) != len(image):
+                return None
+            for (t, _), (u, _) in zip(dist, image):
+                if t in sigma:
+                    if sigma[t] != u:
+                        return None
+                else:
+                    sigma[t] = u
+                    queue.append(t)
     return sigma if _verify_involution(m, sigma) else None
 
 
@@ -750,13 +718,11 @@ def restrict(m: ContestAutomaton, new_start: int) -> ContestAutomaton:
     }
     terminal = {remap[s]: w for s, w in m.terminal.items() if s in seen}
     labels = {remap[s]: m.labels.get(s, f"s{s}") for s in seen}
-    coords = {remap[s]: m.coords[s] for s in seen} if m.coords else None
     return ContestAutomaton(
         start=remap[new_start],
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        coords=coords,
     )
 
 

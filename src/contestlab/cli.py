@@ -18,7 +18,7 @@ from . import metrics, sim, solver
 from .errors import (
     ContestError,
     ConvergenceError,
-    DomainError,
+    StructureError,
     ValidationError,
 )
 from .serialize import to_csv, to_json, write_atomic
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family_required=True):
+    def add_common(p):
         p.add_argument("--sf", required=True, help="success function, e.g. tullock:r=1")
         p.add_argument("--prize", type=float, default=1.0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -124,9 +124,11 @@ def _build_contest(args, sf):
     if (args.family is None) == (args.automaton is None):
         raise ValidationError("provide exactly one of --family or --automaton")
     if args.automaton is not None:
-        with open(args.automaton, encoding="utf-8") as handle:
-            data = json.load(handle)
-        auto = am.automaton_from_dict(data)
+        try:
+            with open(args.automaton, encoding="utf-8") as handle:
+                auto = am.automaton_from_dict(json.load(handle))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, StructureError) as exc:
+            raise ValidationError(f"automaton file {args.automaton}: {exc}") from exc
         return am.ContestSpec(auto, sf, args.prize)
     param = _family_param(args)
     if args.family == "best-of":
@@ -268,10 +270,7 @@ def main(argv=None) -> int:
         else:
             sys.stderr.write(text)
         return 3
-    except (ValidationError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ContestError as exc:
+    except (ContestError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

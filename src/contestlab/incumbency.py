@@ -21,7 +21,7 @@ from .metrics import (
     balanced_gain_ratio,
     win_probabilities,
 )
-from .solver import ValueSolution, solve, solve_tow_closed
+from .solver import ValueSolution, solve
 from .success import SuccessFunction
 
 __all__ = [
@@ -139,10 +139,7 @@ def subcontest_automaton(sub) -> ContestAutomaton:
 
 def solve_subcontest(sub, sf: SuccessFunction, prize: float = 1.0) -> tuple[ValueSolution, ContestSpec]:
     """Solve the standalone subcontest at the given prize (A = incumbent)."""
-    auto = subcontest_automaton(sub)
-    spec = ContestSpec(auto, sf, prize)
-    if isinstance(sub, TowHeadStart) and sf.homogeneous:
-        return solve_tow_closed(sub.k + 1, 0.0, sub.k, sf, prize), spec
+    spec = ContestSpec(subcontest_automaton(sub), sf, prize)
     return solve(spec), spec
 
 
@@ -162,12 +159,11 @@ def log_bias_ratio(sub, sf: SuccessFunction) -> float:
     """
     if isinstance(sub, MK1) and sf.homogeneous:
         return _mk1_log_gap_recursion(sf, sub.k)
-    if isinstance(sub, TowHeadStart) and sf.homogeneous:
-        # at head start k in a margin-(k+1) contest, the bias ratio equals
-        # the outermost ring's win/loss gap ratio
-        sol = solve_tow_closed(sub.k + 1, 0.0, sub.k, sf, 1.0)
-        return sol.extras["ring_log_ratio"][-1]
     sol, _spec = solve_subcontest(sub, sf, 1.0)
+    if isinstance(sub, TowHeadStart) and sf.homogeneous:
+        # the closed tug-of-war answered: at head start k in a margin-(k+1)
+        # contest, the bias ratio equals the outermost ring's win/loss gap ratio
+        return sol.extras["ring_log_ratio"][-1]
     return math.log((1.0 - sol.v0_a) / sol.v0_b)
 
 
@@ -248,7 +244,7 @@ def solve_incumbency(spec: IncumbencySpec) -> IncumbencyReport:
     effort = v - w_plus[1] - w_minus[1]
     # conservative minimum battle count: every round's shock branch must still
     # traverse the subcontest's shortest history
-    sub_len = min_length(subcontest_automaton(spec.sub))
+    sub_len = min_length(unit_spec.automaton)
     battles_floor = n_rounds * sub_len
     pi1 = balanced_gain_ratio(sf, v)
     bound = 1.0 - pi1**battles_floor

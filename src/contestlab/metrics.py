@@ -4,8 +4,6 @@ probabilities, transient-dominance certification, and parameter sweeps."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -610,8 +608,7 @@ def sweep(
 ) -> SweepTable:
     """Solve one row per parameter; rows keep parameter order.
 
-    Rows run concurrently when CONTEST_LAB_THREADS asks for more than one
-    worker.  A failing row is recorded in ``errors`` and emitted with NaN
+    A failing row is recorded in ``errors`` and emitted with NaN
     metrics so the remaining rows survive.
     """
     if family not in ("best_of", "tug_of_war", "consecutive_win", "mk1"):
@@ -621,13 +618,11 @@ def sweep(
     if any(int(p) != p for p in params):
         raise DomainError("sweep parameters must be integers")
     table = SweepTable(family=family)
-    workers = _worker_count()
-
-    def run(param):
+    for param in params:
         try:
-            return _sweep_row(family, int(param), sf, prize, reset_p), None
+            row = _sweep_row(family, int(param), sf, prize, reset_p)
         except Exception as exc:  # noqa: BLE001 - row-level flagging by design
-            nan_row = {
+            row = {
                 "param": int(param),
                 "V0_A": math.nan,
                 "V0_B": math.nan,
@@ -636,26 +631,9 @@ def sweep(
                 "thm1_bound": math.nan,
                 "min_length": math.nan,
             }
-            return nan_row, str(exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, params))
-    else:
-        results = [run(p) for p in params]
-    for param, (row, err) in zip(params, results):
+            table.errors[int(param)] = str(exc)
         table.rows.append(row)
-        if err is not None:
-            table.errors[int(param)] = err
     return table
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CONTEST_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def extrapolate_supremum(values, tail: int = 5) -> float:

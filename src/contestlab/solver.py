@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from .automaton import (
     ContestAutomaton,
     ContestSpec,
+    _hops,
     build_consecutive_win,
     build_tug_of_war,
     swap_involution,
@@ -90,9 +91,6 @@ class ValueSolution:
     @property
     def v0_b(self) -> float:
         return self.values_b[self.start]
-
-    def value_pair(self, s: int) -> tuple[float, float]:
-        return self.values_a[s], self.values_b[s]
 
     def to_dict(self) -> dict:
         rows = [
@@ -541,7 +539,7 @@ def solve_cyclic(
     def finish(fa, fb, iterations):
         return _assemble(layer, "fixed_point", iterations, fa, fb)
 
-    phase_inits = [None, 0.05, 0.25, 0.45]  # None = position-interpolated
+    phase_inits = [None, 0.05, 0.25, 0.45]  # None = distance-interpolated
     phase_budget = 800
     iterations = 0
     res = math.inf
@@ -721,17 +719,23 @@ def _sweep_order(m: ContestAutomaton) -> list:
 
 
 def _initial_values(m: ContestAutomaton, prize: float):
-    """Feasible starting values: position-interpolated when coordinates exist."""
-    nt = m.nonterminal_states
-    if m.coords and all(s in m.coords for s in range(m.n)):
-        cs = [m.coords[s] for s in range(m.n)]
-        lo, hi = min(cs), max(cs)
-        span = hi - lo
-        if span > 0:
-            va = np.array([prize * (m.coords[s] - lo) / span for s in nt])
-            vb = np.array([prize * (hi - m.coords[s]) / span for s in nt])
-            return va, vb
-    half = np.full(len(nt), 0.5 * prize)
+    """Feasible starting values interpolated by battle distance.
+
+    With d_A and d_B a state's battle distances to A's and to B's terminals,
+    A starts at prize * d_B / (d_A + d_B) and B at prize * d_A / (d_A + d_B).
+    Flat halves when some state cannot reach both players' terminals.
+    """
+    legs = m.legs
+    nt = legs.row >= 0
+    # searches from each player's terminals over the reversed legs (-1: unreached)
+    d_a, d_b = (
+        _hops(m.n, np.flatnonzero(legs.outcome == code), legs.tgt, legs.src)[nt]
+        for code in (0, 1)
+    )
+    if np.all(d_a > 0) and np.all(d_b > 0):
+        span = d_a + d_b
+        return prize * d_b / span, prize * d_a / span
+    half = np.full(len(d_a), 0.5 * prize)
     return half, half.copy()
 
 

@@ -23,7 +23,12 @@ from contestlab import (
     min_length,
     minimize,
 )
-from contestlab.automaton import _forward_distances, restrict, terminal_distances
+from contestlab.automaton import (
+    _forward_distances,
+    restrict,
+    swap_involution,
+    terminal_distances,
+)
 
 
 def walk(m, outcomes):
@@ -198,6 +203,15 @@ class TestSymmetry:
             labels=m.labels,
         )
         assert check_symmetric(bare)
+
+    def test_reset_lottery_from_json(self):
+        # the involution follows the reset lotteries leg by leg
+        m = automaton_from_dict(automaton_to_dict(build_tug_of_war(4, 0.3)))
+        sigma = swap_involution(m)
+        lead = {m.labels[s]: s for s in range(m.n)}
+        for i in range(-4, 5):
+            assert sigma[lead[f"lead {i:+d}"]] == lead[f"lead {-i:+d}"]
+        assert check_symmetric(m)
 
 
 class TestExtension:

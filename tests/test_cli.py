@@ -230,6 +230,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b'{"start": 0,'], ids=["ff-fe", "bad-json"])
+    def test_unreadable_automaton_names_the_file(self, tmp_path, capsys, content):
+        path = tmp_path / "rule.json"
+        path.write_bytes(content)
+        assert main(["solve", "--automaton", str(path), "--sf", "tullock:r=1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
     def test_duplicate_state_id(self, tmp_path, capsys):
         doc = automaton_to_dict(build_best_of(0))
         doc["states"].append({"id": 1, "label": "again", "terminal": "B"})

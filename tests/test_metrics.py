@@ -533,10 +533,11 @@ class TestSweep:
         assert sweep("consecutive_win", [3], SF1).rows[0]["min_length"] == 3
         assert sweep("mk1", [3], SF1).rows[0]["min_length"] == 1
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("CONTEST_LAB_THREADS", "2")
-        table = sweep("consecutive_win", range(1, 6), SF1)
-        assert table.column("param") == [1, 2, 3, 4, 5]
+    def test_rows_keep_parameter_order(self):
+        table = sweep("consecutive_win", [5, 1, 3], SF1)
+        assert table.column("param") == [5, 1, 3]
+        alone = [sweep("consecutive_win", [k], SF1).rows[0]["V0_A"] for k in (5, 1, 3)]
+        assert table.column("V0_A") == alone
 
     def test_row_errors_flagged(self):
         table = sweep("tug_of_war", [1, 2], Tullock(1.0), prize=1.0, reset_p=0.0)

@@ -25,6 +25,8 @@ from contestlab import (
     Serial,
     Tullock,
     UnsupportedKindError,
+    automaton_from_dict,
+    automaton_to_dict,
     build_best_of,
     build_consecutive_win,
     build_mk1,
@@ -253,6 +255,28 @@ class TestCyclicEngine:
         clo = solve_consecutive_closed(k, SF1, 1.0)
         for s in range(spec.automaton.n):
             assert cyc.values_a[s] == pytest.approx(clo.values_a[s], abs=1e-8)
+
+    @pytest.mark.parametrize("text", ["tullock:r=0.5", "tullock:r=1"])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            build_tug_of_war(3),
+            build_tug_of_war(3, 0.3),
+            build_tug_of_war(5),
+            build_tug_of_war(5, 0.3),
+            build_consecutive_win(3),
+        ],
+        ids=["tow3", "tow3-reset", "tow5", "tow5-reset", "cw3"],
+    )
+    def test_json_round_trip_solves_identically(self, m, text):
+        # the engine reads only the transition table, and the JSON form
+        # keeps all of it
+        sf = parse_sf(text)
+        built = solve_cyclic(ContestSpec(m, sf, 1.0))
+        loaded = solve_cyclic(ContestSpec(automaton_from_dict(automaton_to_dict(m)), sf, 1.0))
+        assert loaded.values_a == built.values_a
+        assert loaded.values_b == built.values_b
+        assert loaded.iterations == built.iterations
 
     def test_deterministic(self):
         spec = ContestSpec(build_tug_of_war(5, 0.4), SF1, 1.0)

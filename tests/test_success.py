@@ -112,6 +112,21 @@ class TestPhi:
         for theta in np.logspace(-4, 4, 17):
             assert sf.phi_complement(theta) == pytest.approx(1.0 - phi(sf, theta), abs=1e-13)
 
+    @pytest.mark.parametrize("text", ["tullock:r=0.5", "tullock:r=1", "serial:alpha=0.5"])
+    @pytest.mark.parametrize(
+        "log_theta", [700.0 - 1e-9, 700.0 + 1e-9, -700.0 - 1e-9, -700.0 + 1e-9]
+    )
+    def test_log_asymptotes_continue_the_curves(self, text, log_theta):
+        # past |log theta| = 700 the log-argument forms switch to their
+        # asymptotes; theta itself is still a normal float there, so the
+        # direct log forms are the reference on both sides of the switch
+        sf = parse_sf(text)
+        theta = math.exp(log_theta)
+        assert math.isclose(sf.log_phi_at_log(log_theta), sf.log_phi(theta), rel_tol=1e-12)
+        assert math.isclose(
+            sf.log_phi_complement_at_log(log_theta), sf.log_phi_complement(theta), rel_tol=1e-12
+        )
+
 
 class TestSolveBattle:
     def test_symmetric_tullock(self):
