@@ -92,7 +92,6 @@ class ContestAutomaton:
         labels: dict | None = None,
         family: str | None = None,
         params: dict | None = None,
-        validate: bool = True,
     ):
         self.start = int(start)
         self.transitions = {
@@ -106,8 +105,7 @@ class ContestAutomaton:
         self.labels = dict(labels) if labels else {s: f"s{s}" for s in range(self.n)}
         self.family = family
         self.params = dict(params) if params else {}
-        if validate:
-            self._validate()
+        self._check()
 
     # -- basic accessors -----------------------------------------------------
     @property
@@ -168,8 +166,8 @@ class ContestAutomaton:
             raise StructureError("step is only defined for deterministic transitions")
         return dist[0][0]
 
-    # -- validation ----------------------------------------------------------
-    def _validate(self):
+    # -- well-formedness -----------------------------------------------------
+    def _check(self):
         if self.n == 0:
             raise StructureError("automaton has no states")
         if not 0 <= self.start < self.n:
@@ -470,9 +468,9 @@ def terminal_distances(m: ContestAutomaton) -> dict:
     return _reached(_hops(m.n, np.flatnonzero(m.legs.outcome >= 0), m.legs.tgt, m.legs.src))
 
 
-def min_length(m: ContestAutomaton) -> float:
-    """Battles in the shortest terminal history, or +inf if none exists."""
-    return terminal_distances(m).get(m.start, math.inf)
+def min_length(m: ContestAutomaton) -> int:
+    """Battles in the shortest terminal history (every rule has one)."""
+    return terminal_distances(m)[m.start]
 
 
 def _forward_distances(m: ContestAutomaton, source: int) -> dict:

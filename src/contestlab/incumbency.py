@@ -157,9 +157,15 @@ def log_bias_ratio(sub, sf: SuccessFunction) -> float:
     the incumbent's shortfall 1 - V+ and the challenger value V- underflow
     any fixed-precision direct solve long before k reaches 10.
     """
+    return _log_bias_ratio(sub, sf, lambda: solve_subcontest(sub, sf, 1.0)[0])
+
+
+def _log_bias_ratio(sub, sf: SuccessFunction, unit_solution) -> float:
+    """``log_bias_ratio`` with the unit-prize subcontest solution given by
+    the callable ``unit_solution``, called only where the value needs it."""
     if isinstance(sub, MK1) and sf.homogeneous:
         return _mk1_log_gap_recursion(sf, sub.k)
-    sol, _spec = solve_subcontest(sub, sf, 1.0)
+    sol = unit_solution()
     if isinstance(sub, TowHeadStart) and sf.homogeneous:
         # the closed tug-of-war answered: at head start k in a margin-(k+1)
         # contest, the bias ratio equals the outermost ring's win/loss gap ratio
@@ -259,7 +265,7 @@ def solve_incumbency(spec: IncumbencySpec) -> IncumbencyReport:
         min_length=float(battles_floor),
         balanced_gain=pi1,
     )
-    lbr = log_bias_ratio(spec.sub, sf)
+    lbr = _log_bias_ratio(spec.sub, sf, lambda: unit_sol)
     notes = []
     if not homogeneous:
         notes.append(

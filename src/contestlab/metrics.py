@@ -67,7 +67,7 @@ class DissipationReport:
             "thm1_bound": self.thm1_bound,
             "bound_satisfied": self.bound_satisfied,
             "prize": self.prize,
-            "min_length": (self.min_length if math.isfinite(self.min_length) else "inf"),
+            "min_length": self.min_length,
             "balanced_gain": self.balanced_gain,
         }
 
@@ -116,18 +116,6 @@ def rent_dissipation(solution: ValueSolution, spec: ContestSpec) -> DissipationR
     v = spec.prize
     length = min_length(spec.automaton)
     pi1 = balanced_gain_ratio(spec.sf, v)
-    if math.isinf(length):
-        return DissipationReport(
-            total_effort=0.0,
-            dissipation_ratio=0.0,
-            v0_a=solution.v0_a,
-            v0_b=solution.v0_b,
-            thm1_bound=1.0,
-            bound_satisfied=True,
-            prize=v,
-            min_length=length,
-            balanced_gain=pi1,
-        )
     effort = v - solution.v0_a - solution.v0_b
     ratio = effort / v
     bound = 1.0 - pi1**length
@@ -174,20 +162,10 @@ def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
     return _SolvedChain(nt, legs.row, src[keep], legs.tgt[keep], mass[keep])
 
 
-def _absorbing_lu(size: int, rows, cols, mass, leaks):
-    """Sparse LU factor of I - M for a transient block M of positive COO
-    entries, where ``leaks`` lists the rows that send mass out of the block.
-
-    Absorption is almost sure, and I - M invertible, exactly when every row
-    reaches a leaking row (Kemeny & Snell, *Finite Markov Chains*, 1960): a
-    search over the reversed entries from the leaking rows.  Otherwise, or
-    should splu still meet a singular pivot, raises DegenerateChainError.
-    """
-    trapped = int(np.sum(_hops(size, leaks, cols, rows) < 0))
-    if trapped:
-        raise DegenerateChainError(
-            f"{trapped} of {size} transient states cannot leave: absorption is not almost sure"
-        )
+def _absorbing_lu(size: int, rows, cols, mass):
+    """Sparse LU factor of I - M for an absorbing transient block M of
+    positive COO entries; should splu still meet a singular pivot, raises
+    DegenerateChainError."""
     diag = np.arange(size)
     i = np.concatenate([diag, rows])
     j = np.concatenate([diag, cols])
@@ -198,17 +176,25 @@ def _absorbing_lu(size: int, rows, cols, mass, leaks):
         raise DegenerateChainError(f"transient block is singular ({exc})") from exc
 
 
-def _play_factor(solution: ValueSolution, spec: ContestSpec):
-    """The chain of play, the mask of its legs into terminals and the LU
-    factor of its transient block; raises DegenerateChainError unless
-    absorption is almost sure."""
+def _absorbed_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
+    """The chain of play; raises DegenerateChainError unless absorption is
+    almost sure from every state.
+
+    It is, and I - M for the transient block M is invertible, exactly when
+    every nonterminal state reaches a leg into a terminal (Kemeny & Snell,
+    *Finite Markov Chains*, 1960): a search over the reversed legs from the
+    sources of those legs.
+    """
     chain = _solved_chain(solution, spec)
     col = chain.row[chain.tgt]
     leak = col < 0
-    inner = ~leak
     size = len(chain.nonterminal)
-    lu = _absorbing_lu(size, chain.src[inner], col[inner], chain.mass[inner], chain.src[leak])
-    return chain, leak, lu
+    trapped = int(np.sum(_hops(size, chain.src[leak], col[~leak], chain.src[~leak]) < 0))
+    if trapped:
+        raise DegenerateChainError(
+            f"{trapped} of {size} transient states cannot leave: absorption is not almost sure"
+        )
+    return chain
 
 
 def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
@@ -219,7 +205,11 @@ def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
     """
     m = spec.automaton
     out = {t: (1.0, 0.0) if w == "A" else (0.0, 1.0) for t, w in m.terminal.items()}
-    chain, leak, lu = _play_factor(solution, spec)
+    chain = _absorbed_chain(solution, spec)
+    col = chain.row[chain.tgt]
+    leak = col < 0
+    inner = ~leak
+    lu = _absorbing_lu(len(chain.nonterminal), chain.src[inner], col[inner], chain.mass[inner])
     rhs = np.zeros((len(chain.nonterminal), 2))
     np.add.at(rhs, (chain.src[leak], m.legs.outcome[chain.tgt[leak]]), chain.mass[leak])
     q = np.clip(lu.solve(rhs), 0.0, 1.0)
@@ -429,15 +419,16 @@ def transient_dominance(
     value is at most epsilon * prize.  The probability that equilibrium play
     visits both sets is computed exactly on the chain augmented with two
     visited bits, by one sparse LU solve, and the certificate demands at
-    least 1 - epsilon.  Raises DegenerateChainError when some state of that
-    system can reach neither a terminal nor both weak sets.
+    least 1 - epsilon.  Raises DegenerateChainError, before the weak sets are
+    formed, unless absorption is almost sure from every state.
     """
+    chain = _absorbed_chain(solution, spec)
     return _certificate(
         solution,
         spec,
         epsilon,
         lambda set_a, set_b: _reach_both_probability(
-            _solved_chain(solution, spec), spec.automaton.start, set_a, set_b
+            chain, spec.automaton.start, set_a, set_b
         ),
     )
 
@@ -485,9 +476,9 @@ def _reach_both_probability(
     set seen, 1 = A's seen, 2 = B's seen; a leg that completes both bits
     pays into the right-hand side, and a leg into a terminal pays nothing.
     Its COO entries come straight from the edge list, and one sparse LU
-    factorisation solves it, so no dense (3n)x(3n) array is formed.  Raises
-    DegenerateChainError when play can be trapped away from every terminal
-    without completing both bits.
+    factorisation solves it, so no dense (3n)x(3n) array is formed.  The
+    chain must come from ``_absorbed_chain``: every state of this system then
+    follows a path of the chain to a terminal, so it is absorbing too.
     """
     flag = np.zeros(len(chain.row), dtype=np.intp)
     flag[list(set_a)] |= 1
@@ -505,8 +496,7 @@ def _reach_both_probability(
     stay = ~done
     size = 3 * len(chain.nonterminal)
     rhs = np.bincount(rows[done], weights=mass[done], minlength=size)
-    leaks = np.concatenate([rows[done], (3 * chain.src[~inner] + bits).ravel()])
-    lu = _absorbing_lu(size, rows[stay], (3 * col + nb)[stay], mass[stay], leaks)
+    lu = _absorbing_lu(size, rows[stay], (3 * col + nb)[stay], mass[stay])
     return float(lu.solve(rhs)[3 * chain.row[start] + flag[start]])
 
 
@@ -523,7 +513,7 @@ def transient_dominance_auto(
     bisection steps share one.  Raises DegenerateChainError as
     ``transient_dominance`` does.
     """
-    chain = _solved_chain(solution, spec)
+    chain = _absorbed_chain(solution, spec)
     reach = {}
 
     def reach_both(set_a, set_b):

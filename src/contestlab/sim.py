@@ -15,7 +15,7 @@ import numpy as np
 
 from .automaton import ContestSpec
 from .errors import DomainError
-from .metrics import _play_factor, win_probabilities
+from .metrics import _absorbed_chain, win_probabilities
 from .solver import ValueSolution
 
 __all__ = ["SimulationSummary", "simulate", "compare_sim_analytic"]
@@ -88,7 +88,7 @@ def simulate(
             visit_counts={},
             state_a_wins={},
         )
-    _play_factor(solution, spec)  # the absorption test; its factor is not needed
+    _absorbed_chain(solution, spec)
 
     n = m.n
     p_a = np.zeros(n)

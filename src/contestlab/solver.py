@@ -21,7 +21,6 @@ from .automaton import (
     build_consecutive_win,
     build_tug_of_war,
     swap_involution,
-    terminal_distances,
 )
 from .errors import (
     ConvergenceError,
@@ -31,10 +30,10 @@ from .errors import (
 )
 from .success import (
     SuccessFunction,
+    battle_detail,
     battle_gain,
     psi,
     psi_inverse,
-    solve_battle,
 )
 
 __all__ = [
@@ -169,27 +168,6 @@ def _lottery_matrices(layer: _Layer):
     return mats[0], mats[1]
 
 
-def _battle_detail(sf: SuccessFunction, da, db):
-    """Efforts and A's win probability at stake arrays (da, db).
-
-    Off the both-positive case nobody exerts effort; the side with a stake
-    wins with the limit odds and an idle battle is a fair coin.
-    """
-    effort_a, effort_b = np.zeros((2, len(da)))
-    win = np.where(da > 0.0, sf.win_limit, np.where(db > 0.0, 1.0 - sf.win_limit, 0.5))
-    both = (da > 0.0) & (db > 0.0)
-    if sf.homogeneous:
-        theta = da[both] / db[both]
-        effort_a[both] = db[both] * sf.gamma_prime(1.0 / theta)
-        effort_b[both] = da[both] * sf.gamma_prime(theta)
-        win[both] = sf.gamma(theta)
-        return effort_a, effort_b, win
-    for i in np.flatnonzero(both):
-        eq = solve_battle(sf, da[i], db[i])
-        effort_a[i], effort_b[i], win[i] = eq.effort_a, eq.effort_b, eq.win_prob_a
-    return effort_a, effort_b, win
-
-
 def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) -> ValueSolution:
     """Build the solution object (detail rows + exact residual) from value vectors.
 
@@ -204,7 +182,7 @@ def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) 
         stakes = (ea_w - ea_l, eb_w - eb_l)
     da, db = (np.asarray(x, dtype=float) for x in stakes)
     # per state: the stakes, then the efforts and A's win probability
-    columns = (layer.nt, da, db, *_battle_detail(spec.sf, da, db))
+    columns = (layer.nt, da, db, *battle_detail(spec.sf, da, db))
     rows = {
         s: StateValues(float(va[s]), float(vb[s]), *detail)
         for s, *detail in zip(*(column.tolist() for column in columns))
@@ -508,7 +486,7 @@ def solve_cyclic(
     crosses the whole graph every pass.  After a pure first sweep, values
     move halfway toward each update.  Checkpoints (sweep 50, 100, 200, ... of
     a phase, or a stalled sweep) run a quasi-Newton candidate search from the
-    iterate, the phase's first one also from flat profiles.  The operator
+    iterate, the call's first one also from flat profiles.  The operator
     also admits mutual-discouragement fixed points (idle interior battles,
     flat values); their basins are escaped by restarting the sweeps from flat
     low-value profiles.  A verified competitive (active-interior) fixed point
@@ -532,9 +510,10 @@ def solve_cyclic(
     # dense lottery rows: their dot products decide which fixed point the
     # sweeps reach where several exist
     PA, PB = _lottery_matrices(layer)
-    order = [(s, layer.legs.row[s]) for s in _sweep_order(m)]
     sf = spec.sf
     prize = spec.prize
+    rows, start_a, start_b = _distance_start(m, prize)
+    order = list(zip(nt[rows].tolist(), rows.tolist()))
 
     def finish(fa, fb, iterations):
         return _assemble(layer, "fixed_point", iterations, fa, fb)
@@ -544,9 +523,12 @@ def solve_cyclic(
     iterations = 0
     res = math.inf
     fallback = None  # best verified idle-interior fixed point
+    # the flat starts depend on neither the iterate nor the phase, so they
+    # run at the call's first search only
+    ran_multistart = False
     for init_level in phase_inits:
         if init_level is None:
-            va, vb = layer.full_vectors(*_initial_values(m, prize))
+            va, vb = layer.full_vectors(start_a, start_b)
         else:
             flat = np.full(len(nt), init_level * prize)
             va, vb = layer.full_vectors(flat, flat.copy())
@@ -554,7 +536,6 @@ def solve_cyclic(
             vb = va[perm].copy()
         phase_sweeps = 0
         next_search = 50
-        ran_multistart = False
         while phase_sweeps < phase_budget and iterations < max_iter:
             lam = 1.0 if phase_sweeps == 0 else _DAMPING  # pure first sweep seeds the basin
             sweep_delta = 0.0
@@ -589,7 +570,6 @@ def solve_cyclic(
                 if fallback is None:
                     fallback = (va.copy(), vb.copy(), here)
                 break  # idle basin: restart from the next flat level
-            # the flat starts are iterate independent, so one pass per phase
             candidates = _newton_candidates(
                 layer, va, vb, tol, perm, current_only=ran_multistart
             )
@@ -712,18 +692,14 @@ def _newton_candidates(layer: _Layer, va, vb, tol: float, perm, current_only: bo
     return found
 
 
-def _sweep_order(m: ContestAutomaton) -> list:
-    """Nonterminal states ordered by battle distance to a terminal, nearest first."""
-    depth = terminal_distances(m)
-    return sorted(m.nonterminal_states, key=lambda s: (depth.get(s, m.n + 1), s))
+def _distance_start(m: ContestAutomaton, prize: float):
+    """Sweep order and starting values from each nonterminal state's battle
+    distances d_A and d_B to A's and to B's terminals.
 
-
-def _initial_values(m: ContestAutomaton, prize: float):
-    """Feasible starting values interpolated by battle distance.
-
-    With d_A and d_B a state's battle distances to A's and to B's terminals,
-    A starts at prize * d_B / (d_A + d_B) and B at prize * d_A / (d_A + d_B).
-    Flat halves when some state cannot reach both players' terminals.
+    Rows sweep nearest a terminal first, by min(d_A, d_B) over the reached
+    ones; ties keep state order and rows that reach no terminal come last.
+    A starts at prize * d_B / (d_A + d_B) and B at prize * d_A / (d_A + d_B),
+    or both at prize / 2 when some state cannot reach both players' terminals.
     """
     legs = m.legs
     nt = legs.row >= 0
@@ -732,11 +708,13 @@ def _initial_values(m: ContestAutomaton, prize: float):
         _hops(m.n, np.flatnonzero(legs.outcome == code), legs.tgt, legs.src)[nt]
         for code in (0, 1)
     )
+    depth = np.minimum(*(np.where(d >= 0, d, np.inf) for d in (d_a, d_b)))
+    order = np.argsort(depth, kind="stable")
     if np.all(d_a > 0) and np.all(d_b > 0):
         span = d_a + d_b
-        return prize * d_b / span, prize * d_a / span
+        return order, prize * d_b / span, prize * d_a / span
     half = np.full(len(d_a), 0.5 * prize)
-    return half, half.copy()
+    return order, half, half.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "solve_battle",
     "augmented_gain",
     "battle_gain",
+    "battle_detail",
     "psi",
     "psi_inverse",
     "parse_sf",
@@ -41,16 +42,36 @@ _PHI_CAP = 1.0 - 1e-15
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 
 
-def _scalar_or_array(theta, out):
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+def _sides(theta, low, high, at_inf=None, power=None):
+    """Elementwise ``low`` at ratios up to 1 and ``high`` above 1.
+
+    Each branch sees the ratio on its own side and 1 elsewhere, so neither
+    overflows or divides by zero on the other side; with ``power`` p, ``low``
+    sees z = ratio^p and ``high`` w = ratio^-p instead, each power taken
+    once.  ``at_inf``, when given, is the value at theta = +inf.
+    """
+    th = np.asarray(theta, dtype=float)
+    small = th <= 1.0
+    lo, hi = np.where(small, th, 1.0), np.where(small, 1.0, th)
+    if power is not None:
+        lo, hi = lo**power, hi ** (-power)
+    out = np.where(small, low(lo), high(hi))
+    if at_inf is not None:
+        out = np.where(np.isposinf(th), at_inf, out)
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 class SuccessFunction:
     """Common interface of all battle technologies."""
 
     homogeneous = False
+
+    # Limits against a vanishing opponent stake: both efforts vanish and the
+    # win probability tends to 1, so the whole stake is kept.  Every kind
+    # states them exactly, with no numeric probe; ``battle_gain`` pays
+    # gain_limit * d' in every one-sided battle.
+    gain_limit = 1.0
+    win_limit = 1.0
 
     # -- homogeneous-kind surface (effort-ratio curve) ----------------------
     def gamma(self, theta):
@@ -68,35 +89,34 @@ class SuccessFunction:
 
     def log_phi(self, theta: float) -> float:
         """log phi(theta), exact even where phi underflows."""
-        raise UnsupportedKindError(f"{self.kind} has no gain function")
+        return math.log(self.phi(theta))
 
     def log_phi_complement(self, theta: float) -> float:
-        raise UnsupportedKindError(f"{self.kind} has no gain function")
+        return math.log(self.phi_complement(theta))
 
-    # log-argument variants: exact for ratios beyond float range
+    # log-argument variants: exact for ratios beyond float range, where each
+    # side's log tends to minus the other side's curve
     def log_phi_at_log(self, log_theta: float) -> float:
         if abs(log_theta) <= 700.0:
             return self.log_phi(math.exp(log_theta))
-        raise UnsupportedKindError(f"{self.kind} gain function lacks log asymptotics")
+        if log_theta > 0.0:
+            return -math.exp(self.log_phi_complement_at_log(log_theta))
+        return self._deep_log_phi(log_theta)
 
     def log_phi_complement_at_log(self, log_theta: float) -> float:
         if abs(log_theta) <= 700.0:
             return self.log_phi_complement(math.exp(log_theta))
+        if log_theta > 0.0:
+            return self._deep_log_phi_complement(log_theta)
+        return -math.exp(self.log_phi_at_log(log_theta))
+
+    def _deep_log_phi(self, log_theta: float) -> float:
+        """Asymptote of log phi for log_theta < -700."""
         raise UnsupportedKindError(f"{self.kind} gain function lacks log asymptotics")
 
-    @property
-    def gain_limit(self) -> float:
-        """Limit of the gain ratio Pi*(d', d) / d' as the opponent's stake d vanishes.
-
-        Every kind states it exactly, with no numeric probe; ``battle_gain``
-        pays it in every one-sided battle.
-        """
-        raise UnsupportedKindError(f"{self.kind} has no gain function")
-
-    @property
-    def win_limit(self) -> float:
-        """Limit battle win probability against a vanishing opponent stake."""
-        raise UnsupportedKindError(f"{self.kind} has no effort-ratio curve")
+    def _deep_log_phi_complement(self, log_theta: float) -> float:
+        """Asymptote of log(1 - phi) for log_theta > 700."""
+        raise UnsupportedKindError(f"{self.kind} gain function lacks log asymptotics")
 
     @property
     def kind(self) -> str:
@@ -118,46 +138,35 @@ class Tullock(SuccessFunction):
             raise DomainError(f"Tullock exponent must lie in (0, 1], got {self.r}")
 
     def gamma(self, theta):
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        z = np.where(small, th, 1.0) ** self.r
-        w = np.where(small, 1.0, th) ** (-self.r)
-        out = np.where(small, z / (1.0 + z), 1.0 / (1.0 + w))
-        return _scalar_or_array(theta, out)
+        return _sides(theta, lambda z: z / (1.0 + z), lambda w: 1.0 / (1.0 + w), power=self.r)
 
     def gamma_prime(self, theta):
         r = self.r
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        lo = r * tl ** (r - 1.0) / (1.0 + tl**r) ** 2
-        hi = r * tb ** (-r - 1.0) / (1.0 + tb ** (-r)) ** 2
-        return _scalar_or_array(theta, np.where(small, lo, hi))
+        return _sides(
+            theta,
+            lambda t: r * t ** (r - 1.0) / (1.0 + t**r) ** 2,
+            lambda t: r * t ** (-r - 1.0) / (1.0 + t ** (-r)) ** 2,
+        )
 
     def phi(self, theta):
         r = self.r
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        z = np.where(small, th, 1.0) ** r
-        w = np.where(small, 1.0, th) ** (-r)
-        lo = z * (1.0 - r + z) / (1.0 + z) ** 2
-        hi = (1.0 + (1.0 - r) * w) / (1.0 + w) ** 2
-        out = np.where(small, lo, np.minimum(hi, _PHI_CAP))
-        out = np.where(np.isposinf(th), 1.0, out)
-        return _scalar_or_array(theta, out)
+        return _sides(
+            theta,
+            lambda z: z * (1.0 - r + z) / (1.0 + z) ** 2,
+            lambda w: np.minimum((1.0 + (1.0 - r) * w) / (1.0 + w) ** 2, _PHI_CAP),
+            at_inf=1.0,
+            power=r,
+        )
 
     def phi_complement(self, theta):
         r = self.r
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        z = np.where(small, th, 1.0) ** r
-        w = np.where(small, 1.0, th) ** (-r)
-        lo = (1.0 + (1.0 + r) * z) / (1.0 + z) ** 2
-        hi = w * (1.0 + r + w) / (1.0 + w) ** 2
-        out = np.where(small, lo, hi)
-        out = np.where(np.isposinf(th), 0.0, out)
-        return _scalar_or_array(theta, out)
+        return _sides(
+            theta,
+            lambda z: (1.0 + (1.0 + r) * z) / (1.0 + z) ** 2,
+            lambda w: w * (1.0 + r + w) / (1.0 + w) ** 2,
+            at_inf=0.0,
+            power=r,
+        )
 
     def log_phi(self, theta: float) -> float:
         if theta >= 1.0:
@@ -171,30 +180,14 @@ class Tullock(SuccessFunction):
         w = theta ** (-self.r)
         return -self.r * math.log(theta) + math.log(1.0 + self.r + w) - 2.0 * math.log1p(w)
 
-    def log_phi_at_log(self, log_theta: float) -> float:
-        if abs(log_theta) <= 700.0:
-            return self.log_phi(math.exp(log_theta))
-        if log_theta > 0.0:
-            return -math.exp(self.log_phi_complement_at_log(log_theta))
+    def _deep_log_phi(self, log_theta: float) -> float:
         # phi(w) = w^r (1 - r + w^r) / (1 + w^r)^2 with log w deeply negative
         if self.r < 1.0:
             return self.r * log_theta + math.log(1.0 - self.r)
         return 2.0 * log_theta
 
-    def log_phi_complement_at_log(self, log_theta: float) -> float:
-        if abs(log_theta) <= 700.0:
-            return self.log_phi_complement(math.exp(log_theta))
-        if log_theta > 0.0:
-            return math.log(1.0 + self.r) - self.r * log_theta
-        return -math.exp(self.log_phi_at_log(log_theta))
-
-    @property
-    def gain_limit(self) -> float:
-        return 1.0
-
-    @property
-    def win_limit(self) -> float:
-        return 1.0
+    def _deep_log_phi_complement(self, log_theta: float) -> float:
+        return math.log(1.0 + self.r) - self.r * log_theta
 
     def spec_string(self) -> str:
         return f"tullock:r={self.r:g}"
@@ -217,45 +210,31 @@ class Serial(SuccessFunction):
             raise DomainError(f"Serial exponent must lie in (0, 1), got {self.alpha}")
 
     def gamma(self, theta):
-        a = self.alpha
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        out = np.where(small, 0.5 * tl**a, 1.0 - 0.5 * tb ** (-a))
-        return _scalar_or_array(theta, out)
+        return _sides(theta, lambda z: 0.5 * z, lambda w: 1.0 - 0.5 * w, power=self.alpha)
 
     def gamma_prime(self, theta):
         a = self.alpha
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        out = np.where(small, 0.5 * a * tl ** (a - 1.0), 0.5 * a * tb ** (-a - 1.0))
-        return _scalar_or_array(theta, out)
+        return _sides(
+            theta,
+            lambda t: 0.5 * a * t ** (a - 1.0),
+            lambda t: 0.5 * a * t ** (-a - 1.0),
+        )
 
     def phi(self, theta):
         a = self.alpha
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        out = np.where(
-            small,
-            0.5 * (1.0 - a) * tl**a,
-            np.minimum(1.0 - 0.5 * (1.0 + a) * tb ** (-a), _PHI_CAP),
+        return _sides(
+            theta,
+            lambda z: 0.5 * (1.0 - a) * z,
+            lambda w: np.minimum(1.0 - 0.5 * (1.0 + a) * w, _PHI_CAP),
+            at_inf=1.0,
+            power=a,
         )
-        out = np.where(np.isposinf(th), 1.0, out)
-        return _scalar_or_array(theta, out)
 
     def phi_complement(self, theta):
         a = self.alpha
-        th = np.asarray(theta, dtype=float)
-        small = th <= 1.0
-        tl = np.where(small, th, 1.0)
-        tb = np.where(small, 1.0, th)
-        out = np.where(small, 1.0 - 0.5 * (1.0 - a) * tl**a, 0.5 * (1.0 + a) * tb ** (-a))
-        return _scalar_or_array(theta, out)
+        return _sides(
+            theta, lambda z: 1.0 - 0.5 * (1.0 - a) * z, lambda w: 0.5 * (1.0 + a) * w, power=a
+        )
 
     def log_phi(self, theta: float) -> float:
         if theta >= 1.0:
@@ -267,27 +246,11 @@ class Serial(SuccessFunction):
             return math.log1p(-self.phi(theta))
         return math.log(0.5 * (1.0 + self.alpha)) - self.alpha * math.log(theta)
 
-    def log_phi_at_log(self, log_theta: float) -> float:
-        if abs(log_theta) <= 700.0:
-            return self.log_phi(math.exp(log_theta))
-        if log_theta > 0.0:
-            return -math.exp(self.log_phi_complement_at_log(log_theta))
+    def _deep_log_phi(self, log_theta: float) -> float:
         return math.log(0.5 * (1.0 - self.alpha)) + self.alpha * log_theta
 
-    def log_phi_complement_at_log(self, log_theta: float) -> float:
-        if abs(log_theta) <= 700.0:
-            return self.log_phi_complement(math.exp(log_theta))
-        if log_theta > 0.0:
-            return math.log(0.5 * (1.0 + self.alpha)) - self.alpha * log_theta
-        return -math.exp(self.log_phi_at_log(log_theta))
-
-    @property
-    def gain_limit(self) -> float:
-        return 1.0
-
-    @property
-    def win_limit(self) -> float:
-        return 1.0
+    def _deep_log_phi_complement(self, log_theta: float) -> float:
+        return math.log(0.5 * (1.0 + self.alpha)) - self.alpha * log_theta
 
     def spec_string(self) -> str:
         return f"serial:alpha={self.alpha:g}"
@@ -363,16 +326,6 @@ class RatioForm(SuccessFunction):
         ga, gb = self.curve_value(x), self.curve_value(x_other)
         return ga / (ga + gb)
 
-    @property
-    def gain_limit(self) -> float:
-        # against a vanishing opponent stake both efforts vanish and the win
-        # probability tends to 1, so the whole stake is kept in the limit
-        return 1.0
-
-    @property
-    def win_limit(self) -> float:
-        return 1.0
-
     def spec_string(self) -> str:
         if self.curve == "pow":
             return f"ratio:pow,alpha={self.alpha:g}"
@@ -405,12 +358,6 @@ class Noisy(SuccessFunction):
 
     def phi_complement(self, theta):
         return 0.5 * (1.0 - self.q) + self.q * self.base.phi_complement(theta)
-
-    def log_phi(self, theta: float) -> float:
-        return math.log(self.phi(theta))
-
-    def log_phi_complement(self, theta: float) -> float:
-        return math.log(self.phi_complement(theta))
 
     @property
     def gain_limit(self) -> float:
@@ -450,14 +397,8 @@ class BattleEquilibrium:
         return 1.0 - self.win_prob_a
 
 
-def _require_homogeneous(sf: SuccessFunction, op: str):
-    if not sf.homogeneous:
-        raise UnsupportedKindError(f"{op} requires a homogeneous success function, got {sf.kind}")
-
-
 def eval_gamma(sf: SuccessFunction, theta):
     """Battle win probability as a function of the effort (or stake) ratio."""
-    _require_homogeneous(sf, "eval_gamma")
     if np.ndim(theta) == 0 and theta < 0:
         raise DomainError("ratio must be nonnegative")
     return sf.gamma(theta)
@@ -465,7 +406,6 @@ def eval_gamma(sf: SuccessFunction, theta):
 
 def phi(sf: SuccessFunction, theta):
     """Gain function: the stake fraction kept as equilibrium battle payoff."""
-    _require_homogeneous(sf, "phi")
     if np.ndim(theta) == 0 and theta < 0:
         raise DomainError("ratio must be nonnegative")
     return sf.phi(theta)
@@ -473,7 +413,6 @@ def phi(sf: SuccessFunction, theta):
 
 def phi_complement(sf: SuccessFunction, theta):
     """1 - phi(theta), accurate even when phi is within rounding of 1."""
-    _require_homogeneous(sf, "phi_complement")
     return sf.phi_complement(theta)
 
 
@@ -602,7 +541,8 @@ def battle_gain(sf: SuccessFunction, da, db):
     * only db positive: the player does not compete and gains nothing;
     * neither positive: a zero-effort fair coin, worth da / 2.
 
-    Scalars take a cheap path with the same arithmetic as the array path.
+    ``battle_detail`` gives the efforts and odds of the same rule.  Scalars
+    take a cheap path with the same arithmetic as the array path.
     """
     if not isinstance(da, np.ndarray):
         if da > 0.0 and db > 0.0:
@@ -616,6 +556,28 @@ def battle_gain(sf: SuccessFunction, da, db):
     if np.any(both):
         out[both] = _competitive_gain(sf, da[both], db[both])
     return out
+
+
+def battle_detail(sf: SuccessFunction, da, db):
+    """Efforts and A's win probability at stake arrays (da, db).
+
+    The effort and odds half of ``battle_gain``'s rule: off the both-positive
+    case nobody exerts effort, the side with a stake wins with the limit odds
+    and an idle battle is a fair coin.
+    """
+    effort_a, effort_b = np.zeros((2, len(da)))
+    win = np.where(da > 0.0, sf.win_limit, np.where(db > 0.0, 1.0 - sf.win_limit, 0.5))
+    both = (da > 0.0) & (db > 0.0)
+    if sf.homogeneous:
+        theta = da[both] / db[both]
+        effort_a[both] = db[both] * sf.gamma_prime(1.0 / theta)
+        effort_b[both] = da[both] * sf.gamma_prime(theta)
+        win[both] = sf.gamma(theta)
+        return effort_a, effort_b, win
+    for i in np.flatnonzero(both):
+        eq = solve_battle(sf, da[i], db[i])
+        effort_a[i], effort_b[i], win[i] = eq.effort_a, eq.effort_b, eq.win_prob_a
+    return effort_a, effort_b, win
 
 
 def augmented_gain(sf: SuccessFunction, delta_prime: float, delta: float) -> float:
@@ -636,7 +598,6 @@ def psi(sf: SuccessFunction, theta: float) -> float:
 
     Strictly increasing with psi(theta) < theta for theta > 0.
     """
-    _require_homogeneous(sf, "psi")
     if theta <= 0.0:
         raise DomainError("psi requires theta > 0")
     return theta * sf.phi(theta) / sf.phi_complement(1.0 / theta)
@@ -644,7 +605,6 @@ def psi(sf: SuccessFunction, theta: float) -> float:
 
 def psi_inverse(sf: SuccessFunction, y: float) -> float:
     """Invert the streak map by bracket expansion plus bracketed root finding."""
-    _require_homogeneous(sf, "psi_inverse")
     if y <= 0.0:
         raise DomainError("psi_inverse requires y > 0")
     lo = y  # psi(t) < t, so psi(lo) - y < 0

@@ -25,6 +25,7 @@ from contestlab import (
 )
 from contestlab.automaton import (
     _forward_distances,
+    _verify_involution,
     restrict,
     swap_involution,
     terminal_distances,
@@ -212,6 +213,34 @@ class TestSymmetry:
         for i in range(-4, 5):
             assert sigma[lead[f"lead {i:+d}"]] == lead[f"lead {-i:+d}"]
         assert check_symmetric(m)
+
+    def test_same_winner_images_rejected(self):
+        # the propagation pairs terminals 1 and 2, but both are A's wins
+        m = ContestAutomaton(
+            start=0,
+            transitions={(0, "A"): ((1, 1.0),), (0, "B"): ((2, 1.0),)},
+            terminal={1: "A", 2: "A"},
+        )
+        assert not _verify_involution(m, {0: 0, 1: 2, 2: 1})
+        assert swap_involution(m) is None
+        assert not check_symmetric(m)
+
+    @pytest.mark.parametrize("chances, symmetric", [((0.5, 0.5), False), ((0.3, 0.7), True)])
+    def test_lottery_chances_checked(self, chances, symmetric):
+        # A's win lottery {1: 0.3, 2: 0.7} must map onto B's win lottery
+        # leg by leg with the same chances; the leg order alone propagates
+        # the candidate 1 <-> 2 in both cases
+        m = ContestAutomaton(
+            start=0,
+            transitions={
+                (0, "A"): ((1, 0.3), (2, 0.7)),
+                (0, "B"): ((2, chances[0]), (1, chances[1])),
+            },
+            terminal={1: "A", 2: "B"},
+        )
+        assert _verify_involution(m, {0: 0, 1: 2, 2: 1}) is symmetric
+        assert (swap_involution(m) is not None) is symmetric
+        assert check_symmetric(m) is symmetric
 
 
 class TestExtension:
@@ -409,14 +438,3 @@ class TestGraphSearches:
         for s in range(m.n):
             assert _forward_distances(m, s) == _reference_hops(m, [s], reverse=False)
 
-
-class TestMinLengthEdge:
-    def test_infinite_when_unreachable(self):
-        # bypass validation to probe the reporting path
-        m = ContestAutomaton(
-            start=0,
-            transitions={(0, "A"): ((0, 1.0),), (0, "B"): ((0, 1.0),)},
-            terminal={},
-            validate=False,
-        )
-        assert math.isinf(min_length(m))

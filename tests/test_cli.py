@@ -92,6 +92,17 @@ class TestSweep:
         doc = json.loads(text)
         assert [row["param"] for row in doc["rows"]] == [1, 2, 3]
 
+    def test_flagged_row_keeps_exit_zero(self, tmp_path, capsys):
+        code, text = run_cli(
+            tmp_path,
+            "sweep", "--family", "best-of", "--k=-1..1", "--sf", "tullock:r=1", "--format", "csv",
+        )
+        assert code == 0
+        assert "flagged rows: [-1]" in capsys.readouterr().err
+        lines = text.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
+        assert lines[1] == "-1," + ",".join(["nan"] * 6)
+
     def test_range_validation(self):
         assert main(["sweep", "--family", "mk1", "--k", "5..2", "--sf", "tullock:r=1"]) == 2
         assert main(["sweep", "--family", "mk1", "--k", "abc", "--sf", "tullock:r=1"]) == 2

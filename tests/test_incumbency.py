@@ -17,7 +17,10 @@ from contestlab import (
     solve_incumbency,
     upset_probability,
 )
+from contestlab import incumbency
 from contestlab.incumbency import rounds_for_reach, solve_subcontest
+from contestlab.solver import solve
+from contestlab.success import parse_sf
 
 SF1 = Tullock(1.0)
 
@@ -79,6 +82,24 @@ class TestUpset:
 
 
 class TestSolveIncumbency:
+    @pytest.mark.parametrize(
+        "sf, calls",
+        [(SF1, 1), (parse_sf("ratio:pow,alpha=0.7"), 6)],
+        ids=["homogeneous", "ratio-form"],
+    )
+    def test_unit_subcontest_solved_once(self, monkeypatch, sf, calls):
+        # one unit-prize solve serves the values, the upset odds and the bias
+        # ratio; only a non-homogeneous kind re-solves at each round's stake
+        specs = []
+
+        def counting_solve(spec, **options):
+            specs.append(spec)
+            return solve(spec, **options)
+
+        monkeypatch.setattr(incumbency, "solve", counting_solve)
+        solve_incumbency(IncumbencySpec(5, 0.5, TowHeadStart(3), sf))
+        assert len(specs) == calls
+
     def test_single_round_collapses_to_battle(self):
         spec = IncumbencySpec(rounds=1, shock_q=1.0, sub=MK1(1), sf=SF1, prize=1.0)
         rep = solve_incumbency(spec)

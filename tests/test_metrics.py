@@ -545,6 +545,18 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep("unknown", [1], SF1)
 
+    def test_failing_row_flagged_in_place(self):
+        table = sweep("best_of", [1, -1, 2], SF1)
+        assert table.column("param") == [1, -1, 2]
+        assert list(table.errors) == [-1]
+        flagged = table.rows[1]
+        assert all(math.isnan(flagged[c]) for c in SWEEP_COLUMNS if c != "param")
+        assert all(math.isfinite(v) for row in (table.rows[0], table.rows[2]) for v in row.values())
+
+    def test_non_integer_parameter_raises(self):
+        with pytest.raises(DomainError, match="integers"):
+            sweep("best_of", [1, 1.5], SF1)
+
     def test_invalid_prize_raises(self):
         # a spec-level domain error is no row failure: it stops the sweep
         with pytest.raises(DomainError, match="prize must be positive and finite"):

@@ -20,6 +20,8 @@ from contestlab import (
     solve,
     solve_finite,
     solve_tow_closed,
+    transient_dominance,
+    transient_dominance_auto,
     win_probabilities,
 )
 from contestlab.cli import main
@@ -173,6 +175,24 @@ class TestGuards:
         argv = ["simulate", "--automaton", str(path), "--sf", "serial:alpha=0.5"]
         assert main([*argv, "--paths", "1000", "--seed", "3", "--max-steps", "1000"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_trapped_play_certificate_rejected(self):
+        # A's weak set is empty here, so the chain must be tested before the
+        # weak sets decide anything
+        spec = ContestSpec(TRAPPED, Serial(0.5), 1.0)
+        sol = solve(spec)
+        with pytest.raises(DegenerateChainError):
+            transient_dominance_auto(sol, spec)
+        with pytest.raises(DegenerateChainError):
+            transient_dominance(sol, spec, 0.1)
+
+    def test_trapped_play_check_cli_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "trapped.json"
+        path.write_text(json.dumps(automaton_to_dict(TRAPPED)))
+        assert main(["check", "--automaton", str(path), "--sf", "serial:alpha=0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_chance_layer_paths(self):
         spec = ContestSpec(build_tug_of_war(3, reset_p=0.5), SF1, 1.0)
