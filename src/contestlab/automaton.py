@@ -82,6 +82,10 @@ class ContestAutomaton:
         Overall winner ("A" or "B") at each terminal state.
     labels : dict[int, str], optional
         Human-readable tags such as "lead +2" or "streak -1".
+
+    The rule is its transition table: solvers and routes read nothing
+    else (labels only tag the output), so a builder's rule and its JSON
+    form are the same contest.
     """
 
     def __init__(
@@ -90,8 +94,6 @@ class ContestAutomaton:
         transitions: dict,
         terminal: dict,
         labels: dict | None = None,
-        family: str | None = None,
-        params: dict | None = None,
     ):
         self.start = int(start)
         self.transitions = {
@@ -103,8 +105,6 @@ class ContestAutomaton:
         ids.add(self.start)
         self.n = (max(ids) + 1) if ids else 0
         self.labels = dict(labels) if labels else {s: f"s{s}" for s in range(self.n)}
-        self.family = family
-        self.params = dict(params) if params else {}
         self._check()
 
     # -- basic accessors -----------------------------------------------------
@@ -266,8 +266,6 @@ def build_best_of(k: int) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        family="best_of",
-        params={"k": k},
     )
 
 
@@ -305,8 +303,6 @@ def build_tug_of_war(n: int, reset_p: float = 0.0, head_start: int = 0) -> Conte
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        family="tug_of_war",
-        params={"n": n, "reset_p": float(reset_p), "head_start": int(head_start)},
     )
 
 
@@ -332,8 +328,6 @@ def build_consecutive_win(k: int) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        family="consecutive_win",
-        params={"k": k},
     )
 
 
@@ -361,9 +355,25 @@ def build_mk1(k: int) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        family="mk1",
-        params={"k": k},
     )
+
+
+# The named families of ``metrics.sweep`` and of the CLI, which spells them
+# with hyphens; each takes one integer parameter.
+_FAMILIES = {
+    "best_of": build_best_of,
+    "tug_of_war": build_tug_of_war,
+    "consecutive_win": build_consecutive_win,
+    "mk1": build_mk1,
+}
+
+
+def _build_family(family: str, param: int, reset_p: float = 0.0, head_start: int = 0):
+    """The rule a family name and its parameter stand for; only the
+    tug-of-war reads ``reset_p`` and ``head_start``."""
+    if family == "tug_of_war":
+        return build_tug_of_war(param, reset_p, head_start)
+    return _FAMILIES[family](param)
 
 
 def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
@@ -449,8 +459,6 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        family="extension",
-        params={"n": n, "base_family": m.family},
     )
 
 
@@ -662,8 +670,6 @@ def minimize(m: ContestAutomaton) -> ContestAutomaton:
         transitions=transitions,
         terminal=terminal,
         labels=labels,
-        family=m.family,
-        params=m.params,
     )
 
 

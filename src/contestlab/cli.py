@@ -26,8 +26,6 @@ from .success import parse_sf
 
 __all__ = ["main", "build_parser"]
 
-_FAMILIES = ("best-of", "tug-of-war", "consecutive-win", "mk1")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
 
     def add_source(p):
-        p.add_argument("--family", choices=_FAMILIES)
+        p.add_argument("--family", choices=[name.replace("_", "-") for name in am._FAMILIES])
         p.add_argument("--automaton", help="automaton JSON file")
         p.add_argument("--k", help="battle target for best-of / consecutive-win / mk1")
         p.add_argument("--margin", help="margin for tug-of-war")
@@ -88,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_range(raw: str) -> list:
-    if raw is None:
-        raise ValidationError("missing parameter range")
     raw = raw.strip()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
@@ -106,18 +102,14 @@ def _parse_range(raw: str) -> list:
         raise ValidationError(f"malformed integer {raw!r}") from exc
 
 
-def _family_param(args) -> int:
-    if args.family == "tug-of-war":
-        if args.margin is None:
-            raise ValidationError("tug-of-war requires --margin")
-        values = _parse_range(args.margin)
-    else:
-        if args.k is None:
-            raise ValidationError(f"{args.family} requires --k")
-        values = _parse_range(args.k)
-    if len(values) != 1:
-        raise ValidationError("this command takes a single parameter, not a range")
-    return values[0]
+def _family_params(args) -> tuple:
+    """The family as ``automaton._FAMILIES`` names it and its parameter
+    values, read from --margin for the tug-of-war and from --k otherwise."""
+    option = "margin" if args.family == "tug-of-war" else "k"
+    raw = getattr(args, option)
+    if raw is None:
+        raise ValidationError(f"{args.family} requires --{option}")
+    return args.family.replace("-", "_"), _parse_range(raw)
 
 
 def _build_contest(args, sf):
@@ -130,15 +122,10 @@ def _build_contest(args, sf):
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, StructureError) as exc:
             raise ValidationError(f"automaton file {args.automaton}: {exc}") from exc
         return am.ContestSpec(auto, sf, args.prize)
-    param = _family_param(args)
-    if args.family == "best-of":
-        auto = am.build_best_of(param)
-    elif args.family == "tug-of-war":
-        auto = am.build_tug_of_war(param, args.reset_p, args.head_start)
-    elif args.family == "consecutive-win":
-        auto = am.build_consecutive_win(param)
-    else:
-        auto = am.build_mk1(param)
+    family, values = _family_params(args)
+    if len(values) != 1:
+        raise ValidationError("this command takes a single parameter, not a range")
+    auto = am._build_family(family, values[0], args.reset_p, args.head_start)
     return am.ContestSpec(auto, sf, args.prize)
 
 
@@ -165,12 +152,7 @@ def _cmd_sweep(args) -> int:
     sf = parse_sf(args.sf)
     if args.family is None:
         raise ValidationError("sweep requires --family")
-    family = args.family.replace("-", "_")
-    if family == "best_of" or family == "consecutive_win" or family == "mk1":
-        params = _parse_range(args.k)
-    else:
-        params = _parse_range(args.margin)
-    table = metrics.sweep(family, params, sf, args.prize, args.reset_p)
+    table = metrics.sweep(*_family_params(args), sf, args.prize, args.reset_p)
     if table.errors:
         sys.stderr.write(f"flagged rows: {sorted(table.errors)}\n")
     if args.format == "csv":

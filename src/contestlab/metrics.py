@@ -12,18 +12,15 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .automaton import (
-    ContestAutomaton,
+    _FAMILIES,
     ContestSpec,
+    _build_family,
     _check_prize,
     _hops,
-    build_best_of,
-    build_consecutive_win,
-    build_mk1,
-    build_tug_of_war,
     min_length,
 )
 from .errors import DegenerateChainError, DomainError
-from .solver import ValueSolution, solve, solve_consecutive_closed, solve_tow_closed
+from .solver import ValueSolution, _cw_closed, _tow_closed, solve
 from .success import SuccessFunction, solve_battle
 
 __all__ = [
@@ -236,10 +233,14 @@ def advantage_profile(
     its partial-sum reconstruction from the per-state gain ratios, whose
     agreement is a solver invariant.
     """
+    if family not in ("tug_of_war", "consecutive_win"):
+        raise DomainError(
+            f"advantage_profile supports tug_of_war and consecutive_win, got {family}"
+        )
+    spec = ContestSpec(_build_family(family, param, reset_p), sf, prize)
     if family == "tug_of_war":
-        n = int(param)
-        sol = solve_tow_closed(n, reset_p, 0, sf, prize)
-        spec = ContestSpec(build_tug_of_war(n, reset_p, 0), sf, prize)
+        n = spec.automaton.n // 2
+        sol = _tow_closed(spec, reset_p)
         q = win_probabilities(sol, spec)
         # per-ring win/loss gap ratios from the closed recursion stay exact
         # far past the point where value differences saturate in floats
@@ -247,8 +248,7 @@ def advantage_profile(
         pis = {0: float(sf.phi(1.0))}
         # loss-to-gain factors (1 - pi)/pi per position, built from the gain
         # complement so they stay exact where the capped gain saturates
-        phi1 = float(sf.phi(1.0))
-        fac = {0: float(sf.phi_complement(1.0)) / phi1}
+        fac = {0: float(sf.phi_complement(1.0)) / pis[0]}
         for k, theta in enumerate(ring, start=1):
             if math.isinf(theta):
                 pis[k], pis[-k] = 1.0, 0.0
@@ -256,12 +256,10 @@ def advantage_profile(
                 continue
             pis[k] = float(sf.phi(theta))
             pis[-k] = float(sf.phi(1.0 / theta))
-            fac[k] = float(sf.phi_complement(theta)) / float(sf.phi(theta))
-            lo = float(sf.phi(1.0 / theta))
-            fac[-k] = float(sf.phi_complement(1.0 / theta)) / lo if lo > 0.0 else math.inf
+            fac[k] = float(sf.phi_complement(theta)) / pis[k]
+            fac[-k] = float(sf.phi_complement(1.0 / theta)) / pis[-k] if pis[-k] > 0.0 else math.inf
         d_plus = sol.extras.get("delta_plus", [])
         d_minus = sol.extras.get("delta_minus", [])
-        span = sol.extras.get("gap_scale", 1.0)
         gap_top = sum(d_plus)
         h = [0.0]
         for d in d_minus:
@@ -295,24 +293,21 @@ def advantage_profile(
                 row["tail_ratio_partial_sums"] = _tail_from_partial_sums(fac, i, n)
             rows.append(row)
         return rows
-    if family == "consecutive_win":
-        k = int(param)
-        sol = solve_consecutive_closed(k, sf, prize)
-        spec = ContestSpec(build_consecutive_win(k), sf, prize)
-        q = win_probabilities(sol, spec)
-        rows = []
-        for i in range(-k, k + 1):
-            s = i + k
-            rows.append(
-                {
-                    "i": i,
-                    "value": sol.values_a[s],
-                    "q_win": q[s][0],
-                    "q_lose": q[s][1],
-                }
-            )
-        return rows
-    raise DomainError(f"advantage_profile supports tug_of_war and consecutive_win, got {family}")
+    k = spec.automaton.n // 2
+    sol = _cw_closed(spec)
+    q = win_probabilities(sol, spec)
+    rows = []
+    for i in range(-k, k + 1):
+        s = i + k
+        rows.append(
+            {
+                "i": i,
+                "value": sol.values_a[s],
+                "q_win": q[s][0],
+                "q_lose": q[s][1],
+            }
+        )
+    return rows
 
 
 def _tail_from_partial_sums(fac: dict, i: int, n: int) -> float:
@@ -577,18 +572,6 @@ def _sweep_row(family: str, param: int, sf: SuccessFunction, prize: float, reset
     }
 
 
-def _build_family(family: str, param: int, reset_p: float) -> ContestAutomaton:
-    if family == "best_of":
-        return build_best_of(param)
-    if family == "tug_of_war":
-        return build_tug_of_war(param, reset_p)
-    if family == "consecutive_win":
-        return build_consecutive_win(param)
-    if family == "mk1":
-        return build_mk1(param)
-    raise DomainError(f"unknown sweep family {family!r}")
-
-
 def sweep(
     family: str,
     params,
@@ -601,7 +584,7 @@ def sweep(
     A failing row is recorded in ``errors`` and emitted with NaN
     metrics so the remaining rows survive.
     """
-    if family not in ("best_of", "tug_of_war", "consecutive_win", "mk1"):
+    if family not in _FAMILIES:
         raise DomainError(f"unknown sweep family {family!r}")
     _check_prize(prize)
     params = list(params)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .success import (
     SuccessFunction,
+    Tullock,
     battle_detail,
     battle_gain,
     psi,
@@ -249,15 +250,19 @@ def solve_tow_closed(
     after which the boundary conditions fix a unique affine scaling.
     Post-lottery (decision-node) values follow from the reset mixture.
     """
-    sf = sf if sf is not None else _default_sf()
+    sf = sf if sf is not None else Tullock(1.0)
+    return _tow_closed(ContestSpec(build_tug_of_war(n, reset_p, head_start), sf, prize), reset_p)
+
+
+def _tow_closed(spec: ContestSpec, reset_p: float) -> ValueSolution:
+    """``solve_tow_closed`` on a spec whose rule is the tug-of-war's table."""
+    sf, prize, m = spec.sf, spec.prize, spec.automaton
     if not sf.homogeneous:
         raise UnsupportedKindError(
             "closed-form tug-of-war requires a homogeneous success function"
         )
-    m = build_tug_of_war(n, reset_p, head_start)
-    spec = ContestSpec(m, sf, prize)
     p = float(reset_p)
-    n = int(n)
+    n = m.n // 2
 
     # Normalized post-battle value gaps relative to the center, tracked as
     # strictly positive increments: gap[k] = sum d_plus[1..k] above the center
@@ -420,16 +425,18 @@ def solve_consecutive_closed(
     applications of the streak map.  All remaining values follow from the
     two-sided iterates toward the boundary.
     """
-    sf = sf if sf is not None else _default_sf()
+    sf = sf if sf is not None else Tullock(1.0)
+    return _cw_closed(ContestSpec(build_consecutive_win(k), sf, prize))
+
+
+def _cw_closed(spec: ContestSpec) -> ValueSolution:
+    """``solve_consecutive_closed`` on a spec whose rule is the consecutive-win table."""
+    sf, prize, m = spec.sf, spec.prize, spec.automaton
     if not sf.homogeneous:
         raise UnsupportedKindError(
             "closed-form consecutive-win requires a homogeneous success function"
         )
-    if k < 1 or int(k) != k:
-        raise DomainError("k must be a positive integer")
-    k = int(k)
-    spec = ContestSpec(build_consecutive_win(k), sf, prize)
-    m = spec.automaton
+    k = m.n // 2
 
     rho = streak_root(sf, k)
     prod = 1.0
@@ -746,30 +753,43 @@ def residual(spec: ContestSpec, values) -> float:
 
 
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:
-    """Route a spec to the best available solver.
+    """Route a spec to the best available solver by its transition table.
 
-    Closed forms cover the tug-of-war and consecutive-win families under
-    homogeneous technologies; acyclic rules use backward induction; anything
+    Under a homogeneous technology a rule whose table is exactly a
+    tug-of-war's or a consecutive-win's (state ids included) takes its
+    closed form; other acyclic rules use backward induction, and anything
     else goes to the fixed-point engine.
     """
-    m = spec.automaton
-    if m.family == "tug_of_war" and spec.sf.homogeneous:
-        return solve_tow_closed(
-            m.params["n"],
-            m.params.get("reset_p", 0.0),
-            m.params.get("head_start", 0),
-            spec.sf,
-            spec.prize,
-        )
-    if m.family == "consecutive_win" and spec.sf.homogeneous and m.params["k"] > 1:
-        return solve_consecutive_closed(m.params["k"], spec.sf, spec.prize)
+    closed = _closed_form(spec)
+    if closed is not None:
+        return closed
     try:
         return solve_finite(spec)
     except CyclicAutomatonError:
         return solve_cyclic(spec, **cyclic_options)
 
 
-def _default_sf() -> SuccessFunction:
-    from .success import Tullock
+def _closed_form(spec: ContestSpec) -> ValueSolution | None:
+    """The closed form when the rule is exactly the one family table it
+    could be, else None.
 
-    return Tullock(1.0)
+    Both families have 2n + 1 states, centre n and terminals 0 (B) and 2n
+    (A).  Lead -1's A-win jumping to streak +1 marks the consecutive-win;
+    otherwise the candidate is the tug-of-war whose reset chance leads A's
+    winning lottery at the centre.  The candidate is rebuilt, and its start
+    and transitions must equal the rule's, state ids included.
+    """
+    m = spec.automaton
+    n = m.n // 2
+    if not spec.sf.homogeneous or m.n != 2 * n + 1 or m.terminal != {0: "B", 2 * n: "A"}:
+        return None
+    centre = m.transitions.get((n, "A"), ())
+    reset_p = centre[0][1] if len(centre) == 2 else 0.0
+    streak = m.transitions.get((n - 1, "A")) == ((n + 1, 1.0),)
+    try:
+        twin = build_consecutive_win(n) if streak else build_tug_of_war(n, reset_p, m.start - n)
+    except DomainError:  # a start or a chance that no family rule has
+        return None
+    if (m.start, m.transitions) != (twin.start, twin.transitions):
+        return None
+    return _cw_closed(spec) if streak else _tow_closed(spec, reset_p)

@@ -1,10 +1,12 @@
 """Seeded fuzzing of the CLI input boundary (stdlib ``random`` only).
 
-Each case mutates a small cyclic rule document or draws a malformed or
-degenerate ``--sf`` string, runs ``solve``, ``check`` or ``simulate`` through
-``cli.main`` in-process, and requires the documented exit-code contract:
-nothing raised, and 0 (success), 2 (validation) or 3 (non-convergence).  A
-successful ``solve`` must report a finite residual of at most 1e-9 * prize.
+Each case mutates a small cyclic rule document (a hand-written four-state
+rule, or a tug-of-war with resets that ``solve`` recognises from its table)
+or draws a malformed or degenerate ``--sf`` string, runs ``solve``,
+``check`` or ``simulate`` through ``cli.main`` in-process, and requires the
+documented exit-code contract: nothing raised, and 0 (success), 2
+(validation) or 3 (non-convergence).  A successful ``solve`` must report a
+finite residual of at most 1e-9 * prize.
 """
 
 import copy
@@ -14,7 +16,9 @@ import random
 
 import pytest
 
+from contestlab import automaton_to_dict, build_tug_of_war, parse_sf
 from contestlab.cli import main
+from contestlab.errors import ContestError
 
 # Two nonterminal states on a cycle (0 -A-> 1 -B-> 0, A's win at 0 is a
 # lottery), a terminal won by A (2) and one won by B (3).
@@ -85,6 +89,7 @@ def _mutate(rng, doc):
         del doc["edges"][rng.randrange(len(doc["edges"]))]
     elif kind == "key":
         del doc[rng.choice(sorted(doc))]
+    return kind
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -105,3 +110,37 @@ def test_cli_exit_contract(seed, tmp_path):
     if command == "solve" and code == 0:
         residual = json.loads(out.read_text())["residual"]
         assert math.isfinite(residual) and residual <= 1e-9  # the default prize is 1
+
+
+# The margin-3 tug-of-war with reset 0.3: an odd state count, so the closed
+# form's recognizer runs on every valid draw.
+TOW_RULE = automaton_to_dict(build_tug_of_war(3, 0.3))
+
+
+def _homogeneous(sf: str) -> bool:
+    try:
+        return parse_sf(sf).homogeneous
+    except ContestError:
+        return False
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cli_exit_contract_recognised_rule(seed, tmp_path):
+    rng = random.Random(seed)
+    doc = copy.deepcopy(TOW_RULE)
+    kind = _mutate(rng, doc)
+    sf = rng.choice(SF_SPECS) if rng.random() < 0.5 else "tullock:r=1"
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(doc))
+    command = rng.choice(["solve", "check", "simulate"])
+    out = tmp_path / "out"
+    argv = [command, "--automaton", str(path), "--sf", sf, "--out", str(out)]
+    if command == "simulate":
+        argv += ["--paths", "200", "--seed", str(seed)]
+    code = main(argv)
+    assert code in (0, 2, 3)
+    if command == "solve" and code == 0:
+        report = json.loads(out.read_text())
+        assert math.isfinite(report["residual"]) and report["residual"] <= 1e-9
+        if kind == "none" and _homogeneous(sf):
+            assert report["method"] == "closed_tow"

@@ -16,6 +16,7 @@ import pytest
 from contestlab import (
     MK1,
     ContestAutomaton,
+    ContestError,
     ContestSpec,
     ConvergenceError,
     CyclicAutomatonError,
@@ -29,6 +30,7 @@ from contestlab import (
     automaton_to_dict,
     build_best_of,
     build_consecutive_win,
+    build_extension,
     build_mk1,
     build_tug_of_war,
     parse_sf,
@@ -601,6 +603,96 @@ class TestDispatch:
 
         spec = ContestSpec(build_tug_of_war(2), RatioForm("pow", 0.8), 1.0)
         assert solve(spec, tol=1e-11).method == "fixed_point"
+
+
+# (name, builder) over every route a homogeneous technology can take; the
+# margin-20 and k >= 18 rules are where the engine picks a wrong plateau
+TABLE_RULES = [
+    *(
+        (f"tow-{n}-{p}-{h}", lambda n=n, p=p, h=h: build_tug_of_war(n, p, h))
+        for n, p, h in [
+            (1, 0.0, 0), (1, 0.3, 0), (2, 0.5, 1), (3, 0.3, -2), (4, 0.0, 0),
+            (5, 0.5, 4), (12, 0.3, 0), (20, 0.5, 0), (30, 0.0, -29),
+        ]
+    ),
+    *((f"cw-{k}", lambda k=k: build_consecutive_win(k)) for k in (1, 2, 3, 7, 18, 25)),
+    *((f"bo-{k}", lambda k=k: build_best_of(k)) for k in (0, 3, 5)),
+    *((f"mk1-{k}", lambda k=k: build_mk1(k)) for k in (1, 4, 7)),
+    ("ext-bo2-2", lambda: build_extension(build_best_of(2), 2)),
+    ("race", race_rule),
+]
+
+
+def _bits(sol) -> str:
+    """Route, values and rows; repr keeps every float's bits."""
+    return repr((sol.method, sol.values_a, sol.values_b, sol.states, sorted(sol.labels.items())))
+
+
+class TestTableRoute:
+    """``solve`` picks its route from the transition table alone."""
+
+    @pytest.mark.parametrize("sf_spec", ["tullock:r=1", "tullock:r=0.5", "serial:alpha=0.5"])
+    @pytest.mark.parametrize("name,build", TABLE_RULES, ids=[name for name, _ in TABLE_RULES])
+    def test_json_form_takes_the_builder_route(self, name, build, sf_spec):
+        sf = parse_sf(sf_spec)
+        rule = build()
+        twin = automaton_from_dict(automaton_to_dict(rule))
+        assert _bits(solve(ContestSpec(twin, sf))) == _bits(solve(ContestSpec(rule, sf)))
+
+    @staticmethod
+    def _edited(rule, transitions=(), terminal=None, start=None):
+        table = {**rule.transitions, **dict(transitions)}
+        return ContestAutomaton(
+            rule.start if start is None else start, table, terminal or rule.terminal
+        )
+
+    @pytest.mark.parametrize("sf_spec", ["tullock:r=1", "serial:alpha=0.5"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "tow-retarget", "tow-swap-terminals", "cw-retarget", "cw-swap-terminals",
+            "reset-chance", "reset-retarget", "cw-start", "five-state", "single-state",
+        ],
+    )
+    def test_one_edit_from_a_family_takes_no_closed_route(self, edit, sf_spec):
+        tow, reset, cw = build_tug_of_war(4), build_tug_of_war(3, 0.3), build_consecutive_win(3)
+        five = {
+            (2, "A"): ((3, 1.0),), (2, "B"): ((1, 1.0),), (3, "A"): ((4, 1.0),),
+            (3, "B"): ((0, 1.0),), (0, "A"): ((2, 1.0),), (0, "B"): ((1, 1.0),),
+        }
+        make = {
+            "tow-retarget": lambda: self._edited(tow, {(5, "A"): ((7, 1.0),)}),
+            "tow-swap-terminals": lambda: self._edited(tow, terminal={0: "A", 8: "B"}),
+            "cw-retarget": lambda: self._edited(cw, {(4, "B"): ((1, 1.0),)}),
+            "cw-swap-terminals": lambda: self._edited(cw, terminal={0: "A", 6: "B"}),
+            "reset-chance": lambda: self._edited(reset, {(3, "A"): ((3, 0.4), (4, 0.6))}),
+            "reset-retarget": lambda: self._edited(reset, {(5, "B"): ((3, 0.3), (2, 0.7))}),
+            "cw-start": lambda: self._edited(cw, start=4),
+            # state 1 is terminal, so lead -1 has no A-win to probe
+            "five-state": lambda: ContestAutomaton(2, five, {1: "B", 4: "A"}),
+            "single-state": lambda: ContestAutomaton(0, {}, {0: "A"}),
+        }[edit]
+        try:
+            spec = ContestSpec(make(), parse_sf(sf_spec))
+            sol = solve(spec)
+        except ContestError:
+            return
+        assert sol.method in ("backward", "fixed_point")
+        assert residual(spec, sol) <= 1e-9
+
+    @pytest.mark.parametrize("rule", [build_tug_of_war(6, 0.3, 2), build_consecutive_win(5)])
+    def test_closed_route_builds_one_automaton(self, rule, monkeypatch):
+        spec = ContestSpec(rule, SF1)
+        built = []
+        init = ContestAutomaton.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContestAutomaton, "__init__", counting)
+        assert solve(spec).method in ("closed_tow", "closed_cw")
+        assert len(built) == 1
 
 
 def _tow_reference_fixed_point(n: int, p: float) -> dict:
