@@ -11,7 +11,6 @@ family it occurs with probability zero.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -516,30 +515,31 @@ def default_exchangeability_depth(m: ContestAutomaton) -> int:
 def check_exchangeable(m: ContestAutomaton, depth: int) -> tuple[bool, tuple | None]:
     """Certify that outcome order is irrelevant up to ``depth`` battles.
 
-    Walks every outcome sequence of length <= depth and groups them by win
-    counts.  All valid sequences in a group must end in the same state, or
-    terminate with the same winner at the same length.  Returns the verdict
-    and, on failure, a witness pair of histories.  A reachable chance split
-    already defeats order-invariance (the same history can land in different
-    states), witnessed by the offending history paired with itself.
+    Walks the outcome sequences of length <= depth in pre-order and groups
+    them by win counts.  All valid sequences in a group must end in the same
+    state, or terminate with the same winner at the same length.  Returns the
+    verdict and, on failure, a witness pair of histories: the group's first
+    and the first that disagrees with it.  A reachable chance split already
+    defeats order-invariance (the same history can land in different
+    states), witnessed by the offending history paired with itself.  A
+    history's state and win counts fix all below it, so each (state, na, nb)
+    is expanded once, when first popped.
     """
     if depth < 2:
         raise DomainError("exchangeability depth must be at least 2")
-    groups: dict[tuple, dict] = {}
+    first: dict[tuple, tuple] = {}  # win counts -> (tag, history) of their first history
+    expanded = set()
     stack = [((), m.start, 0, 0)]
     while stack:
         hist, s, na, nb = stack.pop()
+        if (s, na, nb) in expanded:
+            continue
+        expanded.add((s, na, nb))
         if hist:
-            if m.is_terminal(s):
-                tag = ("won", m.winner(s), len(hist))
-            else:
-                tag = ("state", s)
-            bucket = groups.setdefault((na, nb), {})
-            if tag not in bucket:
-                bucket[tag] = hist
-            if len(bucket) > 1:
-                first, second = (bucket[t] for t in list(bucket)[:2])
-                return False, (first, second)
+            tag = ("won", m.winner(s), len(hist)) if m.is_terminal(s) else ("state", s)
+            seen, seen_hist = first.setdefault((na, nb), (tag, hist))
+            if seen != tag:
+                return False, (seen_hist, hist)
         if m.is_terminal(s) or len(hist) >= depth:
             continue
         for w in reversed(WINNERS):  # LIFO stack: explore A-side first
@@ -551,61 +551,72 @@ def check_exchangeable(m: ContestAutomaton, depth: int) -> tuple[bool, tuple | N
     return True, None
 
 
+def _canonical(m: ContestAutomaton, mirror: bool = False) -> tuple:
+    """The rule's canonical labelling: (visit order, shape, chances).
+
+    States are visited breadth-first from the start, A's lottery before B's
+    (B's first with ``mirror``), legs in table order.  The shape holds, at
+    each visit position, a terminal's winner (swapped with ``mirror``) or
+    the target positions of the state's two lotteries; the chances list the
+    legs in visit order.
+    """
+    winners = WINNERS[::-1] if mirror else WINNERS
+    position = {m.start: 0}
+    order, shape, chances = [m.start], [], []
+    for s in order:  # the visit order is the search's queue
+        if s in m.terminal:
+            shape.append(winners[WINNERS.index(m.terminal[s])])
+            continue
+        lotteries = []
+        for w in winners:
+            dist = m.transitions[(s, w)]
+            for t, p in dist:
+                if t not in position:
+                    position[t] = len(order)
+                    order.append(t)
+                chances.append(p)
+            lotteries.append(tuple(position[t] for t, _ in dist))
+        shape.append(tuple(lotteries))
+    return order, tuple(shape), chances
+
+
+def _same_form(form: tuple, other: tuple) -> bool:
+    """Whether two canonical labellings have one shape and chances within
+    ``_PROB_TOL``: one table up to state ids and chance rounding."""
+    return form[1] == other[1] and not np.any(np.abs(np.subtract(form[2], other[2])) > _PROB_TOL)
+
+
 def swap_involution(m: ContestAutomaton) -> dict | None:
     """Find the A/B-swapping state involution, or None if the rule is biased.
 
-    Propagates the candidate from the start state, which the swap must fix:
-    leg k of a state's A-win lottery maps onto leg k of its image's B-win
-    lottery, and the candidate is then checked on every leg.
+    The swap fixes the start and maps A's lottery onto B's, so it pairs the
+    i-th state of the canonical labelling with the i-th of the mirrored one
+    and checks the pairing on every leg: up to state ids and chance rounding.
     """
-    sigma = {m.start: m.start}
-    queue = deque([m.start])
-    while queue:
-        s = queue.popleft()
-        o = sigma[s]
-        if m.is_terminal(s):
-            continue
-        if m.is_terminal(o):
-            return None
-        for w, wflip in (("A", "B"), ("B", "A")):
-            dist, image = m.successors(s, w), m.successors(o, wflip)
-            if len(dist) != len(image):
-                return None
-            for (t, _), (u, _) in zip(dist, image):
-                if t in sigma:
-                    if sigma[t] != u:
-                        return None
-                else:
-                    sigma[t] = u
-                    queue.append(t)
+    sigma = dict(zip(_canonical(m)[0], _canonical(m, mirror=True)[0]))
     return sigma if _verify_involution(m, sigma) else None
 
 
 def _verify_involution(m: ContestAutomaton, sigma: dict) -> bool:
-    if sigma.get(m.start) != m.start:
+    """Whether ``sigma`` is an involution that fixes the start, swaps the
+    terminals' winners and carries the table onto itself with the battle
+    winners swapped: the summed chance of every (state, winner, target)
+    equals that of its image within ``_PROB_TOL``."""
+    perm = np.array([sigma.get(s, -1) for s in range(m.n)])
+    if np.any((perm < 0) | (perm >= m.n)) or np.any(perm[perm] != np.arange(m.n)):
         return False
-    for s in range(m.n):
-        o = sigma.get(s)
-        if o is None or sigma.get(o) != s:
-            return False
-        if m.is_terminal(s) != m.is_terminal(o):
-            return False
-        if m.is_terminal(s):
-            if m.winner(o) != ("B" if m.winner(s) == "A" else "A"):
-                return False
-            continue
-        for w, wflip in (("A", "B"), ("B", "A")):
-            mapped = {}
-            for t, p in m.successors(s, w):
-                mapped[sigma[t]] = mapped.get(sigma[t], 0.0) + p
-            other = {}
-            for t, p in m.successors(o, wflip):
-                other[t] = other.get(t, 0.0) + p
-            if set(mapped) != set(other):
-                return False
-            if any(abs(mapped[t] - other[t]) > _PROB_TOL for t in mapped):
-                return False
-    return True
+    legs = m.legs
+    swapped = np.where(legs.outcome >= 0, 1 - legs.outcome, -1)
+    if perm[m.start] != m.start or not np.array_equal(legs.outcome[perm], swapped):
+        return False
+
+    def masses(src, win, tgt):
+        keys, inverse = np.unique((2 * src + win) * m.n + tgt, return_inverse=True)
+        return keys, np.bincount(inverse, legs.prob)
+
+    keys, mass = masses(legs.src, legs.win, legs.tgt)
+    image, image_mass = masses(perm[legs.src], 1 - legs.win, perm[legs.tgt])
+    return np.array_equal(keys, image) and not np.any(np.abs(mass - image_mass) > _PROB_TOL)
 
 
 def check_symmetric(m: ContestAutomaton) -> bool:
@@ -673,31 +684,8 @@ def minimize(m: ContestAutomaton) -> ContestAutomaton:
     )
 
 
-def _canonical_signature(m: ContestAutomaton) -> tuple:
-    order = {m.start: 0}
-    queue = deque([m.start])
-    seq = [m.start]
-    while queue:
-        s = queue.popleft()
-        if m.is_terminal(s):
-            continue
-        for w in WINNERS:
-            t = m.step(s, w)
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-                seq.append(t)
-    sig = []
-    for s in seq:
-        if m.is_terminal(s):
-            sig.append((m.winner(s), None, None))
-        else:
-            sig.append((None, order[m.step(s, "A")], order[m.step(s, "B")]))
-    return tuple(sig)
-
-
 def isomorphic(a: ContestAutomaton, b: ContestAutomaton, up_to_bisimulation: bool = True) -> bool:
-    """Decide structural equality of two chance-free contest rules.
+    """Decide structural equality (one canonical labelling) of two chance-free rules.
 
     With ``up_to_bisimulation`` the comparison quotients out behaviorally
     duplicate states first, so rules that play identically compare equal.
@@ -706,9 +694,7 @@ def isomorphic(a: ContestAutomaton, b: ContestAutomaton, up_to_bisimulation: boo
         a, b = minimize(a), minimize(b)
     if not (a.deterministic and b.deterministic):
         raise StructureError("isomorphism check supports chance-free automata only")
-    if a.n != b.n:
-        return False
-    return _canonical_signature(a) == _canonical_signature(b)
+    return _same_form(_canonical(a), _canonical(b))
 
 
 def restrict(m: ContestAutomaton, new_start: int) -> ContestAutomaton:

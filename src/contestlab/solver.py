@@ -17,7 +17,9 @@ from scipy.optimize import brentq
 from .automaton import (
     ContestAutomaton,
     ContestSpec,
+    _canonical,
     _hops,
+    _same_form,
     build_consecutive_win,
     build_tug_of_war,
     swap_involution,
@@ -254,8 +256,9 @@ def solve_tow_closed(
     return _tow_closed(ContestSpec(build_tug_of_war(n, reset_p, head_start), sf, prize), reset_p)
 
 
-def _tow_closed(spec: ContestSpec, reset_p: float) -> ValueSolution:
-    """``solve_tow_closed`` on a spec whose rule is the tug-of-war's table."""
+def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
+    """``solve_tow_closed`` on a spec whose rule is the tug-of-war's table,
+    lead i at state ``at[i + n]`` (the builder's ids by default)."""
     sf, prize, m = spec.sf, spec.prize, spec.automaton
     if not sf.homogeneous:
         raise UnsupportedKindError(
@@ -263,6 +266,7 @@ def _tow_closed(spec: ContestSpec, reset_p: float) -> ValueSolution:
         )
     p = float(reset_p)
     n = m.n // 2
+    at = range(m.n) if at is None else at
 
     # Normalized post-battle value gaps relative to the center, tracked as
     # strictly positive increments: gap[k] = sum d_plus[1..k] above the center
@@ -351,25 +355,24 @@ def _tow_closed(spec: ContestSpec, reset_p: float) -> ValueSolution:
     va = np.zeros(m.n)
     vb = np.zeros(m.n)
     for i in range(-n, n + 1):
-        s = i + n
+        s = at[i + n]
         va[s] = prize * decision[i]
         vb[s] = prize * decision[-i]
     # battle stakes come from the ring increments: differencing the stored
     # values cannot resolve stakes at saturated leads, and a mixed zero/tiny
     # classification there would even break absorption
     scale = prize / span
-    stakes_a, stakes_b = [], []
-    for i in range(-(n - 1), n):  # the nonterminal states in id order
+    stakes = np.zeros((2, m.n))  # A's and B's stakes by state
+    for i in range(-(n - 1), n):
         k = abs(i)
         if k == 0:
-            sa = sb = (d_plus[1] + d_minus[1]) * scale
+            stakes[:, at[n]] = (d_plus[1] + d_minus[1]) * scale
         else:
             lead = (d_plus[k + 1] + d_plus[k]) * scale
             lag = (d_minus[k + 1] + d_minus[k]) * scale
-            sa, sb = (lead, lag) if i > 0 else (lag, lead)
-        stakes_a.append(sa)
-        stakes_b.append(sb)
-    out = _assemble(_Layer(spec), "closed_tow", 0, va, vb, stakes=(stakes_a, stakes_b))
+            stakes[:, at[i + n]] = (lead, lag) if i > 0 else (lag, lead)
+    layer = _Layer(spec)
+    out = _assemble(layer, "closed_tow", 0, va, vb, stakes=stakes[:, layer.nt])
     out.extras.update(
         delta_plus=d_plus[1:],
         delta_minus=d_minus[1:],
@@ -429,8 +432,9 @@ def solve_consecutive_closed(
     return _cw_closed(ContestSpec(build_consecutive_win(k), sf, prize))
 
 
-def _cw_closed(spec: ContestSpec) -> ValueSolution:
-    """``solve_consecutive_closed`` on a spec whose rule is the consecutive-win table."""
+def _cw_closed(spec: ContestSpec, at=None) -> ValueSolution:
+    """``solve_consecutive_closed`` on a spec whose rule is the consecutive-win
+    table, streak i at state ``at[i + k]`` (the builder's ids by default)."""
     sf, prize, m = spec.sf, spec.prize, spec.automaton
     if not sf.homogeneous:
         raise UnsupportedKindError(
@@ -464,8 +468,9 @@ def _cw_closed(spec: ContestSpec) -> ValueSolution:
 
     va = np.zeros(m.n)
     vb = np.zeros(m.n)
+    at = range(m.n) if at is None else at
     for i in range(-k, k + 1):
-        s = i + k
+        s = at[i + k]
         va[s] = values[i]
         vb[s] = values[-i]
     out = _assemble(_Layer(spec), "closed_cw", 0, va, vb)
@@ -708,13 +713,8 @@ def _distance_start(m: ContestAutomaton, prize: float):
     A starts at prize * d_B / (d_A + d_B) and B at prize * d_A / (d_A + d_B),
     or both at prize / 2 when some state cannot reach both players' terminals.
     """
-    legs = m.legs
-    nt = legs.row >= 0
-    # searches from each player's terminals over the reversed legs (-1: unreached)
-    d_a, d_b = (
-        _hops(m.n, np.flatnonzero(legs.outcome == code), legs.tgt, legs.src)[nt]
-        for code in (0, 1)
-    )
+    nt = m.legs.row >= 0
+    d_a, d_b = (d[nt] for d in _terminal_hops(m))
     depth = np.minimum(*(np.where(d >= 0, d, np.inf) for d in (d_a, d_b)))
     order = np.argsort(depth, kind="stable")
     if np.all(d_a > 0) and np.all(d_b > 0):
@@ -722,6 +722,12 @@ def _distance_start(m: ContestAutomaton, prize: float):
         return order, prize * d_b / span, prize * d_a / span
     half = np.full(len(d_a), 0.5 * prize)
     return order, half, half.copy()
+
+
+def _terminal_hops(m: ContestAutomaton):
+    """Battles from every state to A's and to B's nearest terminal (-1: unreached)."""
+    legs = m.legs
+    return [_hops(m.n, np.flatnonzero(legs.outcome == code), legs.tgt, legs.src) for code in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -755,10 +761,10 @@ def residual(spec: ContestSpec, values) -> float:
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:
     """Route a spec to the best available solver by its transition table.
 
-    Under a homogeneous technology a rule whose table is exactly a
-    tug-of-war's or a consecutive-win's (state ids included) takes its
-    closed form; other acyclic rules use backward induction, and anything
-    else goes to the fixed-point engine.
+    Under a homogeneous technology a rule whose table is a tug-of-war's or a
+    consecutive-win's, up to state ids and chance rounding, takes its closed
+    form; other acyclic rules use backward induction, and anything else goes
+    to the fixed-point engine.
     """
     closed = _closed_form(spec)
     if closed is not None:
@@ -770,26 +776,33 @@ def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:
 
 
 def _closed_form(spec: ContestSpec) -> ValueSolution | None:
-    """The closed form when the rule is exactly the one family table it
-    could be, else None.
+    """The closed form when the rule is the one family table it could be, up
+    to state ids and chance rounding, else None.
 
-    Both families have 2n + 1 states, centre n and terminals 0 (B) and 2n
-    (A).  Lead -1's A-win jumping to streak +1 marks the consecutive-win;
-    otherwise the candidate is the tug-of-war whose reset chance leads A's
-    winning lottery at the centre.  The candidate is rebuilt, and its start
-    and transitions must equal the rule's, state ids included.
+    Both families have 2n + 1 states and one terminal per player.  The
+    consecutive-win's canonical position 1 (A's first win) loses straight to
+    position 2; any other candidate is the tug-of-war whose reset chance
+    leads any two-leg lottery, with head start n - d_A if d_A <= d_B, else
+    d_B - n (the start's battle distances to A's and B's terminals).  Equal
+    canonical forms map the candidate's ids onto the rule's.
     """
     m = spec.automaton
     n = m.n // 2
-    if not spec.sf.homogeneous or m.n != 2 * n + 1 or m.terminal != {0: "B", 2 * n: "A"}:
+    if not spec.sf.homogeneous or m.n != 2 * n + 1 or sorted(m.terminal.values()) != ["A", "B"]:
         return None
-    centre = m.transitions.get((n, "A"), ())
-    reset_p = centre[0][1] if len(centre) == 2 else 0.0
-    streak = m.transitions.get((n - 1, "A")) == ((n + 1, 1.0),)
+    form = _canonical(m)
+    streak = form[1][1][1:] == ((2,),)  # a terminal's shape is its winner
     try:
-        twin = build_consecutive_win(n) if streak else build_tug_of_war(n, reset_p, m.start - n)
+        if streak:
+            twin = build_consecutive_win(n)
+        else:
+            reset_p = next((dist[0][1] for dist in m.transitions.values() if len(dist) == 2), 0.0)
+            d_a, d_b = (int(d[m.start]) for d in _terminal_hops(m))
+            twin = build_tug_of_war(n, reset_p, n - d_a if d_a <= d_b else d_b - n)
     except DomainError:  # a start or a chance that no family rule has
         return None
-    if (m.start, m.transitions) != (twin.start, twin.transitions):
+    twin_form = _canonical(twin)
+    if not _same_form(form, twin_form):
         return None
-    return _cw_closed(spec) if streak else _tow_closed(spec, reset_p)
+    at = dict(zip(twin_form[0], form[0]))
+    return _cw_closed(spec, at) if streak else _tow_closed(spec, reset_p, at)

@@ -1,6 +1,7 @@
 """Contest-rule automata: builders, diagnostics, extension, serialization."""
 
 import math
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from contestlab import (
     minimize,
 )
 from contestlab.automaton import (
+    WINNERS,
     _forward_distances,
     _verify_involution,
     restrict,
@@ -153,7 +155,61 @@ class TestMk1:
         assert not check_symmetric(build_mk1(2))
 
 
+def _random_rule(rng):
+    """A valid rule of at most seven states, its legs drawn at random, about
+    one lottery in ten a fair chance split."""
+    while True:
+        n = rng.randint(2, 7)
+        terminal = {s: rng.choice(WINNERS) for s in rng.sample(range(n), rng.randint(1, n - 1))}
+        table = {}
+        for s in sorted(set(range(n)) - set(terminal)):
+            for w in WINNERS:
+                if rng.random() < 0.1:
+                    table[(s, w)] = ((rng.randrange(n), 0.5), (rng.randrange(n), 0.5))
+                else:
+                    table[(s, w)] = ((rng.randrange(n), 1.0),)
+        try:
+            return ContestAutomaton(rng.randrange(n), table, terminal)
+        except StructureError:
+            continue
+
+
+def _walk_every_history(m, depth):
+    """``check_exchangeable`` by brute force: every history up to ``depth``
+    in pre-order (A's outcome first), grouped by win counts; the witness is
+    a group's first two distinct tags."""
+    groups = {}
+    stack = [((), m.start)]
+    while stack:
+        hist, s = stack.pop()
+        if hist:
+            tag = ("won", m.winner(s), len(hist)) if m.is_terminal(s) else ("state", s)
+            group = groups.setdefault((hist.count("A"), hist.count("B")), {})
+            group.setdefault(tag, hist)
+            if len(group) > 1:
+                return False, tuple(group.values())
+        if m.is_terminal(s) or len(hist) >= depth:
+            continue
+        for w in ("B", "A"):
+            dist = m.successors(s, w)
+            if len(dist) > 1:
+                return False, (hist + (w,), hist + (w,))
+            stack.append((hist + (w,), dist[0][0]))
+    return True, None
+
+
 class TestExchangeability:
+    def test_best_of_eleven_to_its_full_length(self):
+        # best-of 11 lasts up to 21 battles; each (state, win counts) is
+        # expanded once, so depth 24 is cheap
+        assert check_exchangeable(build_best_of(11), 24) == (True, None)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_walk_over_every_history(self, seed):
+        m = _random_rule(random.Random(seed))
+        for depth in range(2, 9):
+            assert check_exchangeable(m, depth) == _walk_every_history(m, depth)
+
     def test_families(self):
         assert check_exchangeable(build_best_of(2), 6) == (True, None)
         assert check_exchangeable(build_tug_of_war(3), 6) == (True, None)
@@ -213,6 +269,13 @@ class TestSymmetry:
         for i in range(-4, 5):
             assert sigma[lead[f"lead {i:+d}"]] == lead[f"lead {-i:+d}"]
         assert check_symmetric(m)
+
+    def test_relabelled_reset_rule(self, relabel):
+        # the involution reads the table, not its ids or its chances' last bits
+        ids = [(s + 3) % 9 for s in range(9)]
+        m = automaton_from_dict(relabel(automaton_to_dict(build_tug_of_war(4, 0.7)), ids, 12))
+        sigma = swap_involution(m)
+        assert all(sigma[ids[s]] == ids[8 - s] for s in range(9))
 
     def test_same_winner_images_rejected(self):
         # the propagation pairs terminals 1 and 2, but both are A's wins
@@ -294,6 +357,12 @@ class TestMinimizeIsomorphic:
         # after (A, B) a margin-2 laggard needs two wins, a streak-2 laggard
         # loses the next battle outright: the rules genuinely differ
         assert not isomorphic(build_tug_of_war(2), build_consecutive_win(2))
+
+    def test_isomorphic_up_to_state_ids(self, relabel):
+        rule = build_best_of(2)
+        twin = automaton_from_dict(relabel(automaton_to_dict(rule), range(rule.n - 1, -1, -1)))
+        assert isomorphic(twin, rule, up_to_bisimulation=False)
+        assert isomorphic(twin, rule)
 
     def test_chance_automata_rejected(self):
         with pytest.raises(StructureError):

@@ -45,19 +45,22 @@ class TestSolve:
         center = next(r for r in out["states"] if r["label"] == "lead +0")
         assert center["V_A"] == pytest.approx(0.18614066163450716, abs=1e-10)
 
-    def test_automaton_file_takes_the_closed_form(self, tmp_path):
+    def test_automaton_file_takes_the_closed_form(self, tmp_path, relabel):
         # margin 20 with reset 0.5: the fixed-point engine reports a wrong
-        # plateau (V_A 0.25 at lead 0) on this rule
-        path = tmp_path / "auto.json"
-        path.write_text(json.dumps(automaton_to_dict(build_tug_of_war(20, 0.5))))
-        code, text = run_cli(
-            tmp_path, "solve", "--automaton", str(path), "--sf", "tullock:r=1"
-        )
-        assert code == 0
-        out = json.loads(text)
-        assert out["method"] == "closed_tow"
-        center = next(r for r in out["states"] if r["label"] == "lead +0")
-        assert center["V_A"] == solve_tow_closed(20, 0.5).values_a[20]
+        # plateau (V_A 0.25 at lead 0) on this rule, written with the
+        # builder's state ids and with the ids shifted by 7 mod 41
+        doc = automaton_to_dict(build_tug_of_war(20, 0.5))
+        for rule in (doc, relabel(doc, [(s + 7) % 41 for s in range(41)])):
+            path = tmp_path / "auto.json"
+            path.write_text(json.dumps(rule))
+            code, text = run_cli(
+                tmp_path, "solve", "--automaton", str(path), "--sf", "tullock:r=1"
+            )
+            assert code == 0
+            out = json.loads(text)
+            assert out["method"] == "closed_tow"
+            center = next(r for r in out["states"] if r["label"] == "lead +0")
+            assert center["V_A"] == solve_tow_closed(20, 0.5).values_a[20]
 
     def test_csv_format(self, tmp_path):
         code, text = run_cli(

@@ -7,6 +7,10 @@ or draws a malformed or degenerate ``--sf`` string, runs ``solve``,
 documented exit-code contract: nothing raised, and 0 (success), 2
 (validation) or 3 (non-convergence).  A successful ``solve`` must report a
 finite residual of at most 1e-9 * prize.
+
+A second fuzzer renames the state ids of tug-of-war and consecutive-win
+rules and rounds their chances; ``solve`` must still take the closed form
+and give the builder's values and rows bit for bit through the renaming.
 """
 
 import copy
@@ -16,7 +20,15 @@ import random
 
 import pytest
 
-from contestlab import automaton_to_dict, build_tug_of_war, parse_sf
+from contestlab import (
+    ContestSpec,
+    automaton_from_dict,
+    automaton_to_dict,
+    build_consecutive_win,
+    build_tug_of_war,
+    parse_sf,
+    solve,
+)
 from contestlab.cli import main
 from contestlab.errors import ContestError
 
@@ -144,3 +156,23 @@ def test_cli_exit_contract_recognised_rule(seed, tmp_path):
         assert math.isfinite(report["residual"]) and report["residual"] <= 1e-9
         if kind == "none" and _homogeneous(sf):
             assert report["method"] == "closed_tow"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_relabelled_family_rule_keeps_the_closed_form(seed, relabel):
+    rng = random.Random(seed)
+    if rng.random() < 0.6:
+        n = rng.randint(1, 12)
+        reset_p = rng.choice([0.0, 0.3, 0.5, 0.7])
+        rule = build_tug_of_war(n, reset_p, rng.randint(-(n - 1), n - 1))
+    else:
+        rule = build_consecutive_win(rng.randint(1, 12))
+    ids = list(range(rule.n))
+    rng.shuffle(ids)
+    twin = automaton_from_dict(relabel(automaton_to_dict(rule), ids, rng.randint(9, 15)))
+    sf = parse_sf(rng.choice(["tullock:r=1", "tullock:r=0.5", "serial:alpha=0.5"]))
+    ref, sol = solve(ContestSpec(rule, sf)), solve(ContestSpec(twin, sf))
+    assert sol.method == ref.method and ref.method in ("closed_tow", "closed_cw")
+    for field in ("values_a", "values_b", "states"):
+        rows, renamed = getattr(ref, field), getattr(sol, field)
+        assert repr([rows[s] for s in sorted(rows)]) == repr([renamed[ids[s]] for s in sorted(rows)])

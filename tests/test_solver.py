@@ -7,6 +7,7 @@ engine and against high-precision frozen constants.
 """
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -623,21 +624,85 @@ TABLE_RULES = [
 ]
 
 
-def _bits(sol) -> str:
-    """Route, values and rows; repr keeps every float's bits."""
-    return repr((sol.method, sol.values_a, sol.values_b, sol.states, sorted(sol.labels.items())))
+# how a case's twin is written: with its state ids shuffled or not, and the
+# digits its chances are rounded to
+TWIN_FORMS = {"json": (False, None), "relabelled": (True, None), "rounded": (True, 12)}
+TABLE_CASES = [
+    pytest.param(
+        name, build, form, sf_spec, id=f"{name}{'' if form == 'json' else '-' + form}-{sf_spec}"
+    )
+    for name, build in TABLE_RULES
+    for form in TWIN_FORMS
+    for sf_spec in ("tullock:r=1", "tullock:r=0.5", "serial:alpha=0.5")
+]
+
+
+def _shuffled(seed: str, n: int) -> list:
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return ids
+
+
+def _bits(sol, ids=None) -> str:
+    """Route, values and rows; repr keeps every float's bits.  ``ids[s]`` is
+    the solved rule's id for the reference rule's state s (identity by
+    default), so a relabelled rule is read back in the reference's ids."""
+    ids = range(len(sol.values_a)) if ids is None else ids
+
+    def read(table):
+        return {s: table[t] for s, t in enumerate(ids) if t in table}
+
+    rows = (read(sol.values_a), read(sol.values_b), read(sol.states))
+    return repr((sol.method, *rows, sorted(read(sol.labels).items())))
 
 
 class TestTableRoute:
     """``solve`` picks its route from the transition table alone."""
 
-    @pytest.mark.parametrize("sf_spec", ["tullock:r=1", "tullock:r=0.5", "serial:alpha=0.5"])
-    @pytest.mark.parametrize("name,build", TABLE_RULES, ids=[name for name, _ in TABLE_RULES])
-    def test_json_form_takes_the_builder_route(self, name, build, sf_spec):
+    @pytest.mark.parametrize("name, build, form, sf_spec", TABLE_CASES)
+    def test_json_form_takes_the_builder_route(self, name, build, form, sf_spec, relabel):
         sf = parse_sf(sf_spec)
         rule = build()
-        twin = automaton_from_dict(automaton_to_dict(rule))
-        assert _bits(solve(ContestSpec(twin, sf))) == _bits(solve(ContestSpec(rule, sf)))
+        shuffle, digits = TWIN_FORMS[form]
+        ids = _shuffled(name, rule.n) if shuffle else range(rule.n)
+        twin = automaton_from_dict(relabel(automaton_to_dict(rule), ids, digits))
+        assert _bits(solve(ContestSpec(twin, sf)), ids) == _bits(solve(ContestSpec(rule, sf)))
+
+    @pytest.mark.parametrize(
+        "rule, ids, digits, v0_a",
+        [
+            # the engine's wrong plateau gives V0_A 0.25 on this rule
+            pytest.param(
+                build_tug_of_war(20, 0.5), [(s + 7) % 41 for s in range(41)], None,
+                0.03420087736951247, id="tow-20-0.5-ids-shifted-by-7",
+            ),
+            # the other leg typed as 0.3, where 1 - 0.7 = 0.30000000000000004
+            pytest.param(
+                build_tug_of_war(4, 0.7), range(9), 12, 0.12212648093882078, id="tow-4-0.7-leg-0.3"
+            ),
+            pytest.param(
+                build_tug_of_war(10, 0.7), range(21), 12, 0.056793641345393754,
+                id="tow-10-0.7-leg-0.3",
+            ),
+            pytest.param(
+                build_consecutive_win(6), _shuffled("cw-6", 13), None, 0.05162535614897574,
+                id="cw-6-relabelled",
+            ),
+            # ids reversed: A's terminal is state 0 and the start is state 4
+            pytest.param(
+                build_tug_of_war(6, 0.3, 2), range(12, -1, -1), None, 0.2820500100923315,
+                id="tow-6-0.3-head-start-2-reversed",
+            ),
+        ],
+    )
+    def test_family_rule_up_to_ids_and_rounding_takes_the_closed_form(
+        self, rule, ids, digits, v0_a, relabel
+    ):
+        twin = automaton_from_dict(relabel(automaton_to_dict(rule), ids, digits))
+        sol = solve(ContestSpec(twin, SF1))
+        assert sol.method in ("closed_tow", "closed_cw")
+        assert sol.v0_a == v0_a
+        assert _bits(sol, ids) == _bits(solve(ContestSpec(rule, SF1)))
 
     @staticmethod
     def _edited(rule, transitions=(), terminal=None, start=None):
@@ -652,6 +717,7 @@ class TestTableRoute:
         [
             "tow-retarget", "tow-swap-terminals", "cw-retarget", "cw-swap-terminals",
             "reset-chance", "reset-retarget", "cw-start", "five-state", "single-state",
+            "reset-legs-reversed",
         ],
     )
     def test_one_edit_from_a_family_takes_no_closed_route(self, edit, sf_spec):
@@ -671,6 +737,10 @@ class TestTableRoute:
             # state 1 is terminal, so lead -1 has no A-win to probe
             "five-state": lambda: ContestAutomaton(2, five, {1: "B", 4: "A"}),
             "single-state": lambda: ContestAutomaton(0, {}, {0: "A"}),
+            # recognition reads each lottery's legs in table order
+            "reset-legs-reversed": lambda: self._edited(
+                reset, {key: dist[::-1] for key, dist in reset.transitions.items()}
+            ),
         }[edit]
         try:
             spec = ContestSpec(make(), parse_sf(sf_spec))
