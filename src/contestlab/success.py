@@ -48,8 +48,15 @@ def _sides(theta, low, high, at_inf=None, power=None):
     Each branch sees the ratio on its own side and 1 elsewhere, so neither
     overflows or divides by zero on the other side; with ``power`` p, ``low``
     sees z = ratio^p and ``high`` w = ratio^-p instead, each power taken
-    once.  ``at_inf``, when given, is the value at theta = +inf.
+    once.  ``at_inf``, when given, is the value at theta = +inf.  A float
+    ratio evaluates its own side only, in the array path's 0-d arithmetic.
     """
+    if isinstance(theta, float):
+        if theta <= 1.0:
+            return float(low(theta if power is None else np.power(theta, power)))
+        if at_inf is not None and theta == math.inf:
+            return at_inf
+        return float(high(theta if power is None else np.power(theta, -power)))
     th = np.asarray(theta, dtype=float)
     small = th <= 1.0
     lo, hi = np.where(small, th, 1.0), np.where(small, 1.0, th)
@@ -57,7 +64,7 @@ def _sides(theta, low, high, at_inf=None, power=None):
         lo, hi = lo**power, hi ** (-power)
     out = np.where(small, low(lo), high(hi))
     if at_inf is not None:
-        out = np.where(np.isposinf(th), at_inf, out)
+        out = np.where(th == np.inf, at_inf, out)
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -144,8 +151,8 @@ class Tullock(SuccessFunction):
         r = self.r
         return _sides(
             theta,
-            lambda t: r * t ** (r - 1.0) / (1.0 + t**r) ** 2,
-            lambda t: r * t ** (-r - 1.0) / (1.0 + t ** (-r)) ** 2,
+            lambda t: r * np.power(t, r - 1.0) / (1.0 + np.power(t, r)) ** 2,
+            lambda t: r * np.power(t, -r - 1.0) / (1.0 + np.power(t, -r)) ** 2,
         )
 
     def phi(self, theta):
@@ -216,8 +223,8 @@ class Serial(SuccessFunction):
         a = self.alpha
         return _sides(
             theta,
-            lambda t: 0.5 * a * t ** (a - 1.0),
-            lambda t: 0.5 * a * t ** (-a - 1.0),
+            lambda t: 0.5 * a * np.power(t, a - 1.0),
+            lambda t: 0.5 * a * np.power(t, -a - 1.0),
         )
 
     def phi(self, theta):
@@ -262,6 +269,10 @@ class Serial(SuccessFunction):
 # ---------------------------------------------------------------------------
 
 
+def _powsum_loggrad(x, a, b):
+    return (a * x ** (a - 1.0) + b * x ** (b - 1.0)) / (x**a + x**b)
+
+
 @dataclass(frozen=True)
 class RatioForm(SuccessFunction):
     """Ratio-form technology over a named concave curve.
@@ -296,8 +307,10 @@ class RatioForm(SuccessFunction):
         return self.alpha * x ** (self.alpha - 1.0) + self.beta * x ** (self.beta - 1.0)
 
     def loggrad(self, x: float) -> float:
-        """g'(x)/g(x); strictly decreasing on (0, inf)."""
-        return self.curve_prime(x) / self.curve_value(x)
+        """g'(x)/g(x), strictly decreasing on (0, inf): curve_prime / curve_value, flat."""
+        if self.curve == "pow":
+            return self.alpha * x ** (self.alpha - 1.0) / x**self.alpha
+        return _powsum_loggrad(x, self.alpha, self.beta)
 
     @property
     def loggrad_range(self) -> tuple[float, float]:
@@ -316,8 +329,9 @@ class RatioForm(SuccessFunction):
         if kmin == kmax:
             return kmin / y
         lo, hi = kmin / y, kmax / y
+        a, b = self.alpha, self.beta  # only powsum with alpha != beta gets here
         return brentq(
-            lambda x: self.loggrad(x) - y, lo, hi, rtol=_BRENTQ_RTOL, xtol=1e-300
+            lambda x: _powsum_loggrad(x, a, b) - y, lo, hi, rtol=_BRENTQ_RTOL, xtol=1e-300
         )
 
     def win_prob(self, x: float, x_other: float) -> float:
@@ -542,7 +556,8 @@ def battle_gain(sf: SuccessFunction, da, db):
     * neither positive: a zero-effort fair coin, worth da / 2.
 
     ``battle_detail`` gives the efforts and odds of the same rule.  Scalars
-    take a cheap path with the same arithmetic as the array path.
+    take a cheap path; its squares go through libm's ``pow``, so a Tullock
+    gain can differ from the array path's in its last two bits.
     """
     if not isinstance(da, np.ndarray):
         if da > 0.0 and db > 0.0:
@@ -550,6 +565,8 @@ def battle_gain(sf: SuccessFunction, da, db):
         return da * (sf.gain_limit if da > 0.0 else 0.0 if db > 0.0 else 0.5)
     da = np.asarray(da, dtype=float)
     db = np.asarray(db, dtype=float)
+    if da.min(initial=1.0) > 0.0 and db.min(initial=1.0) > 0.0:  # NaN fails too
+        return _competitive_gain(sf, da, db)
     # off the both-positive case the gain is linear in da
     out = np.where(da > 0.0, sf.gain_limit, np.where(db > 0.0, 0.0, 0.5)) * da
     both = (da > 0.0) & (db > 0.0)

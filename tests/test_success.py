@@ -128,6 +128,36 @@ class TestPhi:
         )
 
 
+class TestFloatRatioPath:
+    """A float ratio evaluates one side with scalar numpy powers; a 0-d array
+    still takes the array path, whose 0-d arithmetic (libm squares of numpy
+    scalars) the float path must reproduce bit for bit."""
+
+    KINDS = [
+        Tullock(1.0),
+        Tullock(0.8),
+        Tullock(0.5),
+        Tullock(0.3),
+        Serial(0.5),
+        Serial(0.2),
+        Noisy(Tullock(0.8), 0.7),
+        Noisy(Serial(0.2), 0.4),
+    ]
+    RATIOS = [0.0, 5e-324, 1.0, 1e308, math.inf] + np.exp(
+        np.random.default_rng(12).uniform(-60.0, 60.0, 600)
+    ).tolist()
+
+    @pytest.mark.parametrize("method", ["phi", "phi_complement", "gamma", "gamma_prime"])
+    @pytest.mark.parametrize("sf", KINDS)
+    def test_float_equals_0d_array(self, sf, method):
+        f = getattr(sf, method)
+        with np.errstate(divide="ignore"):  # gamma_prime raises 0 to a negative power
+            for theta in self.RATIOS:
+                got = f(theta)
+                assert type(got) is float
+                assert got == f(np.asarray(theta)), theta
+
+
 class TestSolveBattle:
     def test_symmetric_tullock(self):
         eq = solve_battle(Tullock(1.0), 1.0, 1.0)
@@ -185,6 +215,16 @@ class TestSolveBattle:
             assert a.effort_b == pytest.approx(b.effort_b, abs=1e-8)
             assert a.win_prob_a == pytest.approx(b.win_prob_a, abs=1e-8)
             assert a.payoff_a == pytest.approx(b.payoff_a, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "sf", [RatioForm("pow", 0.8), RatioForm("powsum", 0.6, 0.9), RatioForm("powsum", 0.9, 0.3)]
+    )
+    def test_loggrad_is_the_curve_ratio(self, sf):
+        points = np.exp(np.random.default_rng(5).uniform(-30.0, 30.0, 500)).tolist()
+        for x in points:
+            assert sf.loggrad(x) == sf.curve_prime(x) / sf.curve_value(x)
+        for y in points:
+            assert abs(sf.loggrad(sf.loggrad_inverse(y)) - y) <= 4.0 * math.ulp(y)
 
     def test_ratio_powsum_foc_residual(self):
         sf = RatioForm("powsum", alpha=0.5, beta=0.9)
@@ -291,6 +331,12 @@ class TestBattleGain:
         scalar = [battle_gain(sf, a, b) for a, b in zip(da.tolist(), db.tolist())]
         assert all(isinstance(x, float) for x in scalar)
         assert np.array_equal(array, np.array(scalar))
+
+    @pytest.mark.parametrize("sf", KINDS)
+    def test_all_competitive_array_matches_masked_path(self, sf):
+        da, db = np.exp(np.random.default_rng(8).uniform(-3.0, 2.0, (2, 40)))
+        masked = battle_gain(sf, np.append(da, 0.0), np.append(db, 1.0))
+        assert np.array_equal(battle_gain(sf, da, db), masked[:-1])
 
     @pytest.mark.parametrize("sf", KINDS)
     def test_four_cases(self, sf):
