@@ -18,7 +18,8 @@ from .errors import DomainError, UnsupportedKindError
 from .metrics import (
     DissipationReport,
     TransientDominanceReport,
-    balanced_gain_ratio,
+    _check_epsilon,
+    _fields,
     win_probabilities,
 )
 from .solver import ValueSolution, solve
@@ -107,25 +108,10 @@ class IncumbencyReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "shock_q": self.shock_q,
-            "sub": self.sub,
-            "prize": self.prize,
-            "w_plus": self.w_plus,
-            "w_minus": self.w_minus,
-            "v_rounds": self.v_rounds,
-            "v_plus_unit": self.v_plus_unit,
-            "v_minus_unit": self.v_minus_unit,
-            "bias_ratio": self.bias_ratio,
-            "log_bias_ratio": self.log_bias_ratio,
-            "upset_prob": self.upset_prob,
-            "start_value_a": self.start_value_a,
-            "start_value_b": self.start_value_b,
-            "dissipation": self.dissipation.to_dict(),
-            "trajectory": self.trajectory,
-            "notes": self.notes,
-        }
+        # JSON has no inf: an overflowed ratio is written as null, and
+        # log_bias_ratio still carries it
+        bias = self.bias_ratio if math.isfinite(self.bias_ratio) else None
+        return _fields(self, bias_ratio=bias, dissipation=self.dissipation.to_dict())
 
 
 def subcontest_automaton(sub) -> ContestAutomaton:
@@ -175,7 +161,11 @@ def _log_bias_ratio(sub, sf: SuccessFunction, unit_solution) -> float:
 
 def bias_ratio(sub, sf: SuccessFunction) -> float:
     """(1 - V+) / V- of the unit-prize subcontest; may overflow to inf."""
-    return math.exp(log_bias_ratio(sub, sf))
+    return _exp_or_inf(log_bias_ratio(sub, sf))
+
+
+def _exp_or_inf(log_ratio: float) -> float:
+    return math.exp(log_ratio) if log_ratio < 700 else math.inf
 
 
 def _mk1_log_gap_recursion(sf: SuccessFunction, k: int) -> float:
@@ -183,15 +173,19 @@ def _mk1_log_gap_recursion(sf: SuccessFunction, k: int) -> float:
 
     Tracks log(1 - V+) and log(V-).  One round maps the incumbent shortfall
     a to a * (1 - phi(a/b)) and the challenger value b to b * phi(b/a).
+    Beyond float range the gain curves are read at the log ratio itself,
+    and a log ratio past the largest float is +inf.
     """
     la = sf.log_phi_complement(1.0)
     lb = sf.log_phi(1.0)
     for _ in range(1, k):
         lt = la - lb
+        if lt == math.inf:
+            return lt
         if lt > 700.0:
-            raise DomainError(
-                "bias ratio exceeds the representable range; use log_bias_ratio trends"
-            )
+            la += sf.log_phi_complement_at_log(lt)
+            lb += sf.log_phi_at_log(-lt)
+            continue
         theta = math.exp(lt)
         la += sf.log_phi_complement(theta)
         lb += sf.log_phi(1.0 / theta)
@@ -250,21 +244,8 @@ def solve_incumbency(spec: IncumbencySpec) -> IncumbencyReport:
     effort = v - w_plus[1] - w_minus[1]
     # conservative minimum battle count: every round's shock branch must still
     # traverse the subcontest's shortest history
-    sub_len = min_length(unit_spec.automaton)
-    battles_floor = n_rounds * sub_len
-    pi1 = balanced_gain_ratio(sf, v)
-    bound = 1.0 - pi1**battles_floor
-    dissipation = DissipationReport(
-        total_effort=effort,
-        dissipation_ratio=effort / v,
-        v0_a=start_value,
-        v0_b=start_value,
-        thm1_bound=bound,
-        bound_satisfied=effort / v < bound,
-        prize=v,
-        min_length=float(battles_floor),
-        balanced_gain=pi1,
-    )
+    battles_floor = n_rounds * min_length(unit_spec.automaton)
+    dissipation = DissipationReport.of(sf, v, start_value, start_value, effort, battles_floor)
     lbr = _log_bias_ratio(spec.sub, sf, lambda: unit_sol)
     notes = []
     if not homogeneous:
@@ -282,7 +263,7 @@ def solve_incumbency(spec: IncumbencySpec) -> IncumbencyReport:
         v_rounds=v_rounds[1:],
         v_plus_unit=v_plus_unit,
         v_minus_unit=v_minus_unit,
-        bias_ratio=math.exp(lbr) if lbr < 700 else math.inf,
+        bias_ratio=_exp_or_inf(lbr),
         log_bias_ratio=lbr,
         upset_prob=upset,
         start_value_a=start_value,
@@ -303,8 +284,7 @@ def incumbency_transient_dominance(
     least once before the final round; flips are independent across rounds
     with probability q * upset each.
     """
-    if not 0.0 < epsilon < 0.25:
-        raise DomainError("epsilon must lie in (0, 1/4)")
+    _check_epsilon(epsilon)
     if not spec.sf.homogeneous:
         raise UnsupportedKindError(
             "incumbency transient dominance requires a homogeneous technology"
@@ -314,20 +294,14 @@ def incumbency_transient_dominance(
     flip = spec.shock_q * report.upset_prob
     reach = 1.0 - (1.0 - flip) ** (n_rounds - 1)
     worst_laggard_value = max(report.w_minus) if report.w_minus else 0.0
-    value_ok = worst_laggard_value <= epsilon * v
-    satisfied = value_ok and reach >= 1.0 - epsilon
-    ids_a = tuple(f"round {n}: laggard A" for n in range(1, n_rounds + 1))
-    ids_b = tuple(f"round {n}: laggard B" for n in range(1, n_rounds + 1))
-    effort = v - report.w_plus[0] - report.w_minus[0]
-    return TransientDominanceReport(
-        epsilon=epsilon,
-        set_a_minus=ids_a,
-        set_b_minus=ids_b,
-        reach_both_prob=reach,
-        satisfied=satisfied,
-        implied_effort_floor=(1.0 - 4.0 * epsilon) * v if satisfied else 0.0,
-        prize=v,
-        measured_total_effort=effort,
+    return TransientDominanceReport.of(
+        epsilon,
+        tuple(f"round {n}: laggard A" for n in range(1, n_rounds + 1)),
+        tuple(f"round {n}: laggard B" for n in range(1, n_rounds + 1)),
+        reach,
+        worst_laggard_value <= epsilon * v,
+        v,
+        v - report.w_plus[0] - report.w_minus[0],
     )
 
 

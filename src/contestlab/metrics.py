@@ -4,7 +4,7 @@ probabilities, transient-dominance certification, and parameter sweeps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,14 @@ __all__ = [
 SWEEP_COLUMNS = ["param", "V0_A", "V0_B", "total_effort", "dissipation", "thm1_bound", "min_length"]
 
 
+def _fields(report, **override) -> dict:
+    """A report's fields in declaration order, shallow, with ``override``
+    replacing the named ones: the one serialising rule of the reports."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out.update(override)
+    return out
+
+
 @dataclass(frozen=True)
 class DissipationReport:
     """Expected total effort and the nontriviality upper bound."""
@@ -55,18 +63,24 @@ class DissipationReport:
     min_length: float
     balanced_gain: float
 
+    @classmethod
+    def of(
+        cls, sf: SuccessFunction, prize: float, v0_a: float, v0_b: float, effort: float, length: int
+    ) -> DissipationReport:
+        """The report of a contest whose shortest history has ``length``
+        battles: the bound is 1 - pi1**length, pi1 the balanced gain ratio."""
+        pi1 = balanced_gain_ratio(sf, prize)
+        ratio = effort / prize
+        bound = 1.0 - pi1**length
+        return cls(effort, ratio, v0_a, v0_b, bound, ratio < bound, prize, float(length), pi1)
+
     def to_dict(self) -> dict:
-        return {
-            "total_effort": self.total_effort,
-            "dissipation_ratio": self.dissipation_ratio,
-            "v0_a": self.v0_a,
-            "v0_b": self.v0_b,
-            "thm1_bound": self.thm1_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "prize": self.prize,
-            "min_length": self.min_length,
-            "balanced_gain": self.balanced_gain,
-        }
+        return _fields(self)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 0.25:
+        raise DomainError("epsilon must lie in (0, 1/4)")
 
 
 @dataclass(frozen=True)
@@ -82,17 +96,20 @@ class TransientDominanceReport:
     prize: float
     measured_total_effort: float
 
+    @classmethod
+    def of(
+        cls, epsilon: float, set_a: tuple, set_b: tuple, reach: float, weak_ok: bool,
+        prize: float, effort: float,
+    ) -> TransientDominanceReport:
+        """The certificate at epsilon: satisfied when the weak sets qualify
+        (``weak_ok``) and play visits both with chance at least 1 - epsilon,
+        which floors the total effort at (1 - 4 epsilon) * prize."""
+        satisfied = weak_ok and reach >= 1.0 - epsilon
+        floor = (1.0 - 4.0 * epsilon) * prize if satisfied else 0.0
+        return cls(epsilon, set_a, set_b, reach, satisfied, floor, prize, effort)
+
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "set_a_minus": list(self.set_a_minus),
-            "set_b_minus": list(self.set_b_minus),
-            "reach_both_prob": self.reach_both_prob,
-            "satisfied": self.satisfied,
-            "implied_effort_floor": self.implied_effort_floor,
-            "prize": self.prize,
-            "measured_total_effort": self.measured_total_effort,
-        }
+        return _fields(self, set_a_minus=list(self.set_a_minus), set_b_minus=list(self.set_b_minus))
 
 
 def balanced_gain_ratio(sf: SuccessFunction, prize: float = 1.0) -> float:
@@ -110,23 +127,9 @@ def balanced_gain_ratio(sf: SuccessFunction, prize: float = 1.0) -> float:
 
 def rent_dissipation(solution: ValueSolution, spec: ContestSpec) -> DissipationReport:
     """Total effort elicited by the contest and the shortest-history bound."""
-    v = spec.prize
+    effort = spec.prize - solution.v0_a - solution.v0_b
     length = min_length(spec.automaton)
-    pi1 = balanced_gain_ratio(spec.sf, v)
-    effort = v - solution.v0_a - solution.v0_b
-    ratio = effort / v
-    bound = 1.0 - pi1**length
-    return DissipationReport(
-        total_effort=effort,
-        dissipation_ratio=ratio,
-        v0_a=solution.v0_a,
-        v0_b=solution.v0_b,
-        thm1_bound=bound,
-        bound_satisfied=ratio < bound,
-        prize=v,
-        min_length=float(length),
-        balanced_gain=pi1,
-    )
+    return DissipationReport.of(spec.sf, spec.prize, solution.v0_a, solution.v0_b, effort, length)
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +445,13 @@ def _certificate(
 ) -> TransientDominanceReport:
     """The report at epsilon, with ``reach_both(set_a, set_b)`` giving the
     probability of visiting both nonempty weak sets."""
-    if not 0.0 < epsilon < 0.25:
-        raise DomainError("epsilon must lie in (0, 1/4)")
-    v = spec.prize
+    _check_epsilon(epsilon)
     set_a, set_b = _weak_sets(solution, spec, epsilon)
-    effort = v - solution.v0_a - solution.v0_b
-    reach = reach_both(set_a, set_b) if set_a and set_b else 0.0
-    satisfied = bool(set_a) and bool(set_b) and reach >= 1.0 - epsilon
-    return TransientDominanceReport(
-        epsilon=epsilon,
-        set_a_minus=tuple(sorted(set_a)),
-        set_b_minus=tuple(sorted(set_b)),
-        reach_both_prob=reach,
-        satisfied=satisfied,
-        implied_effort_floor=(1.0 - 4.0 * epsilon) * v if satisfied else 0.0,
-        prize=v,
-        measured_total_effort=effort,
+    weak_ok = bool(set_a) and bool(set_b)
+    reach = reach_both(set_a, set_b) if weak_ok else 0.0
+    effort = spec.prize - solution.v0_a - solution.v0_b
+    return TransientDominanceReport.of(
+        epsilon, tuple(sorted(set_a)), tuple(sorted(set_b)), reach, weak_ok, spec.prize, effort
     )
 
 
@@ -595,15 +589,7 @@ def sweep(
         try:
             row = _sweep_row(family, int(param), sf, prize, reset_p)
         except Exception as exc:  # noqa: BLE001 - row-level flagging by design
-            row = {
-                "param": int(param),
-                "V0_A": math.nan,
-                "V0_B": math.nan,
-                "total_effort": math.nan,
-                "dissipation": math.nan,
-                "thm1_bound": math.nan,
-                "min_length": math.nan,
-            }
+            row = dict.fromkeys(SWEEP_COLUMNS, math.nan) | {"param": int(param)}
             table.errors[int(param)] = str(exc)
         table.rows.append(row)
     return table

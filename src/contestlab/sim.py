@@ -15,7 +15,7 @@ import numpy as np
 
 from .automaton import ContestSpec
 from .errors import DomainError
-from .metrics import _absorbed_chain, win_probabilities
+from .metrics import _absorbed_chain, _fields, win_probabilities
 from .solver import ValueSolution
 
 __all__ = ["SimulationSummary", "simulate", "compare_sim_analytic"]
@@ -35,18 +35,11 @@ class SimulationSummary:
     state_a_wins: dict
 
     def to_dict(self) -> dict:
-        return {
-            "paths": self.paths,
-            "seed": self.seed,
-            "mean_total_effort": self.mean_total_effort,
-            "se_total_effort": self.se_total_effort,
-            "win_freq_a": self.win_freq_a,
-            "se_win": self.se_win,
-            "mean_length": self.mean_length,
-            "truncated_paths": self.truncated_paths,
-            "visit_counts": {str(k): v for k, v in sorted(self.visit_counts.items())},
-            "state_a_wins": {str(k): v for k, v in sorted(self.state_a_wins.items())},
-        }
+        return _fields(
+            self,
+            visit_counts={str(k): v for k, v in sorted(self.visit_counts.items())},
+            state_a_wins={str(k): v for k, v in sorted(self.state_a_wins.items())},
+        )
 
 
 def simulate(

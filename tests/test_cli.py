@@ -194,6 +194,19 @@ class TestIncumbency:
         doc = json.loads(text)
         assert "transient_dominance" in doc
 
+    @pytest.mark.parametrize("sub", ["tow-head-start:k=9", "mk1:k=12"])
+    def test_overflowed_bias_ratio_is_null(self, tmp_path, sub):
+        # the ratio is past float range; its log is written as it is
+        code, text = run_cli(
+            tmp_path,
+            "incumbency", "--rounds", "10", "--shock-q", "0.5", "--sub", sub,
+            "--sf", "tullock:r=1",
+        )
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["bias_ratio"] is None
+        assert doc["log_bias_ratio"] > 700
+
     def test_bad_sub(self):
         assert main(
             ["incumbency", "--rounds", "2", "--shock-q", "0.5", "--sub", "race:k=2",

@@ -6,6 +6,8 @@ import pytest
 
 from contestlab import (
     MK1,
+    ContestAutomaton,
+    ContestSpec,
     DomainError,
     IncumbencySpec,
     Serial,
@@ -62,6 +64,23 @@ class TestBiasRatio:
     def test_serial_technology(self):
         logs = [log_bias_ratio(MK1(k), Serial(0.5)) for k in range(1, 8)]
         assert all(b > a for a, b in zip(logs[:-1], logs[1:]))
+
+    def test_overflow_gives_inf(self):
+        # log ratios of about 1150 and 959 lie past exp's float range
+        assert bias_ratio(TowHeadStart(9), SF1) == math.inf
+        assert bias_ratio(MK1(10), SF1) == math.inf
+
+    def test_mk1_past_float_range(self):
+        # from k = 11 the gap ratio itself overflows, and the recursion reads
+        # the gain curves at its log; below that the floats are unchanged
+        logs = [log_bias_ratio(MK1(k), SF1) for k in range(1, 21)]
+        assert all(math.isfinite(x) for x in logs)
+        assert all(b > a for a, b in zip(logs[:-1], logs[1:]))
+        assert logs[7:10] == [
+            float.fromhex("0x1.de8f2058dce7bp+7"),
+            float.fromhex("0x1.df409270d4b98p+8"),
+            float.fromhex("0x1.df994b7cd0a28p+9"),
+        ]
 
     def test_head_start_values(self):
         # tow margin 2 with head start 1: ratio (1 - V(1)) / V(-1)
@@ -203,6 +222,69 @@ class TestIncumbencyTransientDominance:
         rep = solve_incumbency(spec)
         with pytest.raises(DomainError):
             incumbency_transient_dominance(rep, spec, 0.25)
+
+
+def _unrolled_mk1(rounds: int, q: float, k: int) -> tuple[ContestAutomaton, dict]:
+    """MK1(k) incumbency unrolled into one rule, and each state's id.
+
+    States are (round m, incumbent, challenger wins j) from (1, "A", 0), and
+    the terminals ("A",) and ("B",).  When the incumbent wins a battle, or
+    the challenger its k-th and takes over, a lottery sends the holder to
+    the next shock at round m' with chance q(1-q)^(m'-m-1), or to its
+    terminal with chance (1-q)^(N-m).
+    """
+
+    def lottery(m, holder):
+        legs = [((r, holder, 0), q * (1.0 - q) ** (r - m - 1)) for r in range(m + 1, rounds + 1)]
+        legs.append(((holder,), (1.0 - q) ** (rounds - m)))
+        return [(state, p) for state, p in legs if p > 0.0]
+
+    ids, moves, todo = {}, {}, [(1, "A", 0)]
+    while todo:
+        state = todo.pop()
+        if state in ids:
+            continue
+        ids[state] = len(ids)
+        if len(state) == 1:
+            continue
+        m, holder, j = state
+        challenger = "B" if holder == "A" else "A"
+        moves[state, holder] = lottery(m, holder)
+        moves[state, challenger] = (
+            lottery(m, challenger) if j + 1 == k else [((m, holder, j + 1), 1.0)]
+        )
+        todo.extend(t for w in "AB" for t, _ in moves[state, w])
+    transitions = {(ids[s], w): [(ids[t], p) for t, p in dist] for (s, w), dist in moves.items()}
+    terminal = {ids[s]: s[0] for s in ids if len(s) == 1}
+    return ContestAutomaton(0, transitions, terminal), ids
+
+
+class TestUnrolledIncumbency:
+    @pytest.mark.parametrize(
+        "rounds, q, k, sf",
+        [(5, 0.5, 2, SF1), (30, 0.5, 3, SF1), (40, 0.3, 2, Tullock(0.8))],
+    )
+    def test_recursion_matches_generic_solver(self, rounds, q, k, sf):
+        # at a subcontest start in round m the incumbent's value is
+        # W-(m+1) + (W+(m+1) - W-(m+1)) * v_plus_unit, the challenger's the
+        # same with v_minus_unit, where W+(N+1) = prize and W-(N+1) = 0
+        rule, ids = _unrolled_mk1(rounds, q, k)
+        sol = solve(ContestSpec(rule, sf, 1.0))
+        assert sol.method == "backward"
+        rep = solve_incumbency(IncumbencySpec(rounds, q, MK1(k), sf))
+        w_plus, w_minus = rep.w_plus + [1.0], rep.w_minus + [0.0]
+        gaps = []
+        for state, s in ids.items():
+            if len(state) == 1 or state[2] != 0:
+                continue
+            m, holder = state[:2]
+            stake = w_plus[m] - w_minus[m]
+            lead = w_minus[m] + stake * rep.v_plus_unit
+            lag = w_minus[m] + stake * rep.v_minus_unit
+            value_a, value_b = (lead, lag) if holder == "A" else (lag, lead)
+            gaps += [abs(sol.values_a[s] - value_a), abs(sol.values_b[s] - value_b)]
+        assert len(gaps) >= 2 * rounds
+        assert max(gaps) <= 1e-12
 
 
 class TestRoundsForReach:

@@ -3,14 +3,17 @@
 import math
 import random
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from contestlab import (
+    MK1,
     ContestSpec,
     DegenerateChainError,
     DomainError,
+    IncumbencySpec,
     Serial,
     Tullock,
     advantage_profile,
@@ -20,11 +23,14 @@ from contestlab import (
     build_consecutive_win,
     build_tug_of_war,
     extrapolate_supremum,
+    incumbency_transient_dominance,
     parse_sf,
     rent_dissipation,
+    simulate,
     solve,
     solve_consecutive_closed,
     solve_finite,
+    solve_incumbency,
     solve_tow_closed,
     sweep,
     transient_dominance,
@@ -580,3 +586,45 @@ class TestExtrapolation:
     def test_rejects_decreasing(self):
         with pytest.raises(DomainError):
             extrapolate_supremum([1.0, 0.5, 0.4, 0.3])
+
+
+class TestReportFields:
+    """Every report serialises its dataclass fields, in declaration order."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        spec = ContestSpec(build_best_of(2), SF1, 1.0)
+        sol = solve(spec)
+        ispec = IncumbencySpec(6, 0.5, MK1(2), SF1)
+        irep = solve_incumbency(ispec)
+        return {
+            "dissipation": rent_dissipation(sol, spec),
+            "certificate": transient_dominance(sol, spec, 0.2),
+            "simulation": simulate(sol, spec, 100, 1),
+            "incumbency": irep,
+            "incumbency_certificate": incumbency_transient_dominance(irep, ispec, 0.1),
+        }
+
+    def test_keys_are_the_fields_in_order(self, reports):
+        for report in reports.values():
+            assert list(report.to_dict()) == [f.name for f in fields(report)]
+
+    def test_shallow_values_and_overrides(self, reports):
+        for name in ("certificate", "incumbency_certificate"):
+            doc = reports[name].to_dict()
+            assert doc["set_a_minus"] == list(reports[name].set_a_minus)
+            assert type(doc["set_a_minus"]) is list and type(doc["set_b_minus"]) is list
+        sim = reports["simulation"]
+        doc = sim.to_dict()
+        for key in ("visit_counts", "state_a_wins"):
+            assert list(doc[key]) == [str(s) for s in sorted(getattr(sim, key))]
+        inc = reports["incumbency"]
+        doc = inc.to_dict()
+        assert doc["dissipation"] == inc.dissipation.to_dict()
+        assert doc["bias_ratio"] == inc.bias_ratio
+        assert doc["w_plus"] is inc.w_plus
+
+    def test_flagged_sweep_row_keeps_column_order(self):
+        row = sweep("best_of", [-1], SF1).rows[0]
+        assert list(row) == SWEEP_COLUMNS
+        assert row["param"] == -1 and type(row["param"]) is int
