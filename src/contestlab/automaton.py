@@ -95,8 +95,8 @@ class ContestAutomaton:
         labels: dict | None = None,
     ):
         self.start = int(start)
-        self.transitions = {
-            (int(s), w): tuple((int(t), float(p)) for t, p in dist)
+        self.transitions = {  # a list display: a generator costs more per lottery
+            (int(s), w): tuple([(int(t), float(p)) for t, p in dist])
             for (s, w), dist in transitions.items()
         }
         self.terminal = {int(s): w for s, w in terminal.items()}
@@ -241,30 +241,18 @@ def build_best_of(k: int) -> ContestAutomaton:
     """First player to k+1 battle wins takes the prize (best-of-(2k+1))."""
     if k < 0 or int(k) != k:
         raise DomainError("k must be a nonnegative integer")
-    k = int(k)
-    goal = k + 1
-    keys = [
-        (i, j)
-        for i in range(goal + 1)
-        for j in range(goal + 1)
-        if not (i == goal and j == goal)
-    ]
-    idx = {key: n for n, key in enumerate(keys)}
-    transitions, terminal, labels = {}, {}, {}
-    for (i, j), s in idx.items():
-        labels[s] = f"score {i}-{j}"
-        if i == goal:
-            terminal[s] = "A"
-        elif j == goal:
-            terminal[s] = "B"
-        else:
-            transitions[(s, "A")] = ((idx[(i + 1, j)], 1.0),)
-            transitions[(s, "B")] = ((idx[(i, j + 1)], 1.0),)
-    return ContestAutomaton(
-        start=idx[(0, 0)],
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
+    goal = int(k) + 1
+
+    def moves(score, w):
+        i, j = score
+        return (((i + 1, j) if w == "A" else (i, j + 1), 1.0),)
+
+    return _rule(
+        [(i, j) for i in range(goal + 1) for j in range(goal + 1) if (i, j) != (goal, goal)],
+        (0, 0),
+        lambda score: "A" if score[0] == goal else ("B" if score[1] == goal else None),
+        moves,
+        "score {0[0]}-{0[1]}".format,
     )
 
 
@@ -281,28 +269,14 @@ def build_tug_of_war(n: int, reset_p: float = 0.0, head_start: int = 0) -> Conte
     if abs(head_start) >= n or int(head_start) != head_start:
         raise DomainError("head start must satisfy |head_start| < margin")
     n = int(n)
-    idx = {i: i + n for i in range(-n, n + 1)}
-    transitions, terminal, labels = {}, {}, {}
-    for i in range(-n, n + 1):
-        s = idx[i]
-        labels[s] = f"lead {i:+d}"
-        if i == n:
-            terminal[s] = "A"
-        elif i == -n:
-            terminal[s] = "B"
-        else:
-            for w, nxt in (("A", i + 1), ("B", i - 1)):
-                if abs(nxt) == n or reset_p == 0.0 or nxt == 0:
-                    dist = ((idx[nxt], 1.0),)
-                else:
-                    dist = ((idx[0], reset_p), (idx[nxt], 1.0 - reset_p))
-                transitions[(s, w)] = dist
-    return ContestAutomaton(
-        start=idx[int(head_start)],
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
-    )
+
+    def moves(lead, w):
+        nxt = lead + 1 if w == "A" else lead - 1
+        if abs(nxt) == n or reset_p == 0.0 or nxt == 0:
+            return ((nxt, 1.0),)
+        return ((0, reset_p), (nxt, 1.0 - reset_p))
+
+    return _rule(range(-n, n + 1), int(head_start), _outcome_at(n), moves, "lead {:+d}".format)
 
 
 def build_consecutive_win(k: int) -> ContestAutomaton:
@@ -310,23 +284,12 @@ def build_consecutive_win(k: int) -> ContestAutomaton:
     if k < 1 or int(k) != k:
         raise DomainError("k must be a positive integer")
     k = int(k)
-    idx = {i: i + k for i in range(-k, k + 1)}
-    transitions, terminal, labels = {}, {}, {}
-    for i in range(-k, k + 1):
-        s = idx[i]
-        labels[s] = f"streak {i:+d}"
-        if i == k:
-            terminal[s] = "A"
-        elif i == -k:
-            terminal[s] = "B"
-        else:
-            transitions[(s, "A")] = ((idx[i + 1 if i >= 0 else 1], 1.0),)
-            transitions[(s, "B")] = ((idx[i - 1 if i <= 0 else -1], 1.0),)
-    return ContestAutomaton(
-        start=idx[0],
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
+    return _rule(
+        range(-k, k + 1),
+        0,
+        _outcome_at(k),
+        lambda i, w: ((max(i, 0) + 1 if w == "A" else min(i, 0) - 1, 1.0),),
+        "streak {:+d}".format,
     )
 
 
@@ -340,21 +303,40 @@ def build_mk1(k: int) -> ContestAutomaton:
         raise DomainError("k must be a positive integer")
     k = int(k)
     # ids: 0..k-1 nonterminal, k = B's victory, k+1 = A's victory
-    transitions, terminal, labels = {}, {}, {}
-    for j in range(k):
-        labels[j] = f"challenger wins {j}"
-        transitions[(j, "A")] = ((k + 1, 1.0),)
-        transitions[(j, "B")] = ((j + 1, 1.0),)
-    terminal[k] = "B"
-    labels[k] = "challenger victory"
-    terminal[k + 1] = "A"
-    labels[k + 1] = "incumbent victory"
-    return ContestAutomaton(
-        start=0,
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
+    names = {k: "challenger victory", k + 1: "incumbent victory"}
+    return _rule(
+        range(k + 2),
+        0,
+        {k: "B", k + 1: "A"}.get,
+        lambda j, w: ((k + 1 if w == "A" else j + 1, 1.0),),
+        lambda j: names.get(j, f"challenger wins {j}"),
     )
+
+
+def _outcome_at(n: int):
+    """The terminal rule of a signed count: +n is A's win, -n is B's."""
+    return lambda i: "A" if i == n else ("B" if i == -n else None)
+
+
+def _rule(keys, start, outcome, moves, label) -> ContestAutomaton:
+    """The rule on a key space: the one assembly behind every builder here.
+
+    A state's id is its key's position in ``keys``.  Each key is a terminal
+    won by ``outcome(key)`` or, where that is None, plays A's lottery and
+    then B's, ``moves(key, w)`` listing its ``(key, chance)`` legs;
+    ``label(key)`` tags the state.
+    """
+    ids = {key: s for s, key in enumerate(keys)}
+    transitions, terminal, labels = {}, {}, {}
+    for key, s in ids.items():
+        labels[s] = label(key)
+        winner = outcome(key)
+        if winner is not None:
+            terminal[s] = winner
+            continue
+        for w in WINNERS:
+            transitions[(s, w)] = [(ids[t], p) for t, p in moves(key, w)]
+    return ContestAutomaton(ids[start], transitions, terminal, labels)
 
 
 # The named families of ``metrics.sweep`` and of the CLI, which spells them
@@ -382,6 +364,10 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
 
     Requires ``m`` to be symmetric and exchangeable (certified to the default
     depth), which makes the entry point into ``m`` well defined.
+
+    State ids run: the start, A's and B's streak terminals, the pure streaks
+    (1 by A, 1 by B, 2 by A, ...), then the states of ``m`` that play can
+    enter, in ``m``'s id order.
     """
     if n < 2 or int(n) != n:
         raise DomainError("extension order must be an integer >= 2")
@@ -393,72 +379,44 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
     if not ok:
         raise StructureError(f"extension requires an exchangeable base contest: {witness}")
     n = int(n)
-
-    ids: dict = {}
-
-    def intern(key) -> int:
-        if key not in ids:
-            ids[key] = len(ids)
-        return ids[key]
-
-    transitions, terminal, labels = {}, {}, {}
-
-    def embed(msource: int) -> int:
-        return intern(("sub", msource))
-
-    def walk(j: int, winner: str) -> int:
-        # follow j consecutive wins of `winner` from m's start
+    # a broken streak of j wins enters m after j - 1 wins of the streak's holder
+    entry = {}
+    for on in WINNERS:
         t = m.start
-        for _ in range(j):
-            if m.is_terminal(t):
-                break
-            t = m.step(t, winner)
-        return embed(t)
+        for j in range(1, n):
+            entry[(j, on)] = t
+            if not m.is_terminal(t):
+                t = m.step(t, on)
+    base = np.flatnonzero(_hops(m.n, sorted(set(entry.values())), m.legs.src, m.legs.tgt) >= 0)
+    # keys: "start", the streak terminals "A" and "B", the streaks (j, holder)
+    # and m's states (ints)
+    chain = [(j, on) for j in range(1, n) for on in WINNERS]
 
-    start = intern(("chain", 0, 0))
-    labels[start] = "start"
-    win_a = intern(("chainwin", "A"))
-    win_b = intern(("chainwin", "B"))
-    terminal[win_a] = "A"
-    terminal[win_b] = "B"
-    labels[win_a] = f"streak {n} by A"
-    labels[win_b] = f"streak {n} by B"
+    def outcome(key):
+        if isinstance(key, int):
+            return m.winner(key)
+        return key if key in WINNERS else None
 
-    transitions[(start, "A")] = ((win_a if n == 1 else intern(("chain", 1, 1)), 1.0),)
-    transitions[(start, "B")] = ((win_b if n == 1 else intern(("chain", 1, -1)), 1.0),)
-    for j in range(1, n):
-        for side, w_on, w_off, goal in ((1, "A", "B", win_a), (-1, "B", "A", win_b)):
-            s = intern(("chain", j, side))
-            labels[s] = f"pure streak {j} by {w_on}"
-            on_target = goal if j + 1 == n else intern(("chain", j + 1, side))
-            transitions[(s, w_on)] = ((on_target, 1.0),)
-            transitions[(s, w_off)] = ((walk(j - 1, w_on), 1.0),)
+    def moves(key, w):
+        if isinstance(key, int):
+            return ((m.step(key, w), 1.0),)
+        if key == "start":
+            return (((1, w), 1.0),)
+        j, on = key
+        if w != on:
+            return ((entry[key], 1.0),)
+        return ((on if j + 1 == n else (j + 1, on), 1.0),)
 
-    # embed the base contest
-    pending = [key for key in list(ids) if key[0] == "sub"]
-    seen_sub = set(pending)
-    while pending:
-        key = pending.pop()
-        ms = key[1]
-        s = ids[key]
-        labels[s] = f"sub:{m.labels.get(ms, str(ms))}"
-        if m.is_terminal(ms):
-            terminal[s] = m.winner(ms)
-            continue
-        for w in WINNERS:
-            t = m.step(ms, w)
-            tkey = ("sub", t)
-            if tkey not in seen_sub:
-                seen_sub.add(tkey)
-                pending.append(tkey)
-            transitions[(s, w)] = ((intern(tkey), 1.0),)
+    def label(key):
+        if isinstance(key, int):
+            return f"sub:{m.labels.get(key, str(key))}"
+        if key == "start":
+            return key
+        if key in WINNERS:
+            return f"streak {n} by {key}"
+        return f"pure streak {key[0]} by {key[1]}"
 
-    return ContestAutomaton(
-        start=start,
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
-    )
+    return _rule(["start", *WINNERS, *chain, *base.tolist()], "start", outcome, moves, label)
 
 
 # ---------------------------------------------------------------------------
@@ -631,56 +589,33 @@ def check_symmetric(m: ContestAutomaton) -> bool:
 
 def minimize(m: ContestAutomaton) -> ContestAutomaton:
     """Behavioral quotient: merge states with identical continuation rules."""
-    block = {
-        s: (0 if not m.is_terminal(s) else (1 if m.winner(s) == "A" else 2))
-        for s in range(m.n)
-    }
-    # iterative partition refinement
+
+    def summed(s, w, part):  # the lottery's chances summed by part
+        agg: dict = {}
+        for t, p in m.successors(s, w):
+            agg[part[t]] = agg.get(part[t], 0.0) + p
+        return sorted(agg.items())
+
+    def signature(s):
+        if s in m.terminal:
+            return ("T", m.terminal[s])
+        lotteries = (summed(s, w, block) for w in WINNERS)
+        return ("N", block[s], *(tuple((b, round(p, 12)) for b, p in lot) for lot in lotteries))
+
+    # iterative partition refinement; blocks are numbered by first state
+    block = {s: WINNERS.index(m.terminal[s]) + 1 if s in m.terminal else 0 for s in range(m.n)}
     while True:
-        signature = {}
-        for s in range(m.n):
-            if m.is_terminal(s):
-                signature[s] = ("T", m.winner(s))
-            else:
-                sig = ["N", block[s]]
-                for w in WINNERS:
-                    agg: dict = {}
-                    for t, p in m.successors(s, w):
-                        agg[block[t]] = agg.get(block[t], 0.0) + p
-                    sig.append(tuple(sorted((b, round(p, 12)) for b, p in agg.items())))
-                signature[s] = tuple(sig)
-        new_ids = {}
-        new_block = {}
-        for s in range(m.n):
-            key = signature[s]
-            if key not in new_ids:
-                new_ids[key] = len(new_ids)
-            new_block[s] = new_ids[key]
+        ids: dict = {}
+        new_block = {s: ids.setdefault(signature(s), len(ids)) for s in range(m.n)}
         if new_block == block:
             break
         block = new_block
-    reps: dict[int, int] = {}
-    for s in range(m.n):
-        reps.setdefault(block[s], s)
-    remap = {b: i for i, b in enumerate(sorted(reps, key=lambda b: reps[b]))}
-    transitions, terminal, labels = {}, {}, {}
-    for b, s in reps.items():
-        nb = remap[b]
-        labels[nb] = m.labels.get(s, f"s{s}")
-        if m.is_terminal(s):
-            terminal[nb] = m.winner(s)
-            continue
-        for w in WINNERS:
-            agg: dict = {}
-            for t, p in m.successors(s, w):
-                tb = remap[block[t]]
-                agg[tb] = agg.get(tb, 0.0) + p
-            transitions[(nb, w)] = tuple(sorted(agg.items()))
-    return ContestAutomaton(
-        start=remap[block[m.start]],
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
+    # the quotient reads each block at its first state
+    first: dict = {}
+    part = {s: first.setdefault(block[s], s) for s in range(m.n)}
+    return _rule(
+        sorted(first.values()), part[m.start], m.winner, lambda s, w: summed(s, w, part),
+        lambda s: m.labels.get(s, f"s{s}"),
     )
 
 
@@ -699,20 +634,9 @@ def isomorphic(a: ContestAutomaton, b: ContestAutomaton, up_to_bisimulation: boo
 
 def restrict(m: ContestAutomaton, new_start: int) -> ContestAutomaton:
     """The subcontest rooted at ``new_start`` (reachable subgraph)."""
-    seen = _forward_distances(m, new_start)
-    remap = {s: i for i, s in enumerate(sorted(seen))}
-    transitions = {
-        (remap[s], w): tuple((remap[t], p) for t, p in dist)
-        for (s, w), dist in m.transitions.items()
-        if s in seen
-    }
-    terminal = {remap[s]: w for s, w in m.terminal.items() if s in seen}
-    labels = {remap[s]: m.labels.get(s, f"s{s}") for s in seen}
-    return ContestAutomaton(
-        start=remap[new_start],
-        transitions=transitions,
-        terminal=terminal,
-        labels=labels,
+    return _rule(
+        sorted(_forward_distances(m, new_start)), new_start, m.winner, m.successors,
+        lambda s: m.labels.get(s, f"s{s}"),
     )
 
 

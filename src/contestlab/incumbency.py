@@ -156,7 +156,13 @@ def _log_bias_ratio(sub, sf: SuccessFunction, unit_solution) -> float:
         # the closed tug-of-war answered: at head start k in a margin-(k+1)
         # contest, the bias ratio equals the outermost ring's win/loss gap ratio
         return sol.extras["ring_log_ratio"][-1]
-    return math.log((1.0 - sol.v0_a) / sol.v0_b)
+    shortfall, challenger = 1.0 - sol.v0_a, sol.v0_b
+    if shortfall == 0.0 or challenger == 0.0:
+        raise UnsupportedKindError(
+            f"{sf.kind} has no log-space bias ratio, and the direct solve "
+            f"gives 1 - V+ = {shortfall:g} and V- = {challenger:g}"
+        )
+    return math.log(shortfall / challenger)
 
 
 def bias_ratio(sub, sf: SuccessFunction) -> float:

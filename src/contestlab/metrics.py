@@ -548,7 +548,12 @@ class SweepTable:
         return [row[name] for row in self.rows]
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "columns": SWEEP_COLUMNS, "rows": self.rows}
+        # JSON has no NaN: a flagged row's metrics are written as null
+        rows = [
+            dict.fromkeys(row, None) | {"param": row["param"]} if row["param"] in self.errors else row
+            for row in self.rows
+        ]
+        return {"family": self.family, "columns": SWEEP_COLUMNS, "rows": rows}
 
 
 def _sweep_row(family: str, param: int, sf: SuccessFunction, prize: float, reset_p: float) -> dict:

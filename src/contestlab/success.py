@@ -95,11 +95,17 @@ class SuccessFunction:
         raise UnsupportedKindError(f"{self.kind} has no gain function")
 
     def log_phi(self, theta: float) -> float:
-        """log phi(theta), exact even where phi underflows."""
-        return math.log(self.phi(theta))
+        """log phi(theta); a kind with no log form of its own raises
+        ``UnsupportedKindError`` where the curve underflows to 0."""
+        return self._log_of(self.phi(theta), "phi")
 
     def log_phi_complement(self, theta: float) -> float:
-        return math.log(self.phi_complement(theta))
+        return self._log_of(self.phi_complement(theta), "1 - phi")
+
+    def _log_of(self, value: float, curve: str) -> float:
+        if value == 0.0:
+            raise UnsupportedKindError(f"{self.kind} has no log form where {curve} underflows to 0")
+        return math.log(value)
 
     # log-argument variants: exact for ratios beyond float range, where each
     # side's log tends to minus the other side's curve

@@ -1,5 +1,6 @@
 """Contest-rule automata: builders, diagnostics, extension, serialization."""
 
+import hashlib
 import math
 import random
 
@@ -153,6 +154,34 @@ class TestMk1:
 
     def test_not_symmetric(self):
         assert not check_symmetric(build_mk1(2))
+
+
+def _family_rules():
+    """The 319 builder rules whose tables ``TestFamilyTables`` pins."""
+    yield from (build_best_of(k) for k in range(13))
+    for n in [*range(1, 13), 20, 40]:
+        for reset in (0.0, 0.3, 0.7, 1 / 3):
+            for head in sorted({-(n - 1), -1 if n > 1 else 0, 0, 1 if n > 1 else 0, n - 1}):
+                yield build_tug_of_war(n, reset, head)
+    for k in range(1, 26):
+        yield build_consecutive_win(k)
+        yield build_mk1(k)
+
+
+class TestFamilyTables:
+    def test_tables_are_pinned(self):
+        # state ids, labels, chance bits and dict order together, hashed
+        digest = hashlib.sha256()
+        count = 0
+        for m in _family_rules():
+            table = (m.start, m.n, list(m.transitions.items()),
+                     list(m.terminal.items()), list(m.labels.items()))
+            digest.update(repr(table).encode())
+            count += 1
+        assert count == 319
+        assert digest.hexdigest() == (
+            "4f87dac85bd61a96c6dd0943cbcf6e667a4819b742b34a046d6d062148fa049a"
+        )
 
 
 def _random_rule(rng):

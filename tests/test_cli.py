@@ -120,6 +120,20 @@ class TestSweep:
         assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
         assert lines[1] == "-1," + ",".join(["nan"] * 6)
 
+    def test_flagged_row_is_null_in_json(self, tmp_path, capsys):
+        code, text = run_cli(
+            tmp_path,
+            "sweep", "--family", "best-of", "--k=-1..2", "--sf", "tullock:r=1", "--format", "json",
+        )
+        assert code == 0
+        assert "flagged rows: [-1]" in capsys.readouterr().err
+        rows = json.loads(text)["rows"]
+        assert [row["param"] for row in rows] == [-1, 0, 1, 2]
+        assert rows[0] == {"param": -1} | dict.fromkeys(
+            ["V0_A", "V0_B", "total_effort", "dissipation", "thm1_bound", "min_length"]
+        )
+        assert all(value is not None for row in rows[1:] for value in row.values())
+
     def test_range_validation(self):
         assert main(["sweep", "--family", "mk1", "--k", "5..2", "--sf", "tullock:r=1"]) == 2
         assert main(["sweep", "--family", "mk1", "--k", "abc", "--sf", "tullock:r=1"]) == 2
@@ -206,6 +220,21 @@ class TestIncumbency:
         doc = json.loads(text)
         assert doc["bias_ratio"] is None
         assert doc["log_bias_ratio"] > 700
+
+    @pytest.mark.parametrize(
+        ("sub", "sf"),
+        [
+            # the direct solve leaves 1 - V+ = 0: no ratio to take the log of
+            ("mk1:k=15", "ratio:pow,alpha=0.7"),
+            # phi underflows to 0 in the gap recursion of a kind with no log form
+            ("mk1:k=10", "noisy:q=1,base=tullock:r=1"),
+        ],
+    )
+    def test_bias_ratio_out_of_reach_exits_two(self, capsys, sub, sf):
+        argv = ["incumbency", "--rounds", "3", "--shock-q", "0.5", "--sub", sub, "--sf", sf]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_sub(self):
         assert main(

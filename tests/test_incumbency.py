@@ -18,6 +18,7 @@ from contestlab import (
     log_bias_ratio,
     solve_incumbency,
     upset_probability,
+    win_probabilities,
 )
 from contestlab import incumbency
 from contestlab.incumbency import rounds_for_reach, solve_subcontest
@@ -284,6 +285,32 @@ class TestUnrolledIncumbency:
             value_a, value_b = (lead, lag) if holder == "A" else (lag, lead)
             gaps += [abs(sol.values_a[s] - value_a), abs(sol.values_b[s] - value_b)]
         assert len(gaps) >= 2 * rounds
+        assert max(gaps) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rounds, q, k, sf",
+        [(5, 0.5, 2, SF1), (30, 0.5, 3, SF1), (40, 0.3, 2, Tullock(0.8))],
+    )
+    def test_upset_probability_matches_win_probabilities(self, rounds, q, k, sf):
+        # a round-start holder keeps the seat this round with chance 1 - u and
+        # keeps it at the end if the later N - m rounds flip it an even number
+        # of times, each flipping with chance f = q u: E = (1 + (1 - 2f)^(N-m)) / 2
+        rule, ids = _unrolled_mk1(rounds, q, k)
+        spec = ContestSpec(rule, sf, 1.0)
+        sol = solve(spec)
+        assert sol.method == "backward"
+        reach = win_probabilities(sol, spec)
+        upset = solve_incumbency(IncumbencySpec(rounds, q, MK1(k), sf)).upset_prob
+        flip = q * upset
+        gaps = []
+        for state, s in ids.items():
+            if len(state) == 1 or state[2] != 0:
+                continue
+            m, holder = state[:2]
+            even = (1.0 + (1.0 - 2.0 * flip) ** (rounds - m)) / 2.0
+            keeps = (1.0 - upset) * even + upset * (1.0 - even)
+            gaps.append(abs(reach[s]["AB".index(holder)] - keeps))
+        assert len(gaps) >= rounds
         assert max(gaps) <= 1e-12
 
 
