@@ -351,10 +351,17 @@ _FAMILIES = {
 
 def _build_family(family: str, param: int, reset_p: float = 0.0, head_start: int = 0):
     """The rule a family name and its parameter stand for; only the
-    tug-of-war reads ``reset_p`` and ``head_start``."""
+    tug-of-war reads ``reset_p`` and ``head_start``, the others refuse them."""
     if family == "tug_of_war":
         return build_tug_of_war(param, reset_p, head_start)
+    _refuse_tow_options(family, reset_p, head_start)
     return _FAMILIES[family](param)
+
+
+def _refuse_tow_options(family: str, reset_p: float = 0.0, head_start: int = 0) -> None:
+    """Refuse a reset chance or a head start, which only the tug-of-war reads."""
+    if family != "tug_of_war" and (reset_p != 0 or head_start != 0):
+        raise DomainError(f"only the tug-of-war takes reset_p and head_start, not {family}")
 
 
 def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .serialize import to_csv, to_json, write_atomic
-from .success import parse_sf
+from .success import _parse_pairs, parse_sf
 
 __all__ = ["main", "build_parser"]
 
@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--automaton", help="automaton JSON file")
         p.add_argument("--k", help="battle target for best-of / consecutive-win / mk1")
         p.add_argument("--margin", help="margin for tug-of-war")
-        p.add_argument("--reset-p", type=float, default=0.0, dest="reset_p")
-        p.add_argument("--head-start", type=int, default=0, dest="head_start")
+        p.add_argument("--reset-p", type=float, dest="reset_p")
+        p.add_argument("--head-start", type=int, dest="head_start")
 
     p_solve = sub.add_parser("solve", help="solve one contest")
     add_common(p_solve)
@@ -102,30 +102,47 @@ def _parse_range(raw: str) -> list:
         raise ValidationError(f"malformed integer {raw!r}") from exc
 
 
-def _family_params(args) -> tuple:
-    """The family as ``automaton._FAMILIES`` names it and its parameter
-    values, read from --margin for the tug-of-war and from --k otherwise."""
-    option = "margin" if args.family == "tug-of-war" else "k"
-    raw = getattr(args, option)
-    if raw is None:
+_SOURCE_OPTIONS = ("k", "margin", "reset_p", "head_start")
+
+
+def _given(args, reads: tuple, source: str) -> dict:
+    """The rule options given, by name; refuses any that ``source`` does not read."""
+    given = {name: v for name, v in vars(args).items() if name in _SOURCE_OPTIONS and v is not None}
+    unread = [name for name in given if name not in reads]
+    if unread:
+        option = unread[0].replace("_", "-")
+        raise ValidationError(f"--{option} does not apply to {args.command} {source}")
+    return given
+
+
+def _family_params(args, *reads) -> tuple:
+    """The family as ``automaton._FAMILIES`` names it, its parameter values
+    (from --margin for the tug-of-war, from --k otherwise) and the given
+    tug-of-war options among ``reads``, by name."""
+    tow = args.family == "tug-of-war"
+    option = "margin" if tow else "k"
+    given = _given(args, (option, *reads) if tow else (option,), f"--family {args.family}")
+    if option not in given:
         raise ValidationError(f"{args.family} requires --{option}")
-    return args.family.replace("-", "_"), _parse_range(raw)
+    return args.family.replace("-", "_"), _parse_range(given.pop(option)), given
 
 
-def _build_contest(args, sf):
+def _build_contest(args):
+    sf = parse_sf(args.sf)
     if (args.family is None) == (args.automaton is None):
         raise ValidationError("provide exactly one of --family or --automaton")
     if args.automaton is not None:
+        _given(args, (), "--automaton")
         try:
             with open(args.automaton, encoding="utf-8") as handle:
                 auto = am.automaton_from_dict(json.load(handle))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, StructureError) as exc:
             raise ValidationError(f"automaton file {args.automaton}: {exc}") from exc
         return am.ContestSpec(auto, sf, args.prize)
-    family, values = _family_params(args)
+    family, values, options = _family_params(args, "reset_p", "head_start")
     if len(values) != 1:
         raise ValidationError("this command takes a single parameter, not a range")
-    auto = am._build_family(family, values[0], args.reset_p, args.head_start)
+    auto = am._build_family(family, values[0], **options)
     return am.ContestSpec(auto, sf, args.prize)
 
 
@@ -137,8 +154,7 @@ def _emit(args, text: str):
 
 
 def _cmd_solve(args) -> int:
-    sf = parse_sf(args.sf)
-    spec = _build_contest(args, sf)
+    spec = _build_contest(args)
     sol = solver.solve(spec)
     if args.format == "json":
         _emit(args, to_json(sol.to_dict()))
@@ -152,7 +168,8 @@ def _cmd_sweep(args) -> int:
     sf = parse_sf(args.sf)
     if args.family is None:
         raise ValidationError("sweep requires --family")
-    table = metrics.sweep(*_family_params(args), sf, args.prize, args.reset_p)
+    family, values, options = _family_params(args, "reset_p")
+    table = metrics.sweep(family, values, sf, args.prize, **options)
     if table.errors:
         sys.stderr.write(f"flagged rows: {sorted(table.errors)}\n")
     if args.format == "csv":
@@ -163,8 +180,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    sf = parse_sf(args.sf)
-    spec = _build_contest(args, sf)
+    spec = _build_contest(args)
     sol = solver.solve(spec)
     summary = sim.simulate(sol, spec, args.paths, args.seed, args.max_steps)
     _emit(args, to_json(summary.to_dict()))
@@ -172,8 +188,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    sf = parse_sf(args.sf)
-    spec = _build_contest(args, sf)
+    spec = _build_contest(args)
     sol = solver.solve(spec)
     if args.epsilon == "auto":
         report = metrics.transient_dominance_auto(sol, spec)
@@ -190,12 +205,7 @@ def _cmd_check(args) -> int:
 def _parse_sub(raw: str):
     raw = raw.strip().lower()
     kind, _, rest = raw.partition(":")
-    pairs = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        pairs[key.strip()] = value.strip()
+    pairs = _parse_pairs(rest)
     if "k" not in pairs:
         raise ValidationError(f"subcontest spec {raw!r} is missing k=")
     try:

@@ -17,6 +17,7 @@ from .automaton import (
     _build_family,
     _check_prize,
     _hops,
+    _refuse_tow_options,
     min_length,
 )
 from .errors import DegenerateChainError, DomainError
@@ -585,6 +586,7 @@ def sweep(
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown sweep family {family!r}")
+    _refuse_tow_options(family, reset_p)
     _check_prize(prize)
     params = list(params)
     if any(int(p) != p for p in params):

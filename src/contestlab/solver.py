@@ -162,13 +162,26 @@ class _Layer:
         return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da)
 
 
-def _lottery_matrices(layer: _Layer):
-    """Dense lottery matrices (PA, PB): row i holds the chance over next
-    states after A's (B's) win at the i-th nonterminal state."""
+def _row_legs(layer: _Layer) -> list:
+    """Each row's A-win and B-win legs, ((chance, target), ...) in table order."""
     legs = layer.legs
-    mats = np.zeros((2, len(layer.nt), len(legs.row)))
-    np.add.at(mats, (legs.win, legs.row[legs.src], legs.tgt), legs.prob)
-    return mats[0], mats[1]
+    out = [([], []) for _ in layer.nt]
+    columns = (legs.row[legs.src], legs.win, legs.tgt, legs.prob)
+    for i, w, t, p in zip(*(column.tolist() for column in columns)):
+        out[i][w].append((p, t))
+    return out
+
+
+def _row_stakes(win_a, win_b, va, vb):
+    """One row of ``_Layer.stakes`` from its ``_row_legs``, summed in the same order."""
+    ea_w = ea_l = eb_w = eb_l = 0.0
+    for p, t in win_a:
+        ea_w += p * va[t]
+        eb_l += p * vb[t]
+    for p, t in win_b:
+        ea_l += p * va[t]
+        eb_w += p * vb[t]
+    return float(ea_w), float(ea_l), float(eb_w), float(eb_l)
 
 
 def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) -> ValueSolution:
@@ -519,13 +532,11 @@ def solve_cyclic(
     # asymmetric discouragement profiles the operator also admits.
     sigma = swap_involution(m)
     perm = np.array([sigma[s] for s in range(m.n)]) if sigma is not None else None
-    # dense lottery rows: their dot products decide which fixed point the
-    # sweeps reach where several exist
-    PA, PB = _lottery_matrices(layer)
     sf = spec.sf
     prize = spec.prize
     rows, start_a, start_b = _distance_start(m, prize)
-    order = list(zip(nt[rows].tolist(), rows.tolist()))
+    row_legs = _row_legs(layer)
+    order = [(s, *row_legs[i]) for s, i in zip(nt[rows].tolist(), rows.tolist())]
 
     def finish(fa, fb, iterations):
         return _assemble(layer, "fixed_point", iterations, fa, fb)
@@ -551,11 +562,8 @@ def solve_cyclic(
         while phase_sweeps < phase_budget and iterations < max_iter:
             lam = 1.0 if phase_sweeps == 0 else _DAMPING  # pure first sweep seeds the basin
             sweep_delta = 0.0
-            for s, i in order:
-                ea_w = float(PA[i] @ va)
-                ea_l = float(PB[i] @ va)
-                eb_w = float(PB[i] @ vb)
-                eb_l = float(PA[i] @ vb)
+            for s, win_a, win_b in order:
+                ea_w, ea_l, eb_w, eb_l = _row_stakes(win_a, win_b, va, vb)
                 ua = ea_l + battle_gain(sf, ea_w - ea_l, eb_w - eb_l)
                 new_a = (1.0 - lam) * va[s] + lam * ua
                 sweep_delta = max(sweep_delta, abs(new_a - va[s]))

@@ -6,9 +6,17 @@ import warnings
 
 import pytest
 
-from contestlab import automaton_to_dict, build_best_of, build_tug_of_war, solve_tow_closed
+from contestlab import (
+    advantage_profile,
+    automaton_to_dict,
+    build_best_of,
+    build_tug_of_war,
+    parse_sf,
+    solve_tow_closed,
+    sweep,
+)
 from contestlab.cli import main
-from contestlab.errors import ValidationError
+from contestlab.errors import DomainError, ValidationError
 from contestlab.serialize import to_csv, to_json, write_atomic
 
 
@@ -350,6 +358,75 @@ class TestExitCodes:
         assert code == 3
         doc = json.loads(out.read_text())
         assert doc["residual"] == 0.125
+
+
+class TestUnreadOptions:
+    """A rule option the command would not read is refused, not dropped."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sweep", "--family", "tug-of-war", "--margin", "2..3", "--head-start", "1"],
+             "--head-start"),
+            (["solve", "--family", "best-of", "--k", "1", "--reset-p", "0.5",
+              "--head-start", "3"], "--reset-p"),
+            (["solve", "--family", "best-of", "--k", "1", "--head-start", "0"], "--head-start"),
+            (["solve", "--family", "tug-of-war", "--margin", "3", "--k", "2"], "--k"),
+            (["check", "--family", "consecutive-win", "--k", "3", "--margin", "3"], "--margin"),
+            (["sweep", "--family", "mk1", "--k", "1..3", "--reset-p", "0"], "--reset-p"),
+            (["simulate", "--family", "mk1", "--k", "2", "--reset-p", "0.3", "--paths", "10",
+              "--seed", "1"], "--reset-p"),
+        ],
+    )
+    def test_family_option_exits_two(self, capsys, argv, option):
+        assert main([*argv, "--sf", "tullock:r=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and option in captured.err
+
+    @pytest.mark.parametrize(
+        "extra", [["--k", "2"], ["--margin", "2"], ["--reset-p", "0.3"], ["--head-start", "1"]]
+    )
+    def test_option_with_automaton_exits_two(self, tmp_path, capsys, extra):
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(automaton_to_dict(build_tug_of_war(2))))
+        argv = ["solve", "--automaton", str(path), *extra, "--sf", "tullock:r=1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and extra[0] in err
+
+    def test_tug_of_war_options_are_read(self, tmp_path):
+        code, text = run_cli(
+            tmp_path, "solve", "--family", "tug-of-war", "--margin", "3", "--reset-p", "0.3",
+            "--head-start", "1", "--sf", "tullock:r=1",
+        )
+        assert code == 0
+        want = solve_tow_closed(3, 0.3, 1, parse_sf("tullock:r=1"), 1.0)
+        assert json.loads(text)["states"] == json.loads(to_json(want.to_dict()))["states"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sf: sweep("best_of", [1, 2], sf, 1.0, 0.3),
+            lambda sf: sweep("consecutive_win", [1, 2], sf, 1.0, 0.5),
+            lambda sf: advantage_profile("consecutive_win", 3, sf, 1.0, 0.3),
+        ],
+        ids=["sweep-best-of", "sweep-consecutive-win", "advantage-profile"],
+    )
+    def test_library_refuses_a_dropped_reset(self, call, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr("contestlab.metrics._sweep_row", unreachable)
+        with pytest.raises(DomainError, match="reset_p"):
+            call(parse_sf("tullock:r=1"))
+
+    @pytest.mark.parametrize("sub", ["mk1:k=3,x", "mk1:k", "mk1:q=3", "mk1:k=three"])
+    def test_sub_grammar_is_the_sf_grammar(self, capsys, sub):
+        argv = ["incumbency", "--rounds", "2", "--shock-q", "0.5", "--sub", sub,
+                "--sf", "tullock:r=1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSerialize:

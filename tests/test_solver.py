@@ -44,7 +44,8 @@ from contestlab import (
     solve_tow_closed,
 )
 from contestlab.metrics import reinforcement_residuals
-from contestlab.solver import _Layer
+from contestlab.solver import _Layer, _row_legs, _row_stakes
+from test_automaton import _random_rule
 
 SF1 = Tullock(1.0)
 
@@ -531,6 +532,48 @@ class TestOneOperator:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_cyclic_route_memory(self):
+        # the engine's sweep reads the leg table too: 801 states stay far
+        # below one dense 801x801 array (5.1 MB)
+        spec = ContestSpec(build_tug_of_war(400, 0.3), Tullock(0.8), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                solve_cyclic(spec, max_iter=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_tug_of_war(6, 0.3),
+            lambda: build_tug_of_war(5, 1 / 3, -2),
+            lambda: build_consecutive_win(5),
+            lambda: build_best_of(4),
+            lambda: build_mk1(4),
+            race_rule,
+        ],
+        ids=["tow-6-0.3", "tow-5-third-head-start", "cw-5", "best-of-4", "mk1-4", "race"],
+    )
+    def test_sweep_stakes_equal_the_layer_rows(self, make):
+        self._check_sweep_stakes(make(), np.random.default_rng(3))
+
+    def test_sweep_stakes_on_random_rules(self):
+        rng = np.random.default_rng(4)
+        for seed in range(200):
+            self._check_sweep_stakes(_random_rule(random.Random(seed)), rng)
+
+    @staticmethod
+    def _check_sweep_stakes(m, rng):
+        layer = _Layer(ContestSpec(m, SF1, 1.0))
+        row_legs = _row_legs(layer)
+        for scale in (1.0, 1e-8):
+            va, vb = (scale * rng.random(m.n) for _ in range(2))
+            want = list(zip(*(column.tolist() for column in layer.stakes(va, vb))))
+            assert [_row_stakes(*legs, va, vb) for legs in row_legs] == want
 
 
 class TestPrizeDomain:
