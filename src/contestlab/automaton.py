@@ -16,8 +16,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError, StructureError
 from .success import SuccessFunction
@@ -457,12 +455,24 @@ def _forward_distances(m: ContestAutomaton, source: int) -> dict:
 def _hops(n: int, sources, heads, tails) -> np.ndarray:
     """Unweighted shortest-path lengths from the nearest of ``sources`` over
     the edges heads -> tails among nodes 0..n-1, -1 where unreached."""
-    # CSR rows built directly: a COO conversion costs more than the search
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
-    tails = np.asarray(tails)[np.argsort(heads, kind="stable")]
-    graph = csr_matrix((np.ones(len(tails)), tails, indptr), shape=(n, n))
-    dist = dijkstra(graph, unweighted=True, indices=sources, min_only=True)
-    return np.where(np.isfinite(dist), dist, -1).astype(int)
+    # breadth-first over CSR rows: each node's tails sit in tails[indptr[u]:indptr[u + 1]]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))]).tolist()
+    tails = np.asarray(tails)[np.argsort(heads, kind="stable")].tolist()
+    depth = [-1] * n
+    frontier = [int(s) for s in sources]
+    for s in frontier:
+        depth[s] = 0
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for u in frontier:
+            for v in tails[indptr[u]:indptr[u + 1]]:
+                if depth[v] < 0:
+                    depth[v] = level
+                    reached.append(v)
+        frontier = reached
+    return np.array(depth)
 
 
 def _reached(depth: np.ndarray) -> dict:

@@ -208,6 +208,9 @@ def _parse_sub(raw: str):
     pairs = _parse_pairs(rest)
     if "k" not in pairs:
         raise ValidationError(f"subcontest spec {raw!r} is missing k=")
+    if len(pairs) > 1:
+        unread = ", ".join(key for key in pairs if key != "k")
+        raise ValidationError(f"subcontest spec {raw!r} does not read {unread}=")
     try:
         k = int(pairs["k"])
     except ValueError as exc:

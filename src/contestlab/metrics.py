@@ -8,8 +8,6 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .automaton import (
     _FAMILIES,
@@ -167,6 +165,11 @@ def _absorbing_lu(size: int, rows, cols, mass):
     """Sparse LU factor of I - M for an absorbing transient block M of
     positive COO entries; should splu still meet a singular pivot, raises
     DegenerateChainError."""
+    # imported here, so that a process that never solves a chain does not
+    # pay scipy.sparse's import (about half a second)
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     diag = np.arange(size)
     i = np.concatenate([diag, rows])
     j = np.concatenate([diag, cols])

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .automaton import (
     ContestAutomaton,
@@ -33,6 +32,7 @@ from .errors import (
 from .success import (
     SuccessFunction,
     Tullock,
+    _brentq,
     battle_detail,
     battle_gain,
     psi,
@@ -49,9 +49,6 @@ __all__ = [
     "residual",
     "solve",
 ]
-
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class StateValues:
@@ -420,15 +417,7 @@ def streak_root(sf: SuccessFunction, k: int) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise ConvergenceError("streak-root bracket expansion overflowed")
-    return float(
-        brentq(
-            lambda r: _iterated_psi(sf, r, k - 1) - 1.0,
-            lo,
-            hi,
-            rtol=_BRENTQ_RTOL,
-            xtol=1e-300,
-        )
-    )
+    return _brentq(lambda r: _iterated_psi(sf, r, k - 1) - 1.0, lo, hi, xtol=1e-300)
 
 
 def solve_consecutive_closed(

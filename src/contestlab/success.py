@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, UnsupportedKindError
 
@@ -40,6 +39,63 @@ __all__ = [
 _PHI_CAP = 1.0 - 1e-15
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL, maxiter: int = 100):
+    """A root of f between a and b by Brent's method, step for step as
+    scipy's ``brentq.c`` (so ``scipy.optimize.brentq``'s result, bit for bit).
+
+    Raises ValueError when f(a) and f(b) share a sign or f gives NaN, and
+    RuntimeError after ``maxiter`` steps.  A trial step whose formula divides
+    by zero bisects: in C it is non-finite and fails the acceptance test.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _sides(theta, low, high, at_inf=None, power=None):
@@ -95,17 +151,12 @@ class SuccessFunction:
         raise UnsupportedKindError(f"{self.kind} has no gain function")
 
     def log_phi(self, theta: float) -> float:
-        """log phi(theta); a kind with no log form of its own raises
-        ``UnsupportedKindError`` where the curve underflows to 0."""
-        return self._log_of(self.phi(theta), "phi")
+        """log phi(theta), exact where phi underflows; every kind with a
+        gain function states its own."""
+        raise UnsupportedKindError(f"{self.kind} has no gain function")
 
     def log_phi_complement(self, theta: float) -> float:
-        return self._log_of(self.phi_complement(theta), "1 - phi")
-
-    def _log_of(self, value: float, curve: str) -> float:
-        if value == 0.0:
-            raise UnsupportedKindError(f"{self.kind} has no log form where {curve} underflows to 0")
-        return math.log(value)
+        raise UnsupportedKindError(f"{self.kind} has no gain function")
 
     # log-argument variants: exact for ratios beyond float range, where each
     # side's log tends to minus the other side's curve
@@ -336,9 +387,7 @@ class RatioForm(SuccessFunction):
             return kmin / y
         lo, hi = kmin / y, kmax / y
         a, b = self.alpha, self.beta  # only powsum with alpha != beta gets here
-        return brentq(
-            lambda x: _powsum_loggrad(x, a, b) - y, lo, hi, rtol=_BRENTQ_RTOL, xtol=1e-300
-        )
+        return _brentq(lambda x: _powsum_loggrad(x, a, b) - y, lo, hi, xtol=1e-300)
 
     def win_prob(self, x: float, x_other: float) -> float:
         if x == 0.0 and x_other == 0.0:
@@ -378,6 +427,27 @@ class Noisy(SuccessFunction):
 
     def phi_complement(self, theta):
         return 0.5 * (1.0 - self.q) + self.q * self.base.phi_complement(theta)
+
+    # log forms: the coin's share mixed into the base's own log forms, so
+    # they hold where the base's curve underflows and beyond float range
+    def log_phi(self, theta: float) -> float:
+        return self._log_mix(self.base.log_phi(theta))
+
+    def log_phi_complement(self, theta: float) -> float:
+        return self._log_mix(self.base.log_phi_complement(theta))
+
+    def log_phi_at_log(self, log_theta: float) -> float:
+        return self._log_mix(self.base.log_phi_at_log(log_theta))
+
+    def log_phi_complement_at_log(self, log_theta: float) -> float:
+        return self._log_mix(self.base.log_phi_complement_at_log(log_theta))
+
+    def _log_mix(self, log_base: float) -> float:
+        """log(0.5 (1 - q) + q e^log_base) by a log-sum-exp; log_base at q = 1."""
+        if self.q == 1.0:
+            return log_base
+        a, b = math.log(self.q) + log_base, math.log(0.5 * (1.0 - self.q))
+        return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
     @property
     def gain_limit(self) -> float:
@@ -482,7 +552,7 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
 
     span = 45.0  # win probabilities within 1e-19 of the boundary
     try:
-        l_star = brentq(excess, -span, span, rtol=_BRENTQ_RTOL, xtol=1e-14)
+        l_star = _brentq(excess, -span, span, xtol=1e-14)
     except (ZeroDivisionError, ValueError) as exc:
         # at lopsided stakes a curve value underflows to 0 (division or log
         # of zero) or no log-odds within the span balances the curves
@@ -636,8 +706,7 @@ def psi_inverse(sf: SuccessFunction, y: float) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise DomainError("psi_inverse bracket expansion exceeded overflow guard")
-    root = brentq(lambda t: psi(sf, t) - y, lo, hi, rtol=_BRENTQ_RTOL, xtol=1e-300)
-    return float(root)
+    return _brentq(lambda t: psi(sf, t) - y, lo, hi, xtol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +718,8 @@ def psi_inverse(sf: SuccessFunction, y: float) -> float:
 
 
 def parse_sf(text: str) -> SuccessFunction:
-    """Parse a success-function specification string."""
+    """Parse a success-function specification string; a key the kind does
+    not read is refused."""
     text = text.strip()
     if ":" not in text:
         raise DomainError(f"malformed success-function spec {text!r}")
@@ -657,32 +727,37 @@ def parse_sf(text: str) -> SuccessFunction:
     kind = kind.lower()
     if kind == "tullock":
         kv = _parse_pairs(rest)
-        return Tullock(r=_pop_float(kv, "r", text))
-    if kind == "serial":
+        sf = Tullock(r=_pop_float(kv, "r", text))
+    elif kind == "serial":
         kv = _parse_pairs(rest)
-        return Serial(alpha=_pop_float(kv, "alpha", text))
-    if kind == "ratio":
-        parts = rest.split(",")
-        curve = parts[0].strip().lower()
-        kv = _parse_pairs(",".join(parts[1:])) if len(parts) > 1 else {}
+        sf = Serial(alpha=_pop_float(kv, "alpha", text))
+    elif kind == "ratio":
+        curve, _, pairs = rest.partition(",")
+        curve = curve.strip().lower()
+        kv = _parse_pairs(pairs)
         if curve == "pow":
-            return RatioForm(curve="pow", alpha=_pop_float(kv, "alpha", text))
-        if curve == "powsum":
-            return RatioForm(
+            sf = RatioForm(curve="pow", alpha=_pop_float(kv, "alpha", text))
+        elif curve == "powsum":
+            sf = RatioForm(
                 curve="powsum",
                 alpha=_pop_float(kv, "alpha", text),
                 beta=_pop_float(kv, "beta", text),
             )
-        raise DomainError(f"unknown ratio-form curve {curve!r}")
-    if kind == "noisy":
+        else:
+            raise DomainError(f"unknown ratio-form curve {curve!r}")
+    elif kind == "noisy":
         marker = "base="
         idx = rest.find(marker)
         if idx < 0:
             raise DomainError(f"noisy spec needs a base= entry: {text!r}")
         base = parse_sf(rest[idx + len(marker):])
         kv = _parse_pairs(rest[:idx].rstrip(","))
-        return Noisy(base=base, q=_pop_float(kv, "q", text))
-    raise DomainError(f"unknown success-function kind {kind!r}")
+        sf = Noisy(base=base, q=_pop_float(kv, "q", text))
+    else:
+        raise DomainError(f"unknown success-function kind {kind!r}")
+    if kv:
+        raise DomainError(f"{kind} does not read {', '.join(kv)}= in {text!r}")
+    return sf
 
 
 def _parse_pairs(raw: str) -> dict:

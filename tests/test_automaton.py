@@ -4,7 +4,10 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from contestlab import (
     ContestAutomaton,
@@ -28,6 +31,7 @@ from contestlab import (
 from contestlab.automaton import (
     WINNERS,
     _forward_distances,
+    _hops,
     _verify_involution,
     restrict,
     swap_involution,
@@ -536,3 +540,45 @@ class TestGraphSearches:
         for s in range(m.n):
             assert _forward_distances(m, s) == _reference_hops(m, [s], reverse=False)
 
+
+
+def _dijkstra_hops(n, sources, heads, tails):
+    """``_hops`` as scipy's unweighted ``dijkstra`` gives it."""
+    graph = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+    dist = dijkstra(graph, unweighted=True, indices=sources, min_only=True)
+    return np.where(np.isfinite(dist), dist, -1).astype(int)
+
+
+_HOPS_RULES = [
+    build_single_battle(),
+    build_best_of(3),
+    build_best_of(20),
+    build_tug_of_war(4, 0.3),
+    build_tug_of_war(30, 0.5, head_start=2),
+    build_consecutive_win(6),
+    build_mk1(5),
+    build_extension(build_best_of(2), 3),
+]
+
+
+class TestHopsAgainstDijkstra:
+    @pytest.mark.parametrize("m", _HOPS_RULES, ids=lambda m: f"{m.n}-states")
+    def test_family_tables(self, m):
+        self._check(m, random.Random(m.n))
+
+    def test_random_rules(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            self._check(_random_rule(rng), rng)
+
+    @staticmethod
+    def _check(m, rng):
+        legs = m.legs
+        terminals = np.flatnonzero(legs.outcome >= 0)
+        for heads, tails in ((legs.src, legs.tgt), (legs.tgt, legs.src)):
+            source_sets = [[s] for s in range(m.n)]
+            source_sets += [terminals, [], *(rng.sample(range(m.n), rng.randint(1, m.n))
+                                             for _ in range(5))]
+            for sources in source_sets:
+                got = _hops(m.n, sources, heads, tails)
+                assert got.tolist() == _dijkstra_hops(m.n, sources, heads, tails).tolist()

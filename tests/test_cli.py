@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import contestlab
 from contestlab import (
     advantage_profile,
     automaton_to_dict,
@@ -234,8 +239,6 @@ class TestIncumbency:
         [
             # the direct solve leaves 1 - V+ = 0: no ratio to take the log of
             ("mk1:k=15", "ratio:pow,alpha=0.7"),
-            # phi underflows to 0 in the gap recursion of a kind with no log form
-            ("mk1:k=10", "noisy:q=1,base=tullock:r=1"),
         ],
     )
     def test_bias_ratio_out_of_reach_exits_two(self, capsys, sub, sf):
@@ -244,11 +247,51 @@ class TestIncumbency:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_noisy_bias_ratio_where_phi_underflows(self, tmp_path):
+        # phi underflows to 0 in the gap recursion; the noisy log forms mix
+        # the base's exact ones, so at q = 1 the figure is the base's
+        docs = []
+        for sf in ("noisy:q=1,base=tullock:r=1", "tullock:r=1"):
+            code, text = run_cli(
+                tmp_path, "incumbency", "--rounds", "3", "--shock-q", "0.5",
+                "--sub", "mk1:k=10", "--sf", sf,
+            )
+            assert code == 0
+            docs.append(json.loads(text))
+        assert docs[0]["log_bias_ratio"] == docs[1]["log_bias_ratio"]
+        assert docs[0]["log_bias_ratio"] == pytest.approx(959.1976161974644, rel=1e-12)
+
     def test_bad_sub(self):
         assert main(
             ["incumbency", "--rounds", "2", "--shock-q", "0.5", "--sub", "race:k=2",
              "--sf", "tullock:r=1"]
         ) == 2
+
+
+class TestImportHygiene:
+    def test_closed_route_loads_no_scipy(self):
+        # scipy serves only the cyclic engine's root search and the
+        # absorbing-chain solve; the import and a closed-route solve load none
+        script = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import contestlab\n"
+            "after_import = scipy_modules()\n"
+            "from contestlab.cli import main\n"
+            "code = main(['solve', '--family', 'tug-of-war', '--margin', '4', '--sf', "
+            "'tullock:r=1', '--prize', '1', '--format', 'json'])\n"
+            "print(json.dumps([code, after_import, scipy_modules()]))\n"
+        )
+        src = str(Path(contestlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        code, after_import, at_exit = json.loads(run.stdout.splitlines()[-1])
+        assert json.loads("\n".join(run.stdout.splitlines()[:-1]))["method"] == "closed_tow"
+        assert (code, after_import, at_exit) == (0, [], [])
 
 
 class TestExitCodes:
@@ -383,6 +426,22 @@ class TestUnreadOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and option in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["solve", "--family", "mk1", "--k", "2", "--sf", "tullock:r=1,alpha=0.5"], "alpha"),
+            (["incumbency", "--rounds", "2", "--shock-q", "0.5", "--sub", "mk1:k=2,q=9",
+              "--sf", "tullock:r=1"], "q"),
+            (["incumbency", "--rounds", "2", "--shock-q", "0.5", "--sub", "tow-head-start:k=2,j=1",
+              "--sf", "tullock:r=1"], "j"),
+        ],
+    )
+    def test_unread_spec_key_exits_two(self, capsys, argv, key):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"does not read {key}=" in captured.err
 
     @pytest.mark.parametrize(
         "extra", [["--k", "2"], ["--margin", "2"], ["--reset-p", "0.3"], ["--head-start", "1"]]

@@ -6,9 +6,11 @@ bracketed bisection).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from contestlab import (
     ConvergenceError,
@@ -26,7 +28,10 @@ from contestlab import (
     psi_inverse,
     solve_battle,
 )
-from contestlab.success import battle_gain
+from contestlab import solver, success
+from contestlab.incumbency import MK1, log_bias_ratio
+from contestlab.solver import streak_root
+from contestlab.success import _brentq, battle_gain
 
 THETA_GRID = np.logspace(-6, 6, 121)
 
@@ -401,6 +406,59 @@ class TestParse:
         with pytest.raises(DomainError):
             parse_sf(bad)
 
+    @pytest.mark.parametrize(
+        ("text", "unread"),
+        [
+            ("tullock:r=1,alpha=0.5", "alpha"),
+            ("serial:alpha=0.5,r=1", "r"),
+            ("ratio:pow,alpha=0.8,beta=0.5", "beta"),
+            ("ratio:powsum,alpha=0.5,beta=0.9,q=1", "q"),
+            ("noisy:q=0.5,r=1,base=tullock:r=1", "r"),
+            ("noisy:q=0.5,base=tullock:r=1,q=0.5", "q"),
+        ],
+    )
+    def test_refuses_unread_keys(self, text, unread):
+        with pytest.raises(DomainError, match=f"does not read {unread}="):
+            parse_sf(text)
+
+
+class TestNoisyLogForms:
+    @pytest.mark.parametrize("text", ["tullock:r=1", "tullock:r=0.5", "serial:alpha=0.5"])
+    def test_full_weight_is_the_base_bit_for_bit(self, text):
+        base = parse_sf(text)
+        sf = Noisy(base, 1.0)
+        for theta in (1e-300, 1e-8, 0.3, 1.0, 7.0, 1e200):
+            assert sf.log_phi(theta) == base.log_phi(theta)
+            assert sf.log_phi_complement(theta) == base.log_phi_complement(theta)
+        for log_theta in (-1e5, -700.5, -3.0, 0.0, 3.0, 700.5, 1e5):
+            assert sf.log_phi_at_log(log_theta) == base.log_phi_at_log(log_theta)
+            assert sf.log_phi_complement_at_log(log_theta) == (
+                base.log_phi_complement_at_log(log_theta)
+            )
+
+    @pytest.mark.parametrize("sf", [s for s in HOMOGENEOUS if isinstance(s, Noisy)])
+    def test_match_the_log_of_the_curve(self, sf):
+        for theta in np.logspace(-12, 12, 49).tolist():
+            assert math.isclose(sf.log_phi(theta), math.log(sf.phi(theta)), rel_tol=1e-13)
+            assert math.isclose(
+                sf.log_phi_complement(theta), math.log(sf.phi_complement(theta)), rel_tol=1e-13
+            )
+            log_theta = math.log(theta)
+            assert math.isclose(sf.log_phi_at_log(log_theta), sf.log_phi(theta), rel_tol=1e-13)
+
+    def test_hold_where_the_base_curve_underflows(self):
+        # phi(1e-200) underflows under tullock:r=1; the coin's share does not
+        sf = Noisy(Tullock(1.0), 0.5)
+        assert Tullock(1.0).phi(1e-200) == 0.0
+        assert sf.log_phi(1e-200) == math.log(0.25)
+        assert sf.log_phi_at_log(-1e4) == math.log(0.25)
+        assert sf.log_phi_complement_at_log(1e4) == math.log(0.25)
+
+    def test_mk1_bias_ratio_at_full_weight_is_the_base_figure(self):
+        noisy = log_bias_ratio(MK1(10), parse_sf("noisy:q=1,base=tullock:r=1"))
+        assert noisy == log_bias_ratio(MK1(10), Tullock(1.0))
+        assert noisy == pytest.approx(959.1976161974644, rel=1e-12)
+
 
 def _win_prob(sf, xa: float, xb: float) -> float:
     """Success probability at an effort profile, for grid-search oracles."""
@@ -413,3 +471,143 @@ def _win_prob(sf, xa: float, xb: float) -> float:
     if xb == 0.0:
         return 1.0
     return eval_gamma(sf, xa / xb)
+
+
+# ---------------------------------------------------------------------------
+# The in-house Brent root against scipy.optimize.brentq, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, f, *args, **kwargs):
+    """The hex bits of the root, or the exception type, and the points f saw."""
+    seen = []
+
+    def recorded(x):
+        seen.append(float(x).hex())
+        return f(x)
+
+    try:
+        result = float(fn(recorded, *args, **kwargs)).hex()
+    except Exception as exc:  # noqa: BLE001 - compared by type below
+        result = type(exc)
+    return result, seen
+
+
+def _random_bracket(rng):
+    """A function with a sign change on its bracket, drawn from smooth,
+    saturating, plateau, step, exponential and NaN-holed shapes."""
+    root = rng.uniform(-5.0, 5.0) * 10.0 ** rng.randint(-3, 3)
+    a = root - rng.expovariate(1.0) * 10.0 ** rng.randint(-2, 2)
+    b = root + rng.expovariate(1.0) * 10.0 ** rng.randint(-2, 2)
+    slope = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+    shape = rng.randrange(7)
+    if shape == 0:
+        cube = rng.uniform(0.0, 5.0)
+        f = lambda x: slope * ((x - root) + cube * (x - root) ** 3)  # noqa: E731
+    elif shape == 1:
+        f = lambda x: math.tanh(slope * (x - root))  # noqa: E731
+    elif shape == 2:
+        f = lambda x: max(-1.0, min(1.0, slope * (x - root)))  # noqa: E731
+    elif shape == 3:
+        f = lambda x: math.copysign(1.0, slope) * (-1.0 if x < root else 1.0)  # noqa: E731
+    elif shape == 4:
+        level = math.exp(root / 10.0)
+        f = lambda x: math.exp(x / 10.0) - level  # noqa: E731
+    elif shape == 5:
+        hole = root + (b - root) * rng.uniform(0.2, 1.5)
+        f = lambda x: math.nan if x > hole else slope * (x - root)  # noqa: E731
+    else:
+        # a root exactly at an end, or two ends of one sign
+        f = lambda x: slope * (x - root)  # noqa: E731
+        a, b = rng.choice([(root, b), (a, root), (a, a + 0.5 * (root - a))])
+    if rng.random() < 0.3:
+        a, b = b, a
+    xtol = rng.choice([1e-300, 1e-14, 2e-12, 1e-8, 1e-3])
+    rtol = rng.choice([success._BRENTQ_RTOL, 1e-10, 1e-6])
+    maxiter = rng.choice([100, 100, 100, 8, 3])
+    return f, a, b, {"xtol": xtol, "rtol": rtol, "maxiter": maxiter}
+
+
+class TestBrentq:
+    def test_matches_scipy_on_random_brackets(self):
+        rng = random.Random(16)
+        kinds = set()
+        for _ in range(12_000):
+            f, a, b, opts = _random_bracket(rng)
+            ours = _outcome(_brentq, f, a, b, **opts)
+            assert ours == _outcome(scipy_brentq, f, a, b, **opts), (a, b, opts)
+            kinds.add(ours[0] if isinstance(ours[0], type) else float)
+        assert kinds == {float, ValueError, RuntimeError}
+
+    def test_plateau_steps_bisect(self):
+        # flat ends make the secant divide by zero: C bisects on the
+        # non-finite step, and so must the port
+        f = lambda x: max(-1.0, min(1.0, 1e3 * (x - 0.3)))  # noqa: E731
+        ours = _outcome(_brentq, f, -10.0, 10.0, xtol=1e-14)
+        assert ours == _outcome(scipy_brentq, f, -10.0, 10.0, xtol=1e-14)
+        assert abs(float.fromhex(ours[0]) - 0.3) < 1e-13
+
+    @pytest.mark.parametrize(
+        ("f", "a", "b", "opts", "error"),
+        [
+            (lambda x: x * x + 1.0, -1.0, 2.0, {}, ValueError),
+            (lambda x: math.nan if x > 0.5 else x, -1.0, 2.0, {}, ValueError),
+            (lambda x: math.sin(x), 1.0, 6.0, {"maxiter": 2}, RuntimeError),
+        ],
+        ids=["same_signs", "nan_value", "maxiter"],
+    )
+    def test_errors(self, f, a, b, opts, error):
+        with pytest.raises(error):
+            _brentq(f, a, b, xtol=2e-12, **opts)
+        with pytest.raises(error):
+            scipy_brentq(f, a, b, xtol=2e-12, **opts)
+
+
+@pytest.fixture
+def checked_brentq(monkeypatch):
+    """Every ``_brentq`` call of the library also run through scipy's brentq
+    and compared bit for bit; returns the list of compared calls."""
+    calls = []
+
+    def checked(f, a, b, xtol, rtol=success._BRENTQ_RTOL, maxiter=100):
+        ours = _outcome(_brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        assert ours == _outcome(scipy_brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        calls.append(ours[0])
+        return _brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+    monkeypatch.setattr(success, "_brentq", checked)
+    monkeypatch.setattr(solver, "_brentq", checked)
+    return calls
+
+
+class TestBrentqCallSites:
+    def test_loggrad_inverse(self, checked_brentq):
+        for sf in (RatioForm("powsum", 0.6, 0.9), RatioForm("powsum", 0.9, 0.2)):
+            for y in np.logspace(-4, 4, 17).tolist():
+                sf.loggrad_inverse(y)
+        assert len(checked_brentq) == 34
+
+    def test_ratio_form_battle(self, checked_brentq):
+        rng = random.Random(3)
+        technologies = [RatioForm("pow", 0.7), RatioForm("powsum", 0.5, 0.9),
+                        Noisy(RatioForm("powsum", 0.3, 0.8), 0.6)]
+        for sf in technologies:
+            for _ in range(6):
+                da, db = (math.exp(rng.uniform(-8.0, 8.0)) for _ in range(2))
+                solve_battle(sf, da, db)
+        # lopsided stakes: no log-odds within the span balances the curves
+        with pytest.raises(ConvergenceError):
+            solve_battle(RatioForm("pow", 0.7), 1.0, 1e-30)
+        assert any(call is ValueError for call in checked_brentq)
+
+    @pytest.mark.parametrize("sf", HOMOGENEOUS)
+    def test_psi_inverse(self, checked_brentq, sf):
+        for y in np.logspace(-3, 5, 9).tolist():
+            psi_inverse(sf, y)
+        assert len(checked_brentq) == 9
+
+    @pytest.mark.parametrize("sf", HOMOGENEOUS)
+    def test_streak_root(self, checked_brentq, sf):
+        for k in range(2, 12):
+            streak_root(sf, k)
+        assert len(checked_brentq) >= 10
