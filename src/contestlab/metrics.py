@@ -161,23 +161,85 @@ def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
     return _SolvedChain(nt, legs.row, src[keep], legs.tgt[keep], mass[keep])
 
 
-def _absorbing_lu(size: int, rows, cols, mass):
-    """Sparse LU factor of I - M for an absorbing transient block M of
-    positive COO entries; should splu still meet a singular pivot, raises
-    DegenerateChainError."""
-    # imported here, so that a process that never solves a chain does not
-    # pay scipy.sparse's import (about half a second)
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
+def _absorbing_solve(size: int, rows, cols, mass, rhs, leave) -> np.ndarray:
+    """Solve x = rhs + M x for an absorbing transient block M of positive
+    COO entries; ``leave`` is each row's mass out of the block, so that a
+    row of M plus its ``leave`` sums to 1.
 
-    diag = np.arange(size)
-    i = np.concatenate([diag, rows])
-    j = np.concatenate([diag, cols])
-    lhs = csc_matrix((np.concatenate([np.ones(size), -mass]), (i, j)), shape=(size, size))
-    try:
-        return splu(lhs)
-    except RuntimeError as exc:
-        raise DegenerateChainError(f"transient block is singular ({exc})") from exc
+    Nothing is ever subtracted, so every solved entry keeps its relative
+    accuracy however nearly the block fails to leak.  States whose every leg
+    ends at a solved state or leaves the block are solved first, in levels
+    (an acyclic chain ends there).  The cyclic remainder is then eliminated
+    one state at a time, nearest an exit first, and each pivot is the row's
+    leaving mass plus its legs to states not yet eliminated, never 1 - sum
+    (Grassmann, Taksar & Heyman, *Operations Research* 33(5), 1985).  The
+    chain must come from ``_absorbed_chain``, whose states all leave, so no
+    pivot is zero.
+    """
+    x = np.array(rhs, dtype=float)
+    columns = (x[:, None] if x.ndim == 1 else x).T  # views into x
+    done = np.zeros(size, dtype=bool)
+    while True:
+        waiting = np.bincount(rows[~done[cols]], minlength=size) > 0
+        ready = ~done & ~waiting
+        if not ready.any():
+            break
+        legs = ready[rows]
+        for col in columns:
+            col += np.bincount(rows[legs], weights=mass[legs] * col[cols[legs]], minlength=size)
+        done |= ready
+    rest = np.flatnonzero(~done)
+    if not rest.size:
+        return x
+
+    # legs into solved states leave the remainder: their mass joins the exits
+    # and their value the right-hand side
+    legs = ~done[rows]
+    src, tgt, w = rows[legs], cols[legs], mass[legs]
+    out = done[tgt]
+    for col in columns:
+        col += np.bincount(src[out], weights=w[out] * col[tgt[out]], minlength=size)
+    leave = leave + np.bincount(src[out], weights=w[out], minlength=size)
+    src, tgt, w = src[~out], tgt[~out], w[~out]
+    local = np.full(size, -1)
+    local[rest] = np.arange(rest.size)
+    exits = np.flatnonzero(leave[rest] > 0.0)
+    order = rest[np.argsort(_hops(rest.size, exits, local[tgt], local[src]), kind="stable")]
+    leave = leave.tolist()
+
+    row = {i: {} for i in rest.tolist()}  # row[i][j]: the current mass i -> j
+    holders = {i: set() for i in row}  # rows that hold a leg into i
+    for i, j, m in zip(src.tolist(), tgt.tolist(), w.tolist()):
+        row[i][j] = row[i].get(j, 0.0) + m
+        holders[j].add(i)
+    b = [col.tolist() for col in columns]
+    pivot = {}
+    for k in order.tolist():
+        legs_k = row[k]
+        legs_k.pop(k, None)  # a self-loop's mass is what the pivot leaves out
+        pivot[k] = d = leave[k] + sum(legs_k.values())
+        for j in legs_k:
+            holders[j].discard(k)
+        for i in holders[k]:
+            if i == k:
+                continue
+            row_i = row[i]
+            f = row_i.pop(k) / d
+            leave[i] += f * leave[k]
+            for col in b:
+                col[i] += f * col[k]
+            for j, m in legs_k.items():
+                if j in row_i:
+                    row_i[j] += f * m
+                else:
+                    row_i[j] = f * m
+                    holders[j].add(i)
+    for k in reversed(order.tolist()):
+        for col in b:
+            col[k] = (col[k] + sum([m * col[j] for j, m in row[k].items()])) / pivot[k]
+    for col, solved in zip(columns, b):
+        col[rest] = np.array(solved)[rest]
+    return x
 
 
 def _absorbed_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
@@ -202,7 +264,8 @@ def _absorbed_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
 
 
 def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
-    """Probability of overall victory per state, by exact sparse solve.
+    """Probability of overall victory per state, by one absorbing-chain
+    solve (``_absorbing_solve``).
 
     Raises DegenerateChainError when some nonterminal state cannot reach a
     terminal under the solved battle probabilities.
@@ -213,10 +276,12 @@ def win_probabilities(solution: ValueSolution, spec: ContestSpec) -> dict:
     col = chain.row[chain.tgt]
     leak = col < 0
     inner = ~leak
-    lu = _absorbing_lu(len(chain.nonterminal), chain.src[inner], col[inner], chain.mass[inner])
-    rhs = np.zeros((len(chain.nonterminal), 2))
+    size = len(chain.nonterminal)
+    rhs = np.zeros((size, 2))
     np.add.at(rhs, (chain.src[leak], m.legs.outcome[chain.tgt[leak]]), chain.mass[leak])
-    q = np.clip(lu.solve(rhs), 0.0, 1.0)
+    leave = rhs.sum(axis=1)
+    q = _absorbing_solve(size, chain.src[inner], col[inner], chain.mass[inner], rhs, leave)
+    q = np.clip(q, 0.0, 1.0)
     out.update((s, (float(qa), float(qb))) for s, (qa, qb) in zip(chain.nonterminal, q))
     return out
 
@@ -420,7 +485,7 @@ def transient_dominance(
     Weak sets collect the nonterminal states where a player's continuation
     value is at most epsilon * prize.  The probability that equilibrium play
     visits both sets is computed exactly on the chain augmented with two
-    visited bits, by one sparse LU solve, and the certificate demands at
+    visited bits, by one absorbing-chain solve, and the certificate demands at
     least 1 - epsilon.  Raises DegenerateChainError, before the weak sets are
     formed, unless absorption is almost sure from every state.
     """
@@ -468,8 +533,9 @@ def _reach_both_probability(
     The system runs over (state, visited bits) in three layers: 0 = neither
     set seen, 1 = A's seen, 2 = B's seen; a leg that completes both bits
     pays into the right-hand side, and a leg into a terminal pays nothing.
-    Its COO entries come straight from the edge list, and one sparse LU
-    factorisation solves it, so no dense (3n)x(3n) array is formed.  The
+    Its COO entries come straight from the edge list, and one
+    ``_absorbing_solve`` solves it, so no dense (3n)x(3n) array is formed;
+    a row leaves through its legs into terminals and its completing legs.  The
     chain must come from ``_absorbed_chain``: every state of this system then
     follows a path of the chain to a terminal, so it is absorbing too.
     """
@@ -489,8 +555,10 @@ def _reach_both_probability(
     stay = ~done
     size = 3 * len(chain.nonterminal)
     rhs = np.bincount(rows[done], weights=mass[done], minlength=size)
-    lu = _absorbing_lu(size, rows[stay], (3 * col + nb)[stay], mass[stay])
-    return float(lu.solve(rhs)[3 * chain.row[start] + flag[start]])
+    ends = np.bincount(chain.src[~inner], weights=chain.mass[~inner], minlength=size // 3)
+    leave = np.repeat(ends, 3) + rhs
+    x = _absorbing_solve(size, rows[stay], (3 * col + nb)[stay], mass[stay], rhs, leave)
+    return float(x[3 * chain.row[start] + flag[start]])
 
 
 def transient_dominance_auto(

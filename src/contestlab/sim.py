@@ -89,49 +89,57 @@ def simulate(
     for s, sv in solution.states.items():
         p_a[s] = sv.win_prob_a
         step_cost[s] = sv.effort_a + sv.effort_b
-    # per (state, winner): padded lottery tables
+    # padded lottery tables, one row per (state, winner) at 2 * state + winner code
     legs = m.legs
     group = 2 * legs.src + legs.win  # legs of one lottery are adjacent
     pos = np.arange(len(group)) - np.searchsorted(group, group)
-    at = (legs.src, legs.win, pos)
-    targets = np.zeros((n, 2, pos.max() + 1), dtype=np.int64)
+    at = (group, pos)
+    targets = np.zeros((2 * n, pos.max() + 1), dtype=np.int64)
     targets[at] = legs.tgt
     chance = np.zeros(targets.shape)
     chance[at] = legs.prob
     cumprob = np.full(targets.shape, 2.0)  # padding above any uniform draw
-    cumprob[at] = np.cumsum(chance, axis=2)[at]  # a running sum, leg by leg
+    cumprob[at] = np.cumsum(chance, axis=1)[at]  # a running sum, leg by leg
     top = np.r_[pos[1:] == 0, True]
-    cumprob[legs.src[top], legs.win[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
+    cumprob[group[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
-    effort = np.zeros(paths)
-    length = np.zeros(paths, dtype=np.int64)
+    effort = np.empty(paths)
+    length = np.empty(paths, dtype=np.int64)
     winner = np.full(paths, -1, dtype=np.int8)  # 0 = A, 1 = B, -1 = truncated
     visit_counts = np.zeros(n, dtype=np.int64)
     a_wins = np.zeros(n, dtype=np.int64)
 
+    # the running paths, compacted: index, state and accrued effort travel
+    # together, and a path's effort and length are written when it ends
     alive = np.arange(paths)
-    state = np.full(paths, m.start, dtype=np.int64)
+    cur = np.full(paths, m.start, dtype=np.int64)
+    accrued = np.zeros(paths)
+    draws = np.empty((2, paths))
     steps = 0
     while alive.size and steps < max_steps:
-        cur = state[alive]
-        u_battle = rng.random(alive.size)
-        u_chance = rng.random(alive.size)
-        np.add.at(visit_counts, cur, 1)
-        effort[alive] += step_cost[cur]
-        length[alive] += 1
+        u_battle = rng.random(out=draws[0, : alive.size])
+        u_chance = rng.random(out=draws[1, : alive.size])
+        visit_counts += np.bincount(cur, minlength=n)
+        accrued += step_cost[cur]
         a_won = u_battle < p_a[cur]
-        np.add.at(a_wins, cur[a_won], 1)
-        wi = np.where(a_won, 0, 1)
-        leg = (u_chance[:, None] > cumprob[cur, wi, :]).sum(axis=1)
-        nxt = targets[cur, wi, leg]
-        state[alive] = nxt
-        won = legs.outcome[nxt]  # winner code of each terminal, -1 elsewhere
-        ended = won >= 0
-        winner[alive[ended]] = won[ended]
-        alive = alive[~ended]
+        a_wins += np.bincount(cur[a_won], minlength=n)
+        lottery = 2 * cur + ~a_won
+        leg = (u_chance[:, None] > cumprob[lottery]).sum(axis=1)
+        cur = targets[lottery, leg]
         steps += 1
+        won = legs.outcome[cur]  # winner code of each terminal, -1 elsewhere
+        ended = won >= 0
+        if ended.any():
+            out = alive[ended]
+            winner[out] = won[ended]
+            effort[out] = accrued[ended]
+            length[out] = steps
+            running = ~ended
+            alive, cur, accrued = alive[running], cur[running], accrued[running]
+    effort[alive] = accrued
+    length[alive] = steps
 
     truncated = int(alive.size)
     mean_effort = float(np.mean(effort))

@@ -268,30 +268,65 @@ class TestIncumbency:
         ) == 2
 
 
+def _scipy_after(body: str) -> tuple:
+    """Run ``body`` in a fresh interpreter after ``import contestlab``; the
+    lines it prints, and the scipy modules loaded after the import and at
+    the end."""
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import contestlab\n"
+        "after_import = scipy_modules()\n"
+        f"{body}\n"
+        "print(json.dumps([after_import, scipy_modules()]))\n"
+    )
+    src = str(Path(contestlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    *printed, modules = run.stdout.splitlines()
+    return printed, *json.loads(modules)
+
+
 class TestImportHygiene:
+    # scipy serves only the cyclic engine's root search: the import, the
+    # closed routes, the absorbing-chain analytics and the simulator load none
     def test_closed_route_loads_no_scipy(self):
-        # scipy serves only the cyclic engine's root search and the
-        # absorbing-chain solve; the import and a closed-route solve load none
-        script = (
-            "import json, sys\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "import contestlab\n"
-            "after_import = scipy_modules()\n"
+        printed, after_import, at_exit = _scipy_after(
             "from contestlab.cli import main\n"
             "code = main(['solve', '--family', 'tug-of-war', '--margin', '4', '--sf', "
             "'tullock:r=1', '--prize', '1', '--format', 'json'])\n"
-            "print(json.dumps([code, after_import, scipy_modules()]))\n"
+            "print(code)"
         )
-        src = str(Path(contestlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        assert json.loads("\n".join(printed[:-1]))["method"] == "closed_tow"
+        assert (printed[-1], after_import, at_exit) == ("0", [], [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "check --family tug-of-war --margin 30 --reset-p 0.5 --sf tullock:r=1 --epsilon auto",
+            "incumbency --rounds 1620 --shock-q 0.5 --sub mk1:k=3 --sf tullock:r=1 --epsilon 0.01",
+        ],
+        ids=["check", "incumbency"],
+    )
+    def test_chain_analytics_load_no_scipy(self, argv):
+        printed, after_import, at_exit = _scipy_after(
+            f"from contestlab.cli import main\nprint(main({argv.split()!r}))"
         )
-        assert run.returncode == 0, run.stderr
-        code, after_import, at_exit = json.loads(run.stdout.splitlines()[-1])
-        assert json.loads("\n".join(run.stdout.splitlines()[:-1]))["method"] == "closed_tow"
-        assert (code, after_import, at_exit) == (0, [], [])
+        assert (printed[-1], after_import, at_exit) == ("0", [], [])
+
+    def test_simulation_loads_no_scipy(self):
+        printed, after_import, at_exit = _scipy_after(
+            "cl = contestlab\n"
+            "spec = cl.ContestSpec(cl.build_best_of(2), cl.Tullock(1.0), 1.0)\n"
+            "sol = cl.solve(spec)\n"
+            "summary = cl.simulate(sol, spec, 20000, seed=3)\n"
+            "print(cl.compare_sim_analytic(summary, sol, spec)['all_pass'])"
+        )
+        assert (printed, after_import, at_exit) == (["True"], [], [])
 
 
 class TestExitCodes:

@@ -14,6 +14,7 @@ from contestlab import (
     Tullock,
     automaton_to_dict,
     build_best_of,
+    build_consecutive_win,
     build_tug_of_war,
     compare_sim_analytic,
     simulate,
@@ -76,6 +77,68 @@ class TestDeterminism:
         a = simulate(sol, spec, 20000, seed=42)
         b = simulate(sol, spec, 20000, seed=43)
         assert a.mean_total_effort != b.mean_total_effort
+
+
+class TestPinnedSummaries:
+    """Seeded summaries as recorded before the step loop was compacted: the
+    draws, visits, efforts and lengths must stay the same bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, max_steps, expected",
+        [
+            pytest.param(
+                ContestSpec(build_tug_of_war(3, 0.3), Tullock(0.8), 1.0),
+                10**6,
+                {
+                    "mean_total_effort": "0x1.48a740bdc8042p-1",
+                    "se_total_effort": "0x1.43bfd8042c097p-7",
+                    "win_freq_a": "0x1.fa5e353f7ced9p-2",
+                    "se_win": "0x1.6e55d07681de6p-7",
+                    "mean_length": "0x1.b50e560418937p+2",
+                    "truncated_paths": 0,
+                    "visit_counts": {1: 1246, 2: 2423, 3: 6403, 4: 2361, 5: 1225},
+                    "state_a_wins": {1: 235, 2: 641, 3: 3187, 4: 1764, 5: 989},
+                },
+                id="tow-3-reset",
+            ),
+            pytest.param(
+                ContestSpec(build_consecutive_win(3), SF1, 1.0),
+                10**6,
+                {
+                    "mean_total_effort": "0x1.9792c8302284fp-1",
+                    "se_total_effort": "0x1.188c5dfd0f244p-7",
+                    "win_freq_a": "0x1.03d70a3d70a3dp-1",
+                    "se_win": "0x1.6e50efdb19b49p-7",
+                    "mean_length": "0x1.15f3b645a1cacp+2",
+                    "truncated_paths": 0,
+                    "visit_counts": {1: 1323, 2: 2002, 3: 2000, 4: 2009, 5: 1352},
+                    "state_a_wins": {1: 338, 2: 679, 3: 992, 4: 1352, 5: 1015},
+                },
+                id="cw-3",
+            ),
+            pytest.param(
+                ContestSpec(build_tug_of_war(2, 0.3), Tullock(0.8), 1.0),
+                3,
+                {
+                    "mean_total_effort": "0x1.b36c4f443bb2bp-2",
+                    "se_total_effort": "0x1.11c3cff7092efp-9",
+                    "win_freq_a": "0x1.5810624dd2f1bp-2",
+                    "se_win": "0x1.5a16f380a5bcbp-7",
+                    "mean_length": "0x1.3c8b439581062p+1",
+                    "truncated_paths": 658,
+                    "visit_counts": {1: 912, 2: 3138, 3: 896},
+                    "state_a_wins": {1: 242, 2: 1552, 3: 672},
+                },
+                id="tow-2-truncated",
+            ),
+        ],
+    )
+    def test_seeded_summary(self, spec, max_steps, expected):
+        summary = simulate(solve(spec), spec, 2000, seed=17, max_steps=max_steps)
+        got = {k: getattr(summary, k) for k in expected}
+        assert got == {
+            k: float.fromhex(v) if isinstance(v, str) else v for k, v in expected.items()
+        }
 
 
 class TestStatisticalAgreement:
