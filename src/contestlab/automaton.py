@@ -475,6 +475,19 @@ def _hops(n: int, sources, heads, tails) -> np.ndarray:
     return np.array(depth)
 
 
+def _levels(done: np.ndarray, heads, tails):
+    """Yield, pass by pass, the mask of the nodes not ``done`` whose every
+    edge heads -> tails ends at a done node, then mark them done in place;
+    stop when a pass finds none, leaving the cyclic remainder undone."""
+    while not done.all():
+        waiting = np.bincount(heads[~done[tails]], minlength=len(done)) > 0
+        ready = ~done & ~waiting
+        if not ready.any():
+            return
+        yield ready
+        done |= ready
+
+
 def _reached(depth: np.ndarray) -> dict:
     """The reached nodes of a ``_hops`` result and their distances."""
     reached = np.flatnonzero(depth >= 0)

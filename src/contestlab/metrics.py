@@ -15,6 +15,7 @@ from .automaton import (
     _build_family,
     _check_prize,
     _hops,
+    _levels,
     _refuse_tow_options,
     min_length,
 )
@@ -151,43 +152,27 @@ class _SolvedChain(NamedTuple):
     mass: np.ndarray
 
 
-def _solved_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
-    legs = spec.automaton.legs
-    nt = spec.automaton.nonterminal_states
-    src = legs.row[legs.src]
-    win_a = np.array([solution.states[s].win_prob_a for s in nt])[src]
-    mass = np.where(legs.win == 0, win_a, 1.0 - win_a) * legs.prob
-    keep = mass > 0.0
-    return _SolvedChain(nt, legs.row, src[keep], legs.tgt[keep], mass[keep])
-
-
 def _absorbing_solve(size: int, rows, cols, mass, rhs, leave) -> np.ndarray:
     """Solve x = rhs + M x for an absorbing transient block M of positive
     COO entries; ``leave`` is each row's mass out of the block, so that a
     row of M plus its ``leave`` sums to 1.
 
     Nothing is ever subtracted, so every solved entry keeps its relative
-    accuracy however nearly the block fails to leak.  States whose every leg
-    ends at a solved state or leaves the block are solved first, in levels
-    (an acyclic chain ends there).  The cyclic remainder is then eliminated
-    one state at a time, nearest an exit first, and each pivot is the row's
-    leaving mass plus its legs to states not yet eliminated, never 1 - sum
-    (Grassmann, Taksar & Heyman, *Operations Research* 33(5), 1985).  The
-    chain must come from ``_absorbed_chain``, whose states all leave, so no
-    pivot is zero.
+    accuracy however nearly the block fails to leak.  States are solved
+    first by ``_levels`` (an acyclic chain ends there); the cyclic remainder
+    is then eliminated one state at a time, nearest an exit first, each
+    pivot the row's leaving mass plus its legs to states not yet eliminated,
+    never 1 - sum (Grassmann, Taksar & Heyman, *Operations Research* 33(5),
+    1985).  The chain must come from ``_absorbed_chain``, whose states all
+    leave, so no pivot is zero.
     """
     x = np.array(rhs, dtype=float)
     columns = (x[:, None] if x.ndim == 1 else x).T  # views into x
     done = np.zeros(size, dtype=bool)
-    while True:
-        waiting = np.bincount(rows[~done[cols]], minlength=size) > 0
-        ready = ~done & ~waiting
-        if not ready.any():
-            break
+    for ready in _levels(done, rows, cols):
         legs = ready[rows]
         for col in columns:
             col += np.bincount(rows[legs], weights=mass[legs] * col[cols[legs]], minlength=size)
-        done |= ready
     rest = np.flatnonzero(~done)
     if not rest.size:
         return x
@@ -251,7 +236,13 @@ def _absorbed_chain(solution: ValueSolution, spec: ContestSpec) -> _SolvedChain:
     *Finite Markov Chains*, 1960): a search over the reversed legs from the
     sources of those legs.
     """
-    chain = _solved_chain(solution, spec)
+    legs = spec.automaton.legs
+    nt = spec.automaton.nonterminal_states
+    src = legs.row[legs.src]
+    win_a = np.array([solution.states[s].win_prob_a for s in nt])[src]
+    mass = np.where(legs.win == 0, win_a, 1.0 - win_a) * legs.prob
+    keep = mass > 0.0
+    chain = _SolvedChain(nt, legs.row, src[keep], legs.tgt[keep], mass[keep])
     col = chain.row[chain.tgt]
     leak = col < 0
     size = len(chain.nonterminal)
@@ -483,45 +474,40 @@ def transient_dominance(
     """Certify Def-3-style transient dominance at a given epsilon.
 
     Weak sets collect the nonterminal states where a player's continuation
-    value is at most epsilon * prize.  The probability that equilibrium play
-    visits both sets is computed exactly on the chain augmented with two
-    visited bits, by one absorbing-chain solve, and the certificate demands at
-    least 1 - epsilon.  Raises DegenerateChainError, before the weak sets are
-    formed, unless absorption is almost sure from every state.
+    value over the prize is at most epsilon.  The probability that
+    equilibrium play visits both sets is computed exactly on the chain
+    augmented with two visited bits, by one absorbing-chain solve, and the
+    certificate demands at least 1 - epsilon.  Raises DegenerateChainError,
+    before the weak sets are formed, unless absorption is almost sure from
+    every state.
     """
-    chain = _absorbed_chain(solution, spec)
-    return _certificate(
-        solution,
-        spec,
-        epsilon,
-        lambda set_a, set_b: _reach_both_probability(
-            chain, spec.automaton.start, set_a, set_b
-        ),
-    )
+    return _certificate(solution, spec, epsilon, _absorbed_chain(solution, spec))
 
 
 def _weak_sets(solution: ValueSolution, spec: ContestSpec, epsilon: float):
-    cut = epsilon * spec.prize
-    nt = spec.automaton.nonterminal_states
+    # V/prize is the very float transient_dominance_auto cuts at
+    nt, prize = spec.automaton.nonterminal_states, spec.prize
     return (
-        frozenset(s for s in nt if solution.values_a[s] <= cut),
-        frozenset(s for s in nt if solution.values_b[s] <= cut),
+        frozenset(s for s in nt if solution.values_a[s] / prize <= epsilon),
+        frozenset(s for s in nt if solution.values_b[s] / prize <= epsilon),
     )
 
 
 def _certificate(
-    solution: ValueSolution, spec: ContestSpec, epsilon: float, reach_both
+    solution: ValueSolution, spec: ContestSpec, epsilon: float, chain: _SolvedChain, reach=None
 ) -> TransientDominanceReport:
-    """The report at epsilon, with ``reach_both(set_a, set_b)`` giving the
-    probability of visiting both nonempty weak sets."""
+    """The report at epsilon on ``_absorbed_chain``'s chain; ``reach``, when
+    given, is the known probability of visiting both nonempty weak sets."""
     _check_epsilon(epsilon)
     set_a, set_b = _weak_sets(solution, spec, epsilon)
     weak_ok = bool(set_a) and bool(set_b)
-    reach = reach_both(set_a, set_b) if weak_ok else 0.0
+    if not weak_ok:
+        reach = 0.0
+    elif reach is None:
+        reach = _reach_both_probability(chain, spec.automaton.start, set_a, set_b)
     effort = spec.prize - solution.v0_a - solution.v0_b
-    return TransientDominanceReport.of(
-        epsilon, tuple(sorted(set_a)), tuple(sorted(set_b)), reach, weak_ok, spec.prize, effort
-    )
+    sets = tuple(sorted(set_a)), tuple(sorted(set_b))
+    return TransientDominanceReport.of(epsilon, *sets, reach, weak_ok, spec.prize, effort)
 
 
 def _reach_both_probability(
@@ -561,46 +547,49 @@ def _reach_both_probability(
     return float(x[3 * chain.row[start] + flag[start]])
 
 
-def transient_dominance_auto(
-    solution: ValueSolution, spec: ContestSpec, resolution: float = 1e-4
-) -> TransientDominanceReport:
-    """Binary-search the smallest epsilon whose certificate is satisfied.
+def transient_dominance_auto(solution: ValueSolution, spec: ContestSpec) -> TransientDominanceReport:
+    """The certificate at its frontier, the least epsilon in (0, 1/4) that
+    satisfies it, or unsatisfied at 1/4 - 1e-9.
 
-    Satisfaction is monotone in epsilon (weak sets grow, the reach threshold
-    falls), so bisection returns the certificate frontier to the requested
-    resolution.  When no epsilon below 1/4 certifies, the report at the upper
-    end is returned unsatisfied.  The edge list is built once, and the reach
-    probability is solved once per distinct pair of weak sets, since many
-    bisection steps share one.  Raises DegenerateChainError as
-    ``transient_dominance`` does.
+    The weak sets change only at the cuts V/prize, so between neighbouring
+    cuts the certificate holds from max(cut, 1 - reach) on, up to the
+    rounding of 1 - epsilon.  It holds at the start's cut, where the reach
+    is 1.  The interval just below is tested first, and only if it
+    certifies are the cuts below bisected, one reach solve per probe.
+    Raises DegenerateChainError as ``transient_dominance`` does.
     """
     chain = _absorbed_chain(solution, spec)
-    reach = {}
 
-    def reach_both(set_a, set_b):
-        key = (set_a, set_b)
-        if key not in reach:
-            reach[key] = _reach_both_probability(chain, spec.automaton.start, set_a, set_b)
-        return reach[key]
+    def cut(value):
+        return max(value / spec.prize, math.ulp(0.0))  # epsilon = 0 is out of range
 
-    def certify(epsilon):
-        return _certificate(solution, spec, epsilon, reach_both)
+    top = min(cut(max(solution.v0_a, solution.v0_b)), 0.25 - 1e-9)
+    best = _certificate(solution, spec, top, chain)
+    if not best.satisfied:
+        return best
+    nt = spec.automaton.nonterminal_states
+    cuts = sorted({cut(v[s]) for v in (solution.values_a, solution.values_b) for s in nt})
+    cuts = [c for c in cuts if c < top] + [top]
 
-    hi = 0.25 - 1e-9
-    report_hi = certify(hi)
-    if not report_hi.satisfied:
-        return report_hi
-    lo = resolution
-    report_lo = certify(lo)
-    if report_lo.satisfied:
-        return report_lo
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if certify(mid).satisfied:
-            hi = mid
+    def frontier(k):  # the report at the least certifying epsilon in [cuts[k], cuts[k + 1])
+        report = _certificate(solution, spec, cuts[k], chain)
+        if report.satisfied:
+            return report
+        epsilon = 1.0 - report.reach_both_prob
+        if epsilon < cuts[k + 1]:
+            return _certificate(solution, spec, epsilon, chain, report.reach_both_prob)
+        return None
+
+    lo, hi = -1, len(cuts) - 1  # the interval at hi certifies, the one at lo does not
+    k = hi - 1
+    while k > lo:
+        found = frontier(k)
+        if found is None:
+            lo = k
         else:
-            lo = mid
-    return certify(hi)
+            best, hi = found, k
+        k = (lo + hi) // 2
+    return best
 
 
 # ---------------------------------------------------------------------------

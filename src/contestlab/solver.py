@@ -18,6 +18,7 @@ from .automaton import (
     ContestSpec,
     _canonical,
     _hops,
+    _levels,
     _same_form,
     build_consecutive_win,
     build_tug_of_war,
@@ -231,15 +232,11 @@ def solve_finite(spec: ContestSpec) -> ValueSolution:
     legs = layer.legs
     va, vb = layer.full_vectors(0.0, 0.0)
     done = legs.row < 0  # terminals are solved from the start
-    while not done.all():
-        waiting = np.bincount(legs.src[~done[legs.tgt]], minlength=len(done)) > 0
-        ready = np.flatnonzero(~done & ~waiting)
-        if not len(ready):
-            raise CyclicAutomatonError(
-                "automaton contains cycles; use the cyclic fixed-point solver"
-            )
+    for ready in _levels(done, legs.src, legs.tgt):
+        ready = np.flatnonzero(ready)
         va[ready], vb[ready] = layer.bellman_update(va, vb, legs.row[ready])
-        done[ready] = True
+    if not done.all():
+        raise CyclicAutomatonError("automaton contains cycles; use the cyclic fixed-point solver")
     return _assemble(layer, "backward", 0, va, vb)
 
 

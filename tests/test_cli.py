@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,17 +13,30 @@ import pytest
 
 import contestlab
 from contestlab import (
+    MK1,
+    ContestSpec,
+    IncumbencySpec,
     advantage_profile,
+    automaton_from_dict,
     automaton_to_dict,
     build_best_of,
     build_tug_of_war,
+    incumbency_transient_dominance,
     parse_sf,
+    simulate,
+    solve,
+    solve_incumbency,
     solve_tow_closed,
     sweep,
+    transient_dominance_auto,
 )
 from contestlab.cli import main
 from contestlab.errors import DomainError, ValidationError
+from contestlab.metrics import SWEEP_COLUMNS
 from contestlab.serialize import to_csv, to_json, write_atomic
+from test_metrics import _race_doc
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(tmp_path, *args, name="out.txt"):
@@ -327,6 +341,47 @@ class TestImportHygiene:
             "print(cl.compare_sim_analytic(summary, sol, spec)['all_pass'])"
         )
         assert (printed, after_import, at_exit) == (["True"], [], [])
+
+
+def _readme_outputs(rule_doc: dict) -> dict:
+    """The library's result for each README invocation, keyed by its line;
+    ``rule.json`` holds ``rule_doc``."""
+    tullock = parse_sf("tullock:r=1")
+    tow4 = ContestSpec(build_tug_of_war(4), tullock, 1.0)
+    rule = ContestSpec(automaton_from_dict(rule_doc), parse_sf("serial:alpha=0.5"), 1.0)
+    best_of_1 = ContestSpec(build_best_of(1), tullock, 1.0)
+    tow30 = ContestSpec(build_tug_of_war(30, 0.5), tullock, 1.0)
+    incumbency = IncumbencySpec(rounds=1620, shock_q=0.5, sub=MK1(3), sf=tullock)
+    report = solve_incumbency(incumbency)
+    cert = incumbency_transient_dominance(report, incumbency, 0.01)
+    return {
+        "contest solve --family tug-of-war --margin 4 --sf tullock:r=1 --prize 1 --format json":
+            to_json(solve(tow4).to_dict()),
+        "contest solve --automaton rule.json --sf serial:alpha=0.5": to_json(solve(rule).to_dict()),
+        "contest sweep --family consecutive-win --k 1..25 --sf tullock:r=1 --format csv":
+            to_csv(SWEEP_COLUMNS, sweep("consecutive_win", range(1, 26), tullock).rows),
+        "contest simulate --family best-of --k 1 --sf tullock:r=1 --paths 200000 --seed 7":
+            to_json(simulate(solve(best_of_1), best_of_1, 200_000, 7).to_dict()),
+        "contest check --family tug-of-war --margin 30 --reset-p 0.5 --sf tullock:r=1 --epsilon auto":
+            to_json(transient_dominance_auto(solve(tow30), tow30).to_dict()),
+        "contest incumbency --rounds 1620 --shock-q 0.5 --sub mk1:k=3 --sf tullock:r=1 --epsilon 0.01":
+            to_json(report.to_dict() | {"transient_dominance": cert.to_dict()}),
+    }
+
+
+class TestReadmeInvocations:
+    def test_stdout_is_the_library_result(self, tmp_path, monkeypatch, capsys):
+        blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("contest ")]
+        doc = _race_doc(4, 0.3)
+        expected = _readme_outputs(doc)
+        assert lines == list(expected)
+        (tmp_path / "rule.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            capsys.readouterr()
+            assert main(line.split()[1:]) == 0, line
+            assert capsys.readouterr().out == expected[line], line
 
 
 class TestExitCodes:

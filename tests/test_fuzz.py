@@ -11,6 +11,12 @@ finite residual of at most 1e-9 * prize.
 A second fuzzer renames the state ids of tug-of-war and consecutive-win
 rules and rounds their chances; ``solve`` must still take the closed form
 and give the builder's values and rows bit for bit through the renaming.
+
+A third checks ``transient_dominance_auto`` on random rules of at most
+seven states and on random family rules (reset rings, best-of, streaks and
+extensions): the certificate is either unsatisfied at 1/4 - 1e-9 or sits at
+its exact frontier, and on rules solved by backward induction a satisfied
+certificate's effort floor lies below the measured effort.
 """
 
 import copy
@@ -24,13 +30,19 @@ from contestlab import (
     ContestSpec,
     automaton_from_dict,
     automaton_to_dict,
+    build_best_of,
     build_consecutive_win,
+    build_extension,
     build_tug_of_war,
     parse_sf,
     solve,
+    transient_dominance,
+    transient_dominance_auto,
 )
 from contestlab.cli import main
-from contestlab.errors import ContestError
+from contestlab.errors import ContestError, ConvergenceError, DegenerateChainError
+from test_automaton import _random_rule
+from test_metrics import assert_frontier
 
 # Two nonterminal states on a cycle (0 -A-> 1 -B-> 0, A's win at 0 is a
 # lottery), a terminal won by A (2) and one won by B (3).
@@ -176,3 +188,42 @@ def test_relabelled_family_rule_keeps_the_closed_form(seed, relabel):
     for field in ("values_a", "values_b", "states"):
         rows, renamed = getattr(ref, field), getattr(sol, field)
         assert repr([rows[s] for s in sorted(rows)]) == repr([renamed[ids[s]] for s in sorted(rows)])
+
+
+def _family_rule(rng):
+    kind = rng.choice(["ring", "ring", "best-of", "streak", "extension"])
+    if kind == "ring":
+        n = rng.randint(2, 30)
+        reset_p = rng.choice([0.0, round(rng.uniform(0.05, 0.6), 2)])
+        return build_tug_of_war(n, reset_p, rng.randint(-(n - 1) // 2, (n - 1) // 2))
+    if kind == "best-of":
+        return build_best_of(rng.randint(0, 12))
+    if kind == "streak":
+        return build_consecutive_win(rng.randint(1, 12))
+    return build_extension(build_best_of(rng.randint(1, 5)), rng.randint(2, 6))
+
+
+@pytest.mark.parametrize("family", [False, True], ids=["random-rule", "family-rule"])
+def test_certificate_frontier(family):
+    satisfied, floors, at_reach = 0, 0, 0
+    for seed in range(100 if family else 200):
+        rng = random.Random(seed)
+        rule = _family_rule(rng) if family else _random_rule(rng)
+        sf = parse_sf(("tullock:r=1", "serial:alpha=0.5")[seed % 2])
+        spec = ContestSpec(rule, sf, rng.choice([1.0, 2.5]) if family else 1.0)
+        try:
+            sol = solve(spec)
+            report = transient_dominance_auto(sol, spec)
+        except (ConvergenceError, DegenerateChainError):
+            continue
+        if not report.satisfied:
+            assert report == transient_dominance(sol, spec, 0.25 - 1e-9)
+            continue
+        assert_frontier(sol, spec, report)
+        satisfied += 1
+        at_reach += report.epsilon == 1.0 - report.reach_both_prob
+        if sol.method == "backward":
+            assert report.implied_effort_floor <= report.measured_total_effort
+            floors += 1
+    if family:  # rules this small and random almost never certify
+        assert satisfied >= 60 and floors >= 30 and at_reach >= 3

@@ -171,6 +171,24 @@ def _trap_doc(rng: random.Random) -> dict:
     return {"start": 0, "states": states, "edges": edges}
 
 
+def assert_frontier(sol, spec, report):
+    """``report`` is ``transient_dominance_auto``'s satisfied certificate at
+    its exact frontier: it equals ``transient_dominance`` there, and the
+    certificate fails just below, one ulp below a cut V/prize (0 cuts at
+    the smallest positive float) and 2**-52 below a frontier at 1 - reach."""
+    eps = report.epsilon
+    assert report.satisfied
+    assert report == transient_dominance(sol, spec, eps)
+    nt = spec.automaton.nonterminal_states
+    cuts = {max(v[s] / spec.prize, math.ulp(0.0)) for v in (sol.values_a, sol.values_b) for s in nt}
+    if eps in cuts:
+        below = math.nextafter(eps, 0.0)
+    else:
+        assert eps == 1.0 - report.reach_both_prob
+        below = eps - 2.0**-52
+    assert below <= 0.0 or not transient_dominance(sol, spec, below).satisfied
+
+
 class TestRentDissipation:
     def test_best_of_three(self):
         spec = ContestSpec(build_best_of(1), SF1, 1.0)
@@ -496,28 +514,75 @@ class TestTransientDominance:
         assert abs(report.reach_both_prob - ref) <= tol
 
     def test_auto_solves_each_weak_set_pair_once(self, monkeypatch):
-        sol = solve_tow_closed(30, 0.5, 0, SF1, 1.0)
-        spec = ContestSpec(build_tug_of_war(30, 0.5), SF1, 1.0)
-        used, solved = [], []
-        weak_sets, reach = metrics._weak_sets, metrics._reach_both_probability
+        # the README rule's frontier lies a few cuts below the start's, so
+        # the cuts below are bisected; on best-of the start's cut is the
+        # frontier, and only the interval just below it is solved
+        for spec, most in (
+            (ContestSpec(build_tug_of_war(30, 0.5), SF1, 1.0), 6),
+            (ContestSpec(build_best_of(20), parse_sf("tullock:r=0.8"), 1.0), 1),
+        ):
+            sol = solve(spec)
+            used, solved, reached = [], [], []
+            weak_sets, reach = metrics._weak_sets, metrics._reach_both_probability
 
-        def spy_weak_sets(*args):
-            pair = weak_sets(*args)
-            used.append(pair)
-            return pair
+            def spy_weak_sets(*args):
+                pair = weak_sets(*args)
+                used.append(pair)
+                return pair
 
-        def spy_reach(chain, start, set_a, set_b):
-            solved.append((set_a, set_b))
-            return reach(chain, start, set_a, set_b)
+            def spy_reach(chain, start, set_a, set_b):
+                solved.append((set_a, set_b))
+                reached.append(reach(chain, start, set_a, set_b))
+                return reached[-1]
 
-        monkeypatch.setattr(metrics, "_weak_sets", spy_weak_sets)
-        monkeypatch.setattr(metrics, "_reach_both_probability", spy_reach)
+            monkeypatch.setattr(metrics, "_weak_sets", spy_weak_sets)
+            monkeypatch.setattr(metrics, "_reach_both_probability", spy_reach)
+            report = transient_dominance_auto(sol, spec)
+            distinct = list(dict.fromkeys(pair for pair in used if pair[0] and pair[1]))
+            assert solved == distinct
+            assert 1 <= sum(r < 1.0 for r in reached) <= most
+            monkeypatch.undo()
+            assert report == transient_dominance(sol, spec, report.epsilon)
+
+    @pytest.mark.parametrize(
+        "margin, reset_p, prize, epsilon",
+        [
+            (30, 0.5, 1.0, 0.022826016377063992),
+            (10, 0.3, 1.0, 0.07734171165630813),
+            (20, 0.5, 1.0, 0.033670786730624375),
+            (40, 0.5, 1.0, 0.017134387096711123),
+            (30, 0.5, 3.0, 0.022826016377063992),
+            (20, 0.0, 1.0, None),
+        ],
+    )
+    def test_auto_exact_frontier(self, margin, reset_p, prize, epsilon):
+        spec = ContestSpec(build_tug_of_war(margin, reset_p), SF1, prize)
+        sol = solve(spec)
+        if reset_p == 0.0:  # values of exactly 0 cut at the smallest positive float
+            assert sum(sol.values_a[s] == 0.0 for s in spec.automaton.nonterminal_states) == 12
         report = transient_dominance_auto(sol, spec)
-        distinct = list(dict.fromkeys(pair for pair in used if pair[0] and pair[1]))
-        assert solved == distinct
-        assert len(used) > len(distinct)  # bisection steps share weak-set pairs
-        monkeypatch.undo()
-        assert report == transient_dominance(sol, spec, report.epsilon)
+        assert epsilon is None or report.epsilon == epsilon
+        assert_frontier(sol, spec, report)
+
+    def test_auto_zero_start_values(self):
+        # the start's cut is the smallest positive float, since epsilon = 0
+        # lies outside the certificate's domain
+        spec = ContestSpec(build_best_of(1), SF1, 2.0)
+        sol = solve(spec)
+        sol.values_a[spec.automaton.start] = sol.values_b[spec.automaton.start] = 0.0
+        report = transient_dominance_auto(sol, spec)
+        assert report.epsilon == math.ulp(0.0)
+        assert_frontier(sol, spec, report)
+
+    @pytest.mark.parametrize(
+        "rule", [build_best_of(0), build_consecutive_win(1)], ids=["best-of-0", "cw-1"]
+    )
+    def test_auto_nothing_certifies(self, rule):
+        spec = ContestSpec(rule, SF1, 1.0)
+        sol = solve(spec)
+        report = transient_dominance_auto(sol, spec)
+        assert not report.satisfied and report.epsilon == 0.249999999
+        assert report == transient_dominance(sol, spec, 0.249999999)
 
     def test_auto_memory_peak(self):
         # one dense (3n)x(3n) array at best-of 20 (3n = 1,323) alone is 14 MB
