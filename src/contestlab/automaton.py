@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +77,8 @@ class ContestAutomaton:
     terminal : dict[int, str]
         Overall winner ("A" or "B") at each terminal state.
     labels : dict[int, str], optional
-        Human-readable tags such as "lead +2" or "streak -1".
+        Human-readable tags such as "lead +2" or "streak -1"; a state left
+        out reads "s{id}".
 
     The rule is its transition table: solvers and routes read nothing
     else (labels only tag the output), so a builder's rule and its JSON
@@ -92,17 +92,19 @@ class ContestAutomaton:
         terminal: dict,
         labels: dict | None = None,
     ):
-        self.start = int(start)
-        self.transitions = {  # a list display: a generator costs more per lottery
-            (int(s), w): tuple([(int(t), float(p)) for t, p in dist])
-            for (s, w), dist in transitions.items()
-        }
-        self.terminal = {int(s): w for s, w in terminal.items()}
-        ids = {s for s, _ in self.transitions} | set(self.terminal)
-        ids.add(self.start)
-        self.n = (max(ids) + 1) if ids else 0
-        self.labels = dict(labels) if labels else {s: f"s{s}" for s in range(self.n)}
-        self._check()
+        try:
+            self.start = int(start)
+            self.transitions = {  # a list display: a generator costs more per lottery
+                (int(s), w): tuple([(int(t), float(p)) for t, p in dist])
+                for (s, w), dist in transitions.items()
+            }
+            self.terminal = {int(s): w for s, w in terminal.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructureError(f"malformed automaton: {exc}") from exc
+        self.n = max([self.start, *self.terminal, *(s for s, _ in self.transitions)]) + 1
+        self.legs = self._compile()
+        given = labels or {}
+        self.labels = {s: given.get(s, f"s{s}") for s in range(self.n)}
 
     # -- basic accessors -----------------------------------------------------
     @property
@@ -133,29 +135,6 @@ class ContestAutomaton:
     def deterministic(self) -> bool:
         return all(len(d) == 1 for d in self.transitions.values())
 
-    @cached_property
-    def legs(self) -> Legs:
-        """The leg table (read-only arrays), compiled on first use."""
-        nt = self.nonterminal_states
-        table = [
-            (s, code, t, p)
-            for s in nt
-            for code, w in enumerate(WINNERS)
-            for t, p in self.transitions[(s, w)]
-        ]
-        src, win, tgt, prob = list(zip(*table)) or [()] * 4
-        row = np.full(self.n, -1, dtype=np.intp)
-        row[list(nt)] = np.arange(len(nt))
-        outcome = np.full(self.n, -1, dtype=np.int8)
-        outcome[list(self.terminal)] = [WINNERS.index(w) for w in self.terminal.values()]
-        legs = Legs(
-            np.array(src, dtype=np.intp), np.array(win, dtype=np.int8),
-            np.array(tgt, dtype=np.intp), np.array(prob, dtype=float), row, outcome,
-        )
-        for array in legs:
-            array.flags.writeable = False
-        return legs
-
     def step(self, s: int, w: str) -> int:
         """Deterministic single-step transition; requires a one-point lottery."""
         dist = self.transitions[(s, w)]
@@ -164,7 +143,8 @@ class ContestAutomaton:
         return dist[0][0]
 
     # -- well-formedness -----------------------------------------------------
-    def _check(self):
+    def _compile(self) -> Legs:
+        """The leg table (read-only arrays), built and checked in one pass."""
         if self.n == 0:
             raise StructureError("automaton has no states")
         if not 0 <= self.start < self.n:
@@ -174,37 +154,53 @@ class ContestAutomaton:
         for s, w in self.transitions:
             if w not in WINNERS:
                 raise StructureError(f"transition from {s} has invalid winner {w!r}")
-        for s in range(self.n):
             if s in self.terminal:
-                if self.terminal[s] not in WINNERS:
-                    raise StructureError(f"terminal state {s} has invalid winner")
-                for w in WINNERS:
-                    if (s, w) in self.transitions:
-                        raise StructureError(f"terminal state {s} has outgoing transitions")
-            else:
+                raise StructureError(f"terminal state {s} has outgoing transitions")
+        for s, w in self.terminal.items():
+            if w not in WINNERS:
+                raise StructureError(f"terminal state {s} has invalid winner")
+        # the walk stops at the first missing lottery, so an id far past the
+        # listed states costs no more than they do
+        nt, lotteries = [], []
+        for s in range(self.n):
+            if s not in self.terminal:
+                nt.append(s)
                 for w in WINNERS:
                     dist = self.transitions.get((s, w))
                     if not dist:
                         raise StructureError(f"nonterminal state {s} lacks a {w}-win transition")
-                    total = 0.0
-                    for t, p in dist:
-                        if not 0 <= t < self.n:
-                            raise StructureError(f"transition from {s} targets unknown state {t}")
-                        if not (math.isfinite(p) and p > 0.0):
-                            raise StructureError(
-                                "chance probabilities must be positive and finite"
-                            )
-                        total += p
-                    if abs(total - 1.0) > _PROB_TOL:
-                        raise StructureError(
-                            f"chance probabilities from state {s} on {w} sum to {total}"
-                        )
-        reached = _forward_distances(self, self.start)
-        if len(reached) != self.n:
-            missing = sorted(set(range(self.n)).difference(reached))
-            raise StructureError(f"states not reachable from start: {missing}")
-        if not any(s in self.terminal for s in reached):
+                    lotteries.append(dist)
+        lottery = np.repeat(np.arange(len(lotteries)), [len(d) for d in lotteries])
+        src = np.array(nt, dtype=np.intp)[lottery // 2]
+        targets, chances = list(zip(*(leg for d in lotteries for leg in d))) or [()] * 2
+        tgt = np.array(targets)  # dtype inferred: an id past int64 compares, never overflows
+        unknown = np.flatnonzero((tgt < 0) | (tgt >= self.n))
+        if unknown.size:
+            i = unknown[0]
+            raise StructureError(f"transition from {src[i]} targets unknown state {targets[i]}")
+        prob = np.array(chances, dtype=float)
+        if not np.all(np.isfinite(prob) & (prob > 0.0)):
+            raise StructureError("chance probabilities must be positive and finite")
+        total = np.bincount(lottery, prob, len(lotteries))  # summed in table order
+        off = np.flatnonzero(np.abs(total - 1.0) > _PROB_TOL)
+        if off.size:
+            i = off[0]
+            where = f"from state {nt[i // 2]} on {WINNERS[i % 2]}"
+            raise StructureError(f"chance probabilities {where} sum to {float(total[i])}")
+        row = np.full(self.n, -1, dtype=np.intp)
+        row[nt] = np.arange(len(nt))
+        outcome = np.full(self.n, -1, dtype=np.int8)
+        outcome[list(self.terminal)] = [WINNERS.index(w) for w in self.terminal.values()]
+        win = (lottery % 2).astype(np.int8)
+        legs = Legs(src, win, tgt.astype(np.intp, copy=False), prob, row, outcome)
+        unreached = np.flatnonzero(_hops(self.n, [self.start], src, legs.tgt) < 0)
+        if unreached.size:
+            raise StructureError(f"states not reachable from start: {unreached.tolist()}")
+        if not self.terminal:  # every state is reached
             raise StructureError("no terminal state is reachable: the contest is trivial")
+        for array in legs:
+            array.flags.writeable = False
+        return legs
 
 
 @dataclass(frozen=True)
@@ -414,7 +410,7 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
 
     def label(key):
         if isinstance(key, int):
-            return f"sub:{m.labels.get(key, str(key))}"
+            return f"sub:{m.labels[key]}"
         if key == "start":
             return key
         if key in WINNERS:
@@ -645,7 +641,7 @@ def minimize(m: ContestAutomaton) -> ContestAutomaton:
     part = {s: first.setdefault(block[s], s) for s in range(m.n)}
     return _rule(
         sorted(first.values()), part[m.start], m.winner, lambda s, w: summed(s, w, part),
-        lambda s: m.labels.get(s, f"s{s}"),
+        lambda s: m.labels[s],
     )
 
 
@@ -664,10 +660,8 @@ def isomorphic(a: ContestAutomaton, b: ContestAutomaton, up_to_bisimulation: boo
 
 def restrict(m: ContestAutomaton, new_start: int) -> ContestAutomaton:
     """The subcontest rooted at ``new_start`` (reachable subgraph)."""
-    return _rule(
-        sorted(_forward_distances(m, new_start)), new_start, m.winner, m.successors,
-        lambda s: m.labels.get(s, f"s{s}"),
-    )
+    reach = sorted(_forward_distances(m, new_start))
+    return _rule(reach, new_start, m.winner, m.successors, lambda s: m.labels[s])
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +672,7 @@ def restrict(m: ContestAutomaton, new_start: int) -> ContestAutomaton:
 
 
 def automaton_to_dict(m: ContestAutomaton) -> dict:
-    states = [
-        {"id": s, "label": m.labels.get(s, f"s{s}"), "terminal": m.winner(s)}
-        for s in range(m.n)
-    ]
+    states = [{"id": s, "label": m.labels[s], "terminal": m.winner(s)} for s in range(m.n)]
     edges = [
         {
             "from": s,
@@ -697,25 +688,19 @@ def automaton_to_dict(m: ContestAutomaton) -> dict:
 
 def automaton_from_dict(data: dict) -> ContestAutomaton:
     try:
-        labels = {}
+        labels, terminal, transitions = {}, {}, {}
         for st in data["states"]:
             sid = int(st["id"])
             if sid in labels:
                 raise StructureError(f"duplicate state id {sid}")
             labels[sid] = str(st["label"])
-        terminal = {
-            int(st["id"]): st["terminal"]
-            for st in data["states"]
-            if st["terminal"] is not None
-        }
-        transitions = {}
+            if st["terminal"] is not None:
+                terminal[sid] = st["terminal"]
         for edge in data["edges"]:
             key = (int(edge["from"]), edge["winner"])
             if key in transitions:
                 raise StructureError(f"duplicate edge for {key}")
-            transitions[key] = tuple(
-                (int(leg["state"]), float(leg["prob"])) for leg in edge["to"]
-            )
+            transitions[key] = [(int(leg["state"]), float(leg["prob"])) for leg in edge["to"]]
         start = int(data["start"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"malformed automaton document: {exc}") from exc

@@ -74,7 +74,7 @@ class IncumbencySpec:
             raise DomainError("shock probability must lie in (0, 1]")
         if not isinstance(self.sub, (MK1, TowHeadStart)):
             raise DomainError("sub must be an MK1 or TowHeadStart spec")
-        if self.sub.k < 1:
+        if self.sub.k < 1 or int(self.sub.k) != self.sub.k:
             raise DomainError("subcontest parameter must be a positive integer")
         _check_prize(self.prize)
 

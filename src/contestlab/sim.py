@@ -64,14 +64,15 @@ def simulate(
         raise DomainError("seed must be a nonnegative integer")
     if max_steps < 1:
         raise DomainError("max_steps must be positive")
+    paths, seed = int(paths), int(seed)
     m = spec.automaton
     if set(solution.states) != set(m.nonterminal_states):
         raise DomainError("solution does not match the automaton's nonterminal states")
     if m.is_terminal(m.start):
         won = m.winner(m.start) == "A"
         return SimulationSummary(
-            paths=int(paths),
-            seed=int(seed),
+            paths=paths,
+            seed=seed,
             mean_total_effort=0.0,
             se_total_effort=0.0 if paths > 1 else math.inf,
             win_freq_a=1.0 if won else 0.0,
@@ -103,7 +104,7 @@ def simulate(
     top = np.r_[pos[1:] == 0, True]
     cumprob[group[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
     effort = np.empty(paths)
     length = np.empty(paths, dtype=np.int64)
@@ -152,8 +153,8 @@ def simulate(
         math.sqrt(freq_a * (1.0 - freq_a) / paths) if paths > 1 else math.inf
     )
     return SimulationSummary(
-        paths=int(paths),
-        seed=int(seed),
+        paths=paths,
+        seed=seed,
         mean_total_effort=mean_effort,
         se_total_effort=se_effort,
         win_freq_a=freq_a,

@@ -96,7 +96,7 @@ class ValueSolution:
         rows = [
             {
                 "id": s,
-                "label": self.labels.get(s, f"s{s}"),
+                "label": self.labels[s],
                 "V_A": sv.value_a,
                 "V_B": sv.value_b,
                 "x_A": sv.effort_a,

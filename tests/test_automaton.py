@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from contestlab import (
     ContestAutomaton,
+    ContestSpec,
     DomainError,
     StructureError,
     automaton_from_dict,
@@ -27,6 +28,7 @@ from contestlab import (
     isomorphic,
     min_length,
     minimize,
+    solve,
 )
 from contestlab.automaton import (
     WINNERS,
@@ -37,6 +39,7 @@ from contestlab.automaton import (
     swap_involution,
     terminal_distances,
 )
+from contestlab.success import Tullock
 
 
 def walk(m, outcomes):
@@ -512,6 +515,154 @@ class TestValidationAndJson:
         doc["states"].append({"id": 1, "label": "again", "terminal": "B"})
         with pytest.raises(StructureError, match="duplicate state id 1"):
             automaton_from_dict(doc)
+
+
+def _single_battle(start=0, transitions=None, terminal=None, **changes):
+    """The single-battle rule's table with entries changed (None drops one)."""
+    table = {(0, "A"): ((1, 1.0),), (0, "B"): ((2, 1.0),), **(transitions or {})}
+    ends = {1: "A", 2: "B", **(terminal or {})}
+    return lambda: ContestAutomaton(
+        start,
+        {key: dist for key, dist in table.items() if dist is not None},
+        {s: w for s, w in ends.items() if w is not None},
+        **changes,
+    )
+
+
+def _duplicate_edge():
+    doc = automaton_to_dict(build_best_of(0))
+    doc["edges"].append(doc["edges"][0])
+    return automaton_from_dict(doc)
+
+
+# one fault per row: the call, the error type and its exact message
+_REFUSALS = {
+    "no states": (
+        lambda: ContestAutomaton(-1, {}, {}), StructureError, "automaton has no states"),
+    "start out of range": (
+        _single_battle(start=-1), StructureError, "start state out of range"),
+    "negative id": (
+        _single_battle(terminal={-1: "A"}), StructureError, "state ids must be nonnegative"),
+    "invalid winner key": (
+        _single_battle(transitions={(0, "C"): ((1, 1.0),)}),
+        StructureError, "transition from 0 has invalid winner 'C'"),
+    "terminal's invalid winner": (
+        _single_battle(terminal={2: "X"}), StructureError, "terminal state 2 has invalid winner"),
+    "terminal with legs": (
+        _single_battle(transitions={(1, "A"): ((2, 1.0),)}),
+        StructureError, "terminal state 1 has outgoing transitions"),
+    "missing lottery": (
+        _single_battle(transitions={(0, "B"): None}),
+        StructureError, "nonterminal state 0 lacks a B-win transition"),
+    "empty lottery": (
+        _single_battle(transitions={(0, "A"): ()}),
+        StructureError, "nonterminal state 0 lacks a A-win transition"),
+    "gap in the ids": (
+        _single_battle(terminal={10**12: "A"}, labels={0: "root"}),
+        StructureError, "nonterminal state 3 lacks a A-win transition"),
+    "unknown target": (
+        _single_battle(transitions={(0, "A"): ((5, 1.0),)}),
+        StructureError, "transition from 0 targets unknown state 5"),
+    "negative target": (
+        _single_battle(transitions={(0, "B"): ((1, 0.5), (-1, 0.5))}),
+        StructureError, "transition from 0 targets unknown state -1"),
+    **{
+        f"{name} chance": (
+            _single_battle(transitions={(0, "A"): ((1, 1.0), (2, p))}),
+            StructureError, "chance probabilities must be positive and finite",
+        )
+        for name, p in [("zero", 0.0), ("negative", -0.5), ("NaN", math.nan), ("inf", math.inf)]
+    },
+    "lottery sum": (
+        _single_battle(transitions={(0, "B"): ((1, 0.7), (2, 0.2))}),
+        StructureError, "chance probabilities from state 0 on B sum to 0.8999999999999999"),
+    "unreachable states": (
+        _single_battle(terminal={3: "A", 4: "B"}),
+        StructureError, "states not reachable from start: [3, 4]"),
+    "no reachable terminal": (
+        _single_battle(transitions={(0, "A"): ((0, 1.0),), (0, "B"): ((0, 1.0),)},
+                       terminal={1: None, 2: None}),
+        StructureError, "no terminal state is reachable: the contest is trivial"),
+    "duplicate edge": (_duplicate_edge, StructureError, "duplicate edge for (0, 'A')"),
+    "step on a lottery": (
+        lambda: build_tug_of_war(2, reset_p=0.5).step(2, "A"),
+        StructureError, "step is only defined for deterministic transitions"),
+    "tug-of-war margin 0": (
+        lambda: build_tug_of_war(0), DomainError, "margin must be a positive integer"),
+    "mk1 k 0": (lambda: build_mk1(0), DomainError, "k must be a positive integer"),
+    "extension order 1": (
+        lambda: build_extension(build_single_battle(), 1),
+        DomainError, "extension order must be an integer >= 2"),
+    "extension of a chance base": (
+        lambda: build_extension(build_tug_of_war(2, reset_p=0.5), 2),
+        StructureError, "extension requires a chance-free base contest"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("fault", list(_REFUSALS))
+    def test_exact_message(self, fault):
+        call, error, message = _REFUSALS[fault]
+        with pytest.raises(error) as refusal:
+            call()
+        assert type(refusal.value) is error
+        assert str(refusal.value) == message
+
+    def test_valid_base_is_accepted(self):
+        assert isomorphic(_single_battle()(), build_single_battle(), up_to_bisimulation=False)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reported_sum_matches_the_sequential_sum(self, seed):
+        rng = random.Random(seed)
+        chances = [rng.uniform(0.01, 0.6) for _ in range(rng.randint(2, 6))]
+        total = 0.0
+        for p in chances:  # the reference: left to right from 0.0
+            total += p
+        lottery = tuple((1 + i % 2, p) for i, p in enumerate(chances))
+        build = _single_battle(transitions={(0, "B"): lottery})
+        with pytest.raises(StructureError) as refusal:
+            build()
+        assert str(refusal.value) == f"chance probabilities from state 0 on B sum to {total}"
+
+    def test_leg_table_is_built_once_read_only(self):
+        m = build_tug_of_war(3, reset_p=0.5)
+        assert m.legs is m.legs
+        assert not any(array.flags.writeable for array in m.legs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _single_battle(transitions={(0, "A"): ((math.nan, 1.0),)}),
+            _single_battle(transitions={(0, "A"): ((1, "x"),)}),
+            _single_battle(transitions={(0, "A"): 5}),
+            _single_battle(transitions={(0, "A"): ((1,),)}),
+            _single_battle(transitions={(0, "A"): ((math.inf, 1.0),)}),
+            _single_battle(terminal={math.inf: "A"}),
+            _single_battle(start="a"),
+        ],
+        ids=["NaN target", "text chance", "int lottery", "short leg", "inf target",
+             "inf terminal", "text start"],
+    )
+    def test_malformed_python_input_is_typed(self, build):
+        with pytest.raises(StructureError, match="^malformed automaton: "):
+            build()
+
+
+class TestDefaultLabels:
+    def test_unlabelled_states_read_s_id(self):
+        m = _single_battle(labels={0: "root"})()
+        assert m.labels == {0: "root", 1: "s1", 2: "s2"}
+        assert [st["label"] for st in automaton_to_dict(m)["states"]] == ["root", "s1", "s2"]
+        assert restrict(m, 0).labels == m.labels
+        assert minimize(m).labels == m.labels
+        rows = solve(ContestSpec(m, Tullock(1.0))).to_dict()["states"]
+        assert [row["label"] for row in rows] == ["root"]
+
+    def test_extension_tags_base_states_by_their_label(self):
+        ext = build_extension(_single_battle()(), 2)
+        assert sorted(label for label in ext.labels.values() if label.startswith("sub:")) == [
+            "sub:s0", "sub:s1", "sub:s2"
+        ]
 
 
 def _reference_hops(m, sources, reverse):

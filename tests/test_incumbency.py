@@ -185,6 +185,11 @@ class TestSolveIncumbency:
         with pytest.raises(DomainError):
             IncumbencySpec(rounds=2, shock_q=0.5, sub="mk1", sf=SF1)
 
+    @pytest.mark.parametrize("sub", [MK1(0), TowHeadStart(1.5), MK1(2.5)])
+    def test_non_integral_subcontest_parameter(self, sub):
+        with pytest.raises(DomainError, match="^subcontest parameter must be a positive integer$"):
+            IncumbencySpec(rounds=2, shock_q=0.5, sub=sub, sf=SF1)
+
 
 class TestIncumbencyTransientDominance:
     def test_symmetric_battle_rounds(self):

@@ -216,6 +216,12 @@ class TestGuards:
         with pytest.raises(DomainError):
             simulate(sol, other, 10, seed=1)
 
+    def test_integral_float_counts(self, best_of_three):
+        sol, spec = best_of_three
+        summary = simulate(sol, spec, paths=3.0, seed=1.0)
+        assert summary == simulate(sol, spec, paths=3, seed=1)
+        assert type(summary.paths) is int and type(summary.seed) is int
+
     def test_terminal_start_degenerate(self):
         from contestlab import ContestAutomaton, solve
 
