@@ -64,6 +64,14 @@ class Legs(NamedTuple):
     outcome: np.ndarray
 
 
+def _state_id(x) -> int:
+    """``x`` as a state id: a value ``int`` would truncate is refused."""
+    sid = int(x)
+    if sid != x:
+        raise StructureError(f"state id {x!r} is not an integer")
+    return sid
+
+
 class ContestAutomaton:
     """A contest rule as a finite-state machine with chance layers.
 
@@ -93,12 +101,12 @@ class ContestAutomaton:
         labels: dict | None = None,
     ):
         try:
-            self.start = int(start)
+            self.start = _state_id(start)
             self.transitions = {  # a list display: a generator costs more per lottery
-                (int(s), w): tuple([(int(t), float(p)) for t, p in dist])
+                (_state_id(s), w): tuple([(_state_id(t), float(p)) for t, p in dist])
                 for (s, w), dist in transitions.items()
             }
-            self.terminal = {int(s): w for s, w in terminal.items()}
+            self.terminal = {_state_id(s): w for s, w in terminal.items()}
         except (TypeError, ValueError, OverflowError) as exc:
             raise StructureError(f"malformed automaton: {exc}") from exc
         self.n = max([self.start, *self.terminal, *(s for s, _ in self.transitions)]) + 1
@@ -690,18 +698,18 @@ def automaton_from_dict(data: dict) -> ContestAutomaton:
     try:
         labels, terminal, transitions = {}, {}, {}
         for st in data["states"]:
-            sid = int(st["id"])
+            sid = _state_id(st["id"])
             if sid in labels:
                 raise StructureError(f"duplicate state id {sid}")
             labels[sid] = str(st["label"])
             if st["terminal"] is not None:
                 terminal[sid] = st["terminal"]
         for edge in data["edges"]:
-            key = (int(edge["from"]), edge["winner"])
+            key = (_state_id(edge["from"]), edge["winner"])
             if key in transitions:
                 raise StructureError(f"duplicate edge for {key}")
-            transitions[key] = [(int(leg["state"]), float(leg["prob"])) for leg in edge["to"]]
-        start = int(data["start"])
+            transitions[key] = [(_state_id(leg["state"]), float(leg["prob"])) for leg in edge["to"]]
+        start = _state_id(data["start"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"malformed automaton document: {exc}") from exc
     return ContestAutomaton(

@@ -499,11 +499,11 @@ def solve_cyclic(
     a phase, or a stalled sweep) run a quasi-Newton candidate search from the
     iterate, the call's first one also from flat profiles.  The operator
     also admits mutual-discouragement fixed points (idle interior battles,
-    flat values); their basins are escaped by restarting the sweeps from flat
-    low-value profiles.  A verified competitive (active-interior) fixed point
-    is returned at once, an idle one only when no phase finds a competitive
-    one.  Stops once the supremum Bellman residual reaches ``tol`` (default
-    1e-12 times the prize).
+    flat values), escaped by restarts: the sweeps start from values
+    interpolated by battle distance, then from a flat 0.05 x prize, then from
+    zero (the truncated contest's values).  A verified competitive fixed
+    point is returned at once, an idle one only if no phase finds one.
+    Stops once the supremum residual reaches ``tol`` (default 1e-12 x prize).
     """
     if tol is None:
         tol = 1e-12 * spec.prize
@@ -527,7 +527,7 @@ def solve_cyclic(
     def finish(fa, fb, iterations):
         return _assemble(layer, "fixed_point", iterations, fa, fb)
 
-    phase_inits = [None, 0.05, 0.25, 0.45]  # None = distance-interpolated
+    phase_inits = [None, 0.05, 0.0]  # None = distance-interpolated
     phase_budget = 800
     iterations = 0
     res = math.inf

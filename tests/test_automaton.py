@@ -529,10 +529,15 @@ def _single_battle(start=0, transitions=None, terminal=None, **changes):
     )
 
 
-def _duplicate_edge():
-    doc = automaton_to_dict(build_best_of(0))
-    doc["edges"].append(doc["edges"][0])
-    return automaton_from_dict(doc)
+def _edited_document(edit):
+    """The single battle's JSON document, changed in place by ``edit``, then loaded."""
+
+    def load():
+        doc = automaton_to_dict(build_best_of(0))
+        edit(doc)
+        return automaton_from_dict(doc)
+
+    return load
 
 
 # one fault per row: the call, the error type and its exact message
@@ -583,7 +588,28 @@ _REFUSALS = {
         _single_battle(transitions={(0, "A"): ((0, 1.0),), (0, "B"): ((0, 1.0),)},
                        terminal={1: None, 2: None}),
         StructureError, "no terminal state is reachable: the contest is trivial"),
-    "duplicate edge": (_duplicate_edge, StructureError, "duplicate edge for (0, 'A')"),
+    "duplicate edge": (
+        _edited_document(lambda doc: doc["edges"].append(doc["edges"][0])),
+        StructureError, "duplicate edge for (0, 'A')"),
+    "non-integral target": (
+        _single_battle(transitions={(0, "A"): ((1.5, 1.0),)}),
+        StructureError, "state id 1.5 is not an integer"),
+    "non-integral start": (
+        _single_battle(start=0.5), StructureError, "state id 0.5 is not an integer"),
+    "non-integral terminal": (
+        _single_battle(terminal={3.5: "B"}), StructureError, "state id 3.5 is not an integer"),
+    "non-integral document target": (
+        _edited_document(lambda doc: doc["edges"][0]["to"][0].update(state=1.9)),
+        StructureError, "state id 1.9 is not an integer"),
+    "non-integral document id": (
+        _edited_document(lambda doc: doc["states"][2].update(id=2.5)),
+        StructureError, "state id 2.5 is not an integer"),
+    "non-integral document source": (
+        _edited_document(lambda doc: doc["edges"][1].update({"from": 0.1})),
+        StructureError, "state id 0.1 is not an integer"),
+    "non-integral document start": (
+        _edited_document(lambda doc: doc.update(start=1e-3)),
+        StructureError, "state id 0.001 is not an integer"),
     "step on a lottery": (
         lambda: build_tug_of_war(2, reset_p=0.5).step(2, "A"),
         StructureError, "step is only defined for deterministic transitions"),

@@ -74,8 +74,8 @@ class TestSolve:
 
     def test_automaton_file_takes_the_closed_form(self, tmp_path, relabel):
         # margin 20 with reset 0.5: the fixed-point engine reports a wrong
-        # plateau (V_A 0.25 at lead 0) on this rule, written with the
-        # builder's state ids and with the ids shifted by 7 mod 41
+        # idle plateau on this rule (V_A at lead 0 is 0.3498 in the builder's
+        # state ids and 0.1996 with the ids shifted by 7 mod 41)
         doc = automaton_to_dict(build_tug_of_war(20, 0.5))
         for rule in (doc, relabel(doc, [(s + 7) % 41 for s in range(41)])):
             path = tmp_path / "auto.json"

@@ -43,8 +43,8 @@ from contestlab import (
     solve_finite,
     solve_tow_closed,
 )
-from contestlab.metrics import reinforcement_residuals
-from contestlab.solver import _Layer, _row_legs, _row_stakes
+from contestlab.metrics import reinforcement_residuals, win_probabilities
+from contestlab.solver import _Layer, _has_idle_interior, _row_legs, _row_stakes
 from test_automaton import _random_rule
 
 SF1 = Tullock(1.0)
@@ -244,7 +244,7 @@ class TestCyclicEngine:
         assert sol.v0_a == pytest.approx(0.25, abs=1e-13)
         assert sol.iterations <= 2
 
-    @pytest.mark.parametrize("n,p", [(4, 0.0), (4, 0.3), (9, 0.3)])
+    @pytest.mark.parametrize("n,p", [(4, 0.0), (4, 0.3), (9, 0.3), (25, 0.3)])
     def test_matches_tow_closed(self, n, p):
         spec = ContestSpec(build_tug_of_war(n, p), SF1, 1.0)
         cyc = solve_cyclic(spec)
@@ -252,7 +252,7 @@ class TestCyclicEngine:
         for s in range(spec.automaton.n):
             assert cyc.values_a[s] == pytest.approx(clo.values_a[s], abs=1e-8)
 
-    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("k", [3, 5, 10, 18])
     def test_matches_consecutive_closed(self, k):
         spec = ContestSpec(build_consecutive_win(k), SF1, 1.0)
         cyc = solve_cyclic(spec)
@@ -346,6 +346,75 @@ class TestCyclicEngine:
             va, vb = sol.values_a[s], sol.values_b[s]
             assert 0.0 <= va <= 1.0 and 0.0 <= vb <= 1.0
             assert va + vb <= 1.0
+
+    def test_reset_ring_through_json_with_shifted_ids(self, relabel):
+        # the sweeps from zero, the truncated contest's values, escape the
+        # idle flat plateaus that are also fixed points of this ring
+        sf = Tullock(0.5)
+        ids = [(s + 7) % 35 for s in range(35)]
+        twin = automaton_from_dict(relabel(automaton_to_dict(build_tug_of_war(17, 0.3)), ids))
+        sol = solve_cyclic(ContestSpec(twin, sf, 1.0))
+        clo = solve_tow_closed(17, 0.3, 0, sf)
+        for s in range(35):
+            assert sol.values_a[ids[s]] == pytest.approx(clo.values_a[s], abs=1e-8)
+            assert sol.values_b[ids[s]] == pytest.approx(clo.values_b[s], abs=1e-8)
+
+    def test_only_one_player_has_a_terminal(self):
+        # every path that ends ends at A's terminal, so A holds the prize
+        # everywhere and B's values and stakes are zero
+        m = ContestAutomaton(
+            2,
+            {
+                (0, "A"): ((5, 0.9918947829531001), (0, 0.008105217046899926)),
+                (0, "B"): ((4, 1.0),),
+                (2, "A"): ((4, 1.0),),
+                (2, "B"): ((5, 1.0),),
+                (3, "A"): ((2, 1.0),),
+                (3, "B"): ((6, 1.0),),
+                (4, "A"): ((7, 1.0),),
+                (4, "B"): ((3, 1.0),),
+                (5, "A"): ((5, 1.0),),
+                (5, "B"): ((7, 0.9925958169581804), (1, 0.0074041830418195564)),
+                (6, "A"): ((2, 1.0),),
+                (6, "B"): ((4, 1.0),),
+                (7, "A"): ((0, 1.0),),
+                (7, "B"): ((5, 1.0),),
+            },
+            {1: "A"},
+        )
+        spec = ContestSpec(m, parse_sf("tullock:r=1"), 1.0)
+        sol = solve_cyclic(spec)
+        assert sol.residual == 0.0
+        assert sol.values_a == {s: 1.0 for s in range(m.n)}
+        assert sol.values_b == {s: 0.0 for s in range(m.n)}
+        assert win_probabilities(sol, spec) == {s: (1.0, 0.0) for s in range(m.n)}
+
+    @pytest.mark.parametrize(
+        "family, size, reset, r",
+        [
+            ("tow", 20, 0.5, 1.0),
+            ("tow", 30, 0.5, 1.0),
+            ("tow", 15, 0.5, 0.5),
+            ("cw", 25, 0.0, 0.5),
+            ("tow", 12, 0.3, 1.0),
+        ],
+    )
+    def test_a_wrong_answer_is_never_competitive(self, family, size, reset, r):
+        # the engine may end on an idle (mutual-discouragement) fallback,
+        # but an answer it does not mark idle is the closed form's
+        sf = Tullock(r)
+        if family == "tow":
+            m, clo = build_tug_of_war(size, reset), solve_tow_closed(size, reset, 0, sf)
+        else:
+            m, clo = build_consecutive_win(size), solve_consecutive_closed(size, sf)
+        spec = ContestSpec(m, sf, 1.0)
+        sol = solve_cyclic(spec)
+        va, vb = (np.array([v[s] for s in range(m.n)]) for v in (sol.values_a, sol.values_b))
+        exact = all(
+            np.allclose(v, [ref[s] for s in range(m.n)], rtol=0.0, atol=1e-8)
+            for v, ref in ((va, clo.values_a), (vb, clo.values_b))
+        )
+        assert exact or _has_idle_interior(_Layer(spec), va, vb)
 
 
 class TestResidual:
@@ -649,8 +718,9 @@ class TestDispatch:
         assert solve(spec, tol=1e-11).method == "fixed_point"
 
 
-# (name, builder) over every route a homogeneous technology can take; the
-# margin-20 and k >= 18 rules are where the engine picks a wrong plateau
+# (name, builder) over every route a homogeneous technology can take; on
+# the margin-20 reset rule the engine alone ends on a wrong idle plateau,
+# and the k = 18 and 25 rules under r = 1 need its restart from zero
 TABLE_RULES = [
     *(
         (f"tow-{n}-{p}-{h}", lambda n=n, p=p, h=h: build_tug_of_war(n, p, h))
@@ -714,7 +784,8 @@ class TestTableRoute:
     @pytest.mark.parametrize(
         "rule, ids, digits, v0_a",
         [
-            # the engine's wrong plateau gives V0_A 0.25 on this rule
+            # the engine alone ends on a wrong idle plateau on this rule:
+            # V0_A 0.3498 in the builder's ids, 0.1996 in these
             pytest.param(
                 build_tug_of_war(20, 0.5), [(s + 7) % 41 for s in range(41)], None,
                 0.03420087736951247, id="tow-20-0.5-ids-shifted-by-7",
