@@ -1,9 +1,11 @@
 """Seeded Monte Carlo play-out of a solved contest.
 
 Random numbers come from numpy's Philox4x64 counter-based generator keyed by
-the seed.  Each battle step consumes two uniform blocks sized to the set of
-still-running paths, in a fixed order: battle outcomes first, then lottery
-legs.  The same seed therefore reproduces the same summary bit for bit.
+the seed.  Each battle step draws one block of 2k uniforms for the k
+still-running paths: the first k decide the battles and the next k pick the
+lottery legs.  Philox buffers its 64-bit words, so this is the same stream as
+a block of k for the battles followed by one for the legs.  The same seed
+therefore reproduces the same summary bit for bit.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ def simulate(
     Raises DegenerateChainError, before any draw, when some nonterminal
     state cannot reach a terminal under the solved battle probabilities.
     """
-    if paths < 1 or int(paths) != paths:
+    if not _whole(paths) or paths < 1:
         raise DomainError("paths must be a positive integer")
-    if seed < 0 or int(seed) != seed:
+    if not _whole(seed) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
-    if max_steps < 1:
-        raise DomainError("max_steps must be positive")
+    if not _whole(max_steps) or max_steps < 1:
+        raise DomainError("max_steps must be a positive integer")
     paths, seed = int(paths), int(seed)
     m = spec.automaton
     if set(solution.states) != set(m.nonterminal_states):
@@ -95,7 +97,8 @@ def simulate(
     group = 2 * legs.src + legs.win  # legs of one lottery are adjacent
     pos = np.arange(len(group)) - np.searchsorted(group, group)
     at = (group, pos)
-    targets = np.zeros((2 * n, pos.max() + 1), dtype=np.int64)
+    width = pos.max() + 1
+    targets = np.zeros((2 * n, width), dtype=np.int64)
     targets[at] = legs.tgt
     chance = np.zeros(targets.shape)
     chance[at] = legs.prob
@@ -103,44 +106,50 @@ def simulate(
     cumprob[at] = np.cumsum(chance, axis=1)[at]  # a running sum, leg by leg
     top = np.r_[pos[1:] == 0, True]
     cumprob[group[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
+    # no draw passes the last column (a top guard or padding), so only the
+    # columns below it are compared, each as one contiguous row
+    bounds = np.ascontiguousarray(cumprob[:, :-1].T)
+    targets = targets.ravel()
 
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     effort = np.empty(paths)
     length = np.empty(paths, dtype=np.int64)
     winner = np.full(paths, -1, dtype=np.int8)  # 0 = A, 1 = B, -1 = truncated
-    visit_counts = np.zeros(n, dtype=np.int64)
-    a_wins = np.zeros(n, dtype=np.int64)
+    tally = np.zeros(2 * n, dtype=np.int64)  # battles per lottery code
 
     # the running paths, compacted: index, state and accrued effort travel
     # together, and a path's effort and length are written when it ends
     alive = np.arange(paths)
     cur = np.full(paths, m.start, dtype=np.int64)
     accrued = np.zeros(paths)
-    draws = np.empty((2, paths))
+    draws = np.empty(2 * paths)
     steps = 0
     while alive.size and steps < max_steps:
-        u_battle = rng.random(out=draws[0, : alive.size])
-        u_chance = rng.random(out=draws[1, : alive.size])
-        visit_counts += np.bincount(cur, minlength=n)
+        k = alive.size
+        rng.random(out=draws[: 2 * k])
+        u_battle, u_chance = draws[:k], draws[k : 2 * k]
+        lottery = 2 * cur + (u_battle >= p_a[cur])
+        tally += np.bincount(lottery, minlength=2 * n)
         accrued += step_cost[cur]
-        a_won = u_battle < p_a[cur]
-        a_wins += np.bincount(cur[a_won], minlength=n)
-        lottery = 2 * cur + ~a_won
-        leg = (u_chance[:, None] > cumprob[lottery]).sum(axis=1)
-        cur = targets[lottery, leg]
+        leg = lottery * width
+        for column in bounds:
+            leg += u_chance > column[lottery]
+        cur = targets[leg]
         steps += 1
         won = legs.outcome[cur]  # winner code of each terminal, -1 elsewhere
-        ended = won >= 0
-        if ended.any():
-            out = alive[ended]
-            winner[out] = won[ended]
-            effort[out] = accrued[ended]
+        done = np.flatnonzero(won >= 0)
+        if done.size:
+            out = alive[done]
+            winner[out] = won[done]
+            effort[out] = accrued[done]
             length[out] = steps
-            running = ~ended
-            alive, cur, accrued = alive[running], cur[running], accrued[running]
+            keep = np.flatnonzero(won < 0)
+            alive, cur, accrued = alive[keep], cur[keep], accrued[keep]
     effort[alive] = accrued
     length[alive] = steps
+    a_wins = tally[0::2]
+    visit_counts = a_wins + tally[1::2]
 
     truncated = int(alive.size)
     mean_effort = float(np.mean(effort))
@@ -214,6 +223,13 @@ def compare_sim_analytic(
         "all_pass": all(r["pass"] for r in evaluated) and bool(evaluated),
         "notices": notices,
     }
+
+
+def _whole(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _z_row(metric: str, observed: float, expected: float, se: float, z_max: float) -> dict:

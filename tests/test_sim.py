@@ -12,6 +12,7 @@ from contestlab import (
     DomainError,
     Serial,
     Tullock,
+    automaton_from_dict,
     automaton_to_dict,
     build_best_of,
     build_consecutive_win,
@@ -79,15 +80,46 @@ class TestDeterminism:
         assert a.mean_total_effort != b.mean_total_effort
 
 
+# One three-leg lottery among one-leg ones, read from a document: the leg
+# table is three columns wide, so the one-leg rows carry padding and the
+# step loop compares two columns.
+THREE_LEGS = {
+    "start": 0,
+    "states": [
+        {"id": i, "label": f"s{i}", "terminal": t}
+        for i, t in enumerate([None, None, None, None, "A", "B"])
+    ],
+    "edges": [
+        {
+            "from": 0,
+            "winner": "A",
+            "to": [
+                {"state": 1, "prob": 0.5},
+                {"state": 2, "prob": 0.3},
+                {"state": 4, "prob": 0.2},
+            ],
+        },
+        {"from": 0, "winner": "B", "to": [{"state": 2, "prob": 1.0}]},
+        {"from": 1, "winner": "A", "to": [{"state": 4, "prob": 1.0}]},
+        {"from": 1, "winner": "B", "to": [{"state": 3, "prob": 1.0}]},
+        {"from": 2, "winner": "A", "to": [{"state": 3, "prob": 1.0}]},
+        {"from": 2, "winner": "B", "to": [{"state": 5, "prob": 1.0}]},
+        {"from": 3, "winner": "A", "to": [{"state": 4, "prob": 1.0}]},
+        {"from": 3, "winner": "B", "to": [{"state": 5, "prob": 1.0}]},
+    ],
+}
+
+
 class TestPinnedSummaries:
-    """Seeded summaries as recorded before the step loop was compacted: the
+    """Seeded summaries recorded with earlier forms of the step loop: the
     draws, visits, efforts and lengths must stay the same bit for bit."""
 
     @pytest.mark.parametrize(
-        "spec, max_steps, expected",
+        "spec, paths, max_steps, expected",
         [
             pytest.param(
                 ContestSpec(build_tug_of_war(3, 0.3), Tullock(0.8), 1.0),
+                2000,
                 10**6,
                 {
                     "mean_total_effort": "0x1.48a740bdc8042p-1",
@@ -103,6 +135,7 @@ class TestPinnedSummaries:
             ),
             pytest.param(
                 ContestSpec(build_consecutive_win(3), SF1, 1.0),
+                2000,
                 10**6,
                 {
                     "mean_total_effort": "0x1.9792c8302284fp-1",
@@ -118,6 +151,7 @@ class TestPinnedSummaries:
             ),
             pytest.param(
                 ContestSpec(build_tug_of_war(2, 0.3), Tullock(0.8), 1.0),
+                2000,
                 3,
                 {
                     "mean_total_effort": "0x1.b36c4f443bb2bp-2",
@@ -131,10 +165,58 @@ class TestPinnedSummaries:
                 },
                 id="tow-2-truncated",
             ),
+            pytest.param(
+                ContestSpec(build_best_of(1), SF1, 1.0),
+                2000,
+                10**6,
+                {
+                    "mean_total_effort": "0x1.46b851eb851ecp-1",
+                    "se_total_effort": "0x1.3b35c5d69801dp-8",
+                    "win_freq_a": "0x1.020c49ba5e354p-1",
+                    "se_win": "0x1.6e587cc4a1498p-7",
+                    "mean_length": "0x1.1f5c28f5c28f6p+1",
+                    "truncated_paths": 0,
+                    "visit_counts": {0: 2000, 1: 1008, 3: 992, 4: 490},
+                    "state_a_wins": {0: 992, 1: 262, 3: 764, 4: 244},
+                },
+                id="bo3-one-leg",
+            ),
+            pytest.param(
+                ContestSpec(automaton_from_dict(THREE_LEGS), Tullock(0.8), 1.0),
+                2000,
+                10**6,
+                {
+                    "mean_total_effort": "0x1.db2cfa8709e75p-2",
+                    "se_total_effort": "0x1.2a1a1a3287beap-8",
+                    "win_freq_a": "0x1.c20c49ba5e354p-2",
+                    "se_win": "0x1.6baa62bec1d06p-7",
+                    "mean_length": "0x1.19fbe76c8b439p+1",
+                    "truncated_paths": 0,
+                    "visit_counts": {0: 2000, 1: 527, 2: 1268, 3: 611},
+                    "state_a_wins": {0: 1057, 1: 370, 2: 454, 3: 304},
+                },
+                id="three-legs",
+            ),
+            pytest.param(
+                ContestSpec(build_tug_of_war(3, 0.3), Tullock(0.8), 1.0),
+                1999,
+                10**6,
+                {
+                    "mean_total_effort": "0x1.4931a1aad569fp-1",
+                    "se_total_effort": "0x1.4637d4c83af64p-7",
+                    "win_freq_a": "0x1.00a3ec05a2836p-1",
+                    "se_win": "0x1.6e72a69d579b5p-7",
+                    "mean_length": "0x1.b5b90d725c765p+2",
+                    "truncated_paths": 0,
+                    "visit_counts": {1: 1218, 2: 2418, 3: 6430, 4: 2376, 5: 1230},
+                    "state_a_wins": {1: 221, 2: 679, 3: 3213, 4: 1809, 5: 1002},
+                },
+                id="tow-3-reset-odd-paths",
+            ),
         ],
     )
-    def test_seeded_summary(self, spec, max_steps, expected):
-        summary = simulate(solve(spec), spec, 2000, seed=17, max_steps=max_steps)
+    def test_seeded_summary(self, spec, paths, max_steps, expected):
+        summary = simulate(solve(spec), spec, paths, seed=17, max_steps=max_steps)
         got = {k: getattr(summary, k) for k in expected}
         assert got == {
             k: float.fromhex(v) if isinstance(v, str) else v for k, v in expected.items()
@@ -215,6 +297,25 @@ class TestGuards:
         other = ContestSpec(build_tug_of_war(3), SF1, 1.0)
         with pytest.raises(DomainError):
             simulate(sol, other, 10, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("paths", math.nan),
+            ("paths", math.inf),
+            ("seed", math.inf),
+            ("seed", math.nan),
+            ("max_steps", math.nan),
+            ("max_steps", 2.5),
+            ("max_steps", math.inf),
+        ],
+    )
+    def test_non_integral_counts_refused(self, best_of_three, name, value):
+        sol, spec = best_of_three
+        args = {"paths": 10, "seed": 1, "max_steps": 10**6, name: value}
+        kind = "nonnegative" if name == "seed" else "positive"
+        with pytest.raises(DomainError, match=f"{name} must be a {kind} integer"):
+            simulate(sol, spec, **args)
 
     def test_integral_float_counts(self, best_of_three):
         sol, spec = best_of_three
