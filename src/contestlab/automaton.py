@@ -64,6 +64,14 @@ class Legs(NamedTuple):
     outcome: np.ndarray
 
 
+def _whole(x) -> bool:
+    """Whether ``x`` is an integral number: NaN, inf and non-numbers are not."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _state_id(x) -> int:
     """``x`` as a state id: a value ``int`` would truncate is refused."""
     sid = int(x)
@@ -241,7 +249,7 @@ def build_single_battle() -> ContestAutomaton:
 
 def build_best_of(k: int) -> ContestAutomaton:
     """First player to k+1 battle wins takes the prize (best-of-(2k+1))."""
-    if k < 0 or int(k) != k:
+    if not _whole(k) or k < 0:
         raise DomainError("k must be a nonnegative integer")
     goal = int(k) + 1
 
@@ -264,11 +272,11 @@ def build_tug_of_war(n: int, reset_p: float = 0.0, head_start: int = 0) -> Conte
     With reset probability p > 0, every battle outcome that does not end the
     contest returns the state to 0 with probability p.
     """
-    if n < 1 or int(n) != n:
+    if not _whole(n) or n < 1:
         raise DomainError("margin must be a positive integer")
     if not 0.0 <= reset_p < 1.0:
         raise DomainError("reset probability must lie in [0, 1)")
-    if abs(head_start) >= n or int(head_start) != head_start:
+    if not _whole(head_start) or abs(head_start) >= n:
         raise DomainError("head start must satisfy |head_start| < margin")
     n = int(n)
 
@@ -283,7 +291,7 @@ def build_tug_of_war(n: int, reset_p: float = 0.0, head_start: int = 0) -> Conte
 
 def build_consecutive_win(k: int) -> ContestAutomaton:
     """Win by taking k battles in a row; any loss resets the streak."""
-    if k < 1 or int(k) != k:
+    if not _whole(k) or k < 1:
         raise DomainError("k must be a positive integer")
     k = int(k)
     return _rule(
@@ -301,7 +309,7 @@ def build_mk1(k: int) -> ContestAutomaton:
     Player A (the advantaged side) ends the contest with any single battle
     win; player B must run the table.  States count B's wins so far.
     """
-    if k < 1 or int(k) != k:
+    if not _whole(k) or k < 1:
         raise DomainError("k must be a positive integer")
     k = int(k)
     # ids: 0..k-1 nonterminal, k = B's victory, k+1 = A's victory
@@ -378,7 +386,7 @@ def build_extension(m: ContestAutomaton, n: int) -> ContestAutomaton:
     (1 by A, 1 by B, 2 by A, ...), then the states of ``m`` that play can
     enter, in ``m``'s id order.
     """
-    if n < 2 or int(n) != n:
+    if not _whole(n) or n < 2:
         raise DomainError("extension order must be an integer >= 2")
     if not m.deterministic:
         raise StructureError("extension requires a chance-free base contest")

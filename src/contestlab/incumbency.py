@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .automaton import (
-    ContestAutomaton, ContestSpec, _check_prize, build_mk1, build_tug_of_war, min_length
+    ContestAutomaton, ContestSpec, _check_prize, _whole, build_mk1, build_tug_of_war, min_length
 )
 from .errors import DomainError, UnsupportedKindError
 from .metrics import (
@@ -68,13 +68,13 @@ class IncumbencySpec:
     prize: float = 1.0
 
     def __post_init__(self):
-        if self.rounds < 1 or int(self.rounds) != self.rounds:
+        if not _whole(self.rounds) or self.rounds < 1:
             raise DomainError("rounds must be a positive integer")
         if not 0.0 < self.shock_q <= 1.0:
             raise DomainError("shock probability must lie in (0, 1]")
         if not isinstance(self.sub, (MK1, TowHeadStart)):
             raise DomainError("sub must be an MK1 or TowHeadStart spec")
-        if self.sub.k < 1 or int(self.sub.k) != self.sub.k:
+        if not _whole(self.sub.k) or self.sub.k < 1:
             raise DomainError("subcontest parameter must be a positive integer")
         _check_prize(self.prize)
 

@@ -17,6 +17,7 @@ from .automaton import (
     _hops,
     _levels,
     _refuse_tow_options,
+    _whole,
     min_length,
 )
 from .errors import DegenerateChainError, DomainError
@@ -649,7 +650,7 @@ def sweep(
     _refuse_tow_options(family, reset_p)
     _check_prize(prize)
     params = list(params)
-    if any(int(p) != p for p in params):
+    if not all(map(_whole, params)):
         raise DomainError("sweep parameters must be integers")
     table = SweepTable(family=family)
     for param in params:

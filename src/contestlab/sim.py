@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import ContestSpec
+from .automaton import ContestSpec, _whole
 from .errors import DomainError
 from .metrics import _absorbed_chain, _fields, win_probabilities
 from .solver import ValueSolution
@@ -70,20 +70,6 @@ def simulate(
     m = spec.automaton
     if set(solution.states) != set(m.nonterminal_states):
         raise DomainError("solution does not match the automaton's nonterminal states")
-    if m.is_terminal(m.start):
-        won = m.winner(m.start) == "A"
-        return SimulationSummary(
-            paths=paths,
-            seed=seed,
-            mean_total_effort=0.0,
-            se_total_effort=0.0 if paths > 1 else math.inf,
-            win_freq_a=1.0 if won else 0.0,
-            se_win=0.0 if paths > 1 else math.inf,
-            mean_length=0.0,
-            truncated_paths=0,
-            visit_counts={},
-            state_a_wins={},
-        )
     _absorbed_chain(solution, spec)
 
     n = m.n
@@ -97,14 +83,14 @@ def simulate(
     group = 2 * legs.src + legs.win  # legs of one lottery are adjacent
     pos = np.arange(len(group)) - np.searchsorted(group, group)
     at = (group, pos)
-    width = pos.max() + 1
+    width = pos.max(initial=0) + 1
     targets = np.zeros((2 * n, width), dtype=np.int64)
     targets[at] = legs.tgt
     chance = np.zeros(targets.shape)
     chance[at] = legs.prob
     cumprob = np.full(targets.shape, 2.0)  # padding above any uniform draw
     cumprob[at] = np.cumsum(chance, axis=1)[at]  # a running sum, leg by leg
-    top = np.r_[pos[1:] == 0, True]
+    top = np.diff(pos, append=0) <= 0  # the next leg starts a lottery, or none follows
     cumprob[group[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
     # no draw passes the last column (a top guard or padding), so only the
     # columns below it are compared, each as one contiguous row
@@ -125,7 +111,18 @@ def simulate(
     accrued = np.zeros(paths)
     draws = np.empty(2 * paths)
     steps = 0
-    while alive.size and steps < max_steps:
+    while True:
+        won = legs.outcome[cur]  # winner code of each terminal, -1 elsewhere
+        done = np.flatnonzero(won >= 0)
+        if done.size:
+            out = alive[done]
+            winner[out] = won[done]
+            effort[out] = accrued[done]
+            length[out] = steps
+            keep = np.flatnonzero(won < 0)
+            alive, cur, accrued = alive[keep], cur[keep], accrued[keep]
+        if not alive.size or steps >= max_steps:
+            break
         k = alive.size
         rng.random(out=draws[: 2 * k])
         u_battle, u_chance = draws[:k], draws[k : 2 * k]
@@ -137,15 +134,6 @@ def simulate(
             leg += u_chance > column[lottery]
         cur = targets[leg]
         steps += 1
-        won = legs.outcome[cur]  # winner code of each terminal, -1 elsewhere
-        done = np.flatnonzero(won >= 0)
-        if done.size:
-            out = alive[done]
-            winner[out] = won[done]
-            effort[out] = accrued[done]
-            length[out] = steps
-            keep = np.flatnonzero(won < 0)
-            alive, cur, accrued = alive[keep], cur[keep], accrued[keep]
     effort[alive] = accrued
     length[alive] = steps
     a_wins = tally[0::2]
@@ -223,13 +211,6 @@ def compare_sim_analytic(
         "all_pass": all(r["pass"] for r in evaluated) and bool(evaluated),
         "notices": notices,
     }
-
-
-def _whole(x) -> bool:
-    try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _z_row(metric: str, observed: float, expected: float, se: float, z_max: float) -> dict:

@@ -152,12 +152,24 @@ class _Layer:
 
     def bellman_update(self, va, vb, rows=None):
         """One application of the equilibrium operator to full value vectors,
-        at every row or at ``rows``."""
+        at every row or at ``rows``, and the stakes (da, db) it read."""
         ea_w, ea_l, eb_w, eb_l = self.stakes(va, vb, rows)
         da = ea_w - ea_l
         db = eb_w - eb_l
         sf = self.spec.sf
-        return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da)
+        return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da), da, db
+
+    def verdict(self, va, vb):
+        """The stakes (da, db) at every row, the supremum Bellman residual
+        (NaN if any gap is NaN, 0 without rows) and whether the profile idles:
+        some row where both stakes vanish while neither value is near the
+        prize (genuine one-sided saturation keeps the leader's at the prize)."""
+        ua, ub, da, db = self.bellman_update(va, vb)
+        nt, prize = self.nt, self.spec.prize
+        gaps = np.abs(np.concatenate([ua - va[nt], ub - vb[nt]]))
+        idle = (da <= 1e-6 * prize) & (db <= 1e-6 * prize)
+        idle &= np.maximum(va[nt], vb[nt]) < 0.9 * prize
+        return da, db, float(np.max(gaps, initial=0.0)), bool(idle.any())
 
 
 def _row_legs(layer: _Layer) -> list:
@@ -191,17 +203,15 @@ def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) 
     """
     spec = layer.spec
     m = spec.automaton
-    if stakes is None:
-        ea_w, ea_l, eb_w, eb_l = layer.stakes(va, vb)
-        stakes = (ea_w - ea_l, eb_w - eb_l)
-    da, db = (np.asarray(x, dtype=float) for x in stakes)
+    da, db, res, _ = layer.verdict(va, vb)
+    if stakes is not None:
+        da, db = (np.asarray(x, dtype=float) for x in stakes)
     # per state: the stakes, then the efforts and A's win probability
     columns = (layer.nt, da, db, *battle_detail(spec.sf, da, db))
     rows = {
         s: StateValues(float(va[s]), float(vb[s]), *detail)
         for s, *detail in zip(*(column.tolist() for column in columns))
     }
-    res = _bellman_residual(layer, va, vb) if len(layer.nt) else 0.0
     return ValueSolution(
         method=method,
         residual=res,
@@ -234,7 +244,7 @@ def solve_finite(spec: ContestSpec) -> ValueSolution:
     done = legs.row < 0  # terminals are solved from the start
     for ready in _levels(done, legs.src, legs.tgt):
         ready = np.flatnonzero(ready)
-        va[ready], vb[ready] = layer.bellman_update(va, vb, legs.row[ready])
+        va[ready], vb[ready] = layer.bellman_update(va, vb, legs.row[ready])[:2]
     if not done.all():
         raise CyclicAutomatonError("automaton contains cycles; use the cyclic fixed-point solver")
     return _assemble(layer, "backward", 0, va, vb)
@@ -501,9 +511,12 @@ def solve_cyclic(
     also admits mutual-discouragement fixed points (idle interior battles,
     flat values), escaped by restarts: the sweeps start from values
     interpolated by battle distance, then from a flat 0.05 x prize, then from
-    zero (the truncated contest's values).  A verified competitive fixed
-    point is returned at once, an idle one only if no phase finds one.
-    Stops once the supremum residual reaches ``tol`` (default 1e-12 x prize).
+    zero (the truncated contest's values).  Every candidate, iterate or
+    root, is judged by ``_Layer.verdict``: one within ``tol`` (default
+    1e-12 x prize) with no idle row is returned at once.  An idle iterate
+    ends its phase and becomes the fallback if none is held yet; an idle
+    root replaces the fallback when its residual is lower.  The fallback is
+    returned only if no phase finds a competitive fixed point.
     """
     if tol is None:
         tol = 1e-12 * spec.prize
@@ -524,17 +537,15 @@ def solve_cyclic(
     row_legs = _row_legs(layer)
     order = [(s, *row_legs[i]) for s, i in zip(nt[rows].tolist(), rows.tolist())]
 
-    def finish(fa, fb, iterations):
-        return _assemble(layer, "fixed_point", iterations, fa, fb)
-
     phase_inits = [None, 0.05, 0.0]  # None = distance-interpolated
     phase_budget = 800
     iterations = 0
     res = math.inf
     fallback = None  # best verified idle-interior fixed point
-    # the flat starts depend on neither the iterate nor the phase, so they
-    # run at the call's first search only
-    ran_multistart = False
+    # the flat starts depend on neither the iterate nor the phase, so only
+    # the call's first search runs them
+    unknowns = len(nt) if sigma is not None else 2 * len(nt)
+    flat_starts = [np.full(unknowns, level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)]
     for init_level in phase_inits:
         if init_level is None:
             va, vb = layer.full_vectors(start_a, start_b)
@@ -568,29 +579,27 @@ def solve_cyclic(
                 continue
             if phase_sweeps >= next_search:
                 next_search *= 2
-            here = _bellman_residual(layer, va, vb)
+            _, _, here, idle = layer.verdict(va, vb)
             res = min(res, here)
             if here <= tol:
-                if not _has_idle_interior(layer, va, vb):
-                    return finish(va, vb, iterations)
+                if not idle:
+                    return _assemble(layer, "fixed_point", iterations, va, vb)
                 if fallback is None:
                     fallback = (va.copy(), vb.copy(), here)
                 break  # idle basin: restart from the next flat level
-            candidates = _newton_candidates(
-                layer, va, vb, tol, perm, current_only=ran_multistart
-            )
-            ran_multistart = True
-            # the search stops at its first active candidate; the rest are idle
-            if candidates and not _has_idle_interior(layer, *candidates[-1][:2]):
-                return finish(*candidates[-1][:2], iterations)
-            for idle in candidates:
-                if fallback is None or idle[2] < fallback[2]:
-                    fallback = idle
+            iterate = va[nt] if sigma is not None else np.concatenate([va[nt], vb[nt]])
+            found, idle_roots = _newton_search(layer, [iterate, *flat_starts], tol, perm)
+            flat_starts = []
+            if found is not None:
+                return _assemble(layer, "fixed_point", iterations, *found)
+            for candidate in idle_roots:
+                if fallback is None or candidate[2] < fallback[2]:
+                    fallback = candidate
         if iterations >= max_iter:
             break
     if fallback is not None:
         # only mutual-discouragement equilibria were found; report the best
-        return finish(fallback[0], fallback[1], iterations)
+        return _assemble(layer, "fixed_point", iterations, *fallback[:2])
     raise ConvergenceError(
         f"fixed-point iteration stalled at residual {res:.3e} "
         f"after {iterations} iterations (tol {tol:.3e})",
@@ -624,78 +633,39 @@ def _root_residual(x, layer: _Layer, perm):
     return np.concatenate([res_a, x[size:] - (eb_l + battle_gain(sf, db, da))])
 
 
-def _verified(layer: _Layer, x, perm, tol: float):
-    """Full value vectors and residual of a root-search result clipped to
-    [0, prize], or None when it is infeasible or misses ``tol``.  A NaN fails
-    the feasibility test."""
-    prize = layer.spec.prize
-    fa, fb = _expand(layer, np.clip(x, 0.0, prize), perm)
-    if not np.all(fa + fb <= prize * (1.0 + 1e-9)):
-        return None
-    res = _bellman_residual(layer, fa, fb)
-    return (fa, fb, res) if res <= tol else None
+def _newton_search(layer: _Layer, starts, tol: float, perm):
+    """Quasi-Newton (``hybr``) roots of the fixed-point system, tried from
+    each start in turn.
 
-
-def _has_idle_interior(layer: _Layer, va, vb) -> bool:
-    """Detect mutual-discouragement profiles: an interior state where both
-    stakes vanish while neither player's value is near the prize (genuine
-    one-sided saturation keeps the leader's value at the prize)."""
-    prize = layer.spec.prize
-    ea_w, ea_l, eb_w, eb_l = layer.stakes(va, vb)
-    da = ea_w - ea_l
-    db = eb_w - eb_l
-    idle = (da <= 1e-6 * prize) & (db <= 1e-6 * prize)
-    if not np.any(idle):
-        return False
-    values = np.maximum(va[layer.nt], vb[layer.nt])
-    return bool(np.any(idle & (values < 0.9 * prize)))
-
-
-def _bellman_residual(layer: _Layer, va, vb) -> float:
-    nt = layer.nt
-    ua, ub = layer.bellman_update(va, vb)
-    return max(
-        float(np.max(np.abs(ua - va[nt]))),
-        float(np.max(np.abs(ub - vb[nt]))),
-    )
-
-
-def _newton_candidates(layer: _Layer, va, vb, tol: float, perm, current_only: bool = False):
-    """Verified fixed points found by quasi-Newton (``hybr``) from a handful of starts.
-
-    The starts span several dissipation scales: the sweep iterate itself,
-    then, unless ``current_only``, flat profiles.  Returns the candidates
-    whose Bellman residual is within tolerance; the search stops early at
-    the first one whose interior battles are active.  With a swap involution
-    the root system is reduced to player A's values, which keeps the search
+    A root counts once it is clipped to [0, prize], keeps every state's
+    values summing to at most the prize (a NaN fails) and meets ``tol`` under
+    ``_Layer.verdict``.  Returns the first competitive root as (va, vb), or
+    None, and the idle roots found before it as (va, vb, residual).  With a
+    swap involution the unknowns are A's values only, which keeps the search
     on symmetric profiles.  Deterministic by construction.
     """
     from scipy.optimize import root
 
-    nt = layer.nt
-    current = va[nt] if perm is not None else np.concatenate([va[nt], vb[nt]])
-    starts = [current]
-    if not current_only:
-        prize = layer.spec.prize
-        starts.extend(
-            np.full(len(current), level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)
-        )
-    budget = 40 * (len(current) + 1)
-    found = []
+    prize = layer.spec.prize
+    idle_roots = []
     for x0 in starts:
         try:
             sol = root(
                 _root_residual, x0, args=(layer, perm), method="hybr", tol=1e-14,
-                options={"maxfev": budget},
+                options={"maxfev": 40 * (len(x0) + 1)},
             )
         except Exception:  # noqa: BLE001 - the search is best-effort
             continue
-        candidate = _verified(layer, sol.x, perm, tol)
-        if candidate is not None:
-            found.append(candidate)
-            if not _has_idle_interior(layer, *candidate[:2]):
-                break
-    return found
+        fa, fb = _expand(layer, np.clip(sol.x, 0.0, prize), perm)
+        if not np.all(fa + fb <= prize * (1.0 + 1e-9)):
+            continue
+        _, _, res, idle = layer.verdict(fa, fb)
+        if not res <= tol:
+            continue
+        if not idle:
+            return (fa, fb), idle_roots
+        idle_roots.append((fa, fb, res))
+    return None, idle_roots
 
 
 def _distance_start(m: ContestAutomaton, prize: float):
@@ -749,7 +719,7 @@ def residual(spec: ContestSpec, values) -> float:
         np.array([pairs[s][0] for s in nt], dtype=float),
         np.array([pairs[s][1] for s in nt], dtype=float),
     )
-    return _bellman_residual(layer, va, vb) if nt else 0.0
+    return layer.verdict(va, vb)[2]
 
 
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:

@@ -10,9 +10,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from contestlab import (
+    MK1,
     ContestAutomaton,
     ContestSpec,
     DomainError,
+    IncumbencySpec,
     StructureError,
     automaton_from_dict,
     automaton_to_dict,
@@ -29,6 +31,7 @@ from contestlab import (
     min_length,
     minimize,
     solve,
+    sweep,
 )
 from contestlab.automaton import (
     WINNERS,
@@ -625,7 +628,42 @@ _REFUSALS = {
 }
 
 
+# Each count a builder or spec takes, with the message that refuses it.
+_COUNTS = {
+    "best-of k": (build_best_of, "k must be a nonnegative integer"),
+    "tug-of-war margin": (build_tug_of_war, "margin must be a positive integer"),
+    "tug-of-war head start": (
+        lambda x: build_tug_of_war(3, 0.0, x), "head start must satisfy |head_start| < margin"
+    ),
+    "consecutive-win k": (build_consecutive_win, "k must be a positive integer"),
+    "mk1 k": (build_mk1, "k must be a positive integer"),
+    "extension n": (
+        lambda x: build_extension(build_best_of(1), x), "extension order must be an integer >= 2"
+    ),
+    "sweep parameter": (
+        lambda x: sweep("best_of", [1, x], Tullock(1.0)), "sweep parameters must be integers"
+    ),
+    "incumbency rounds": (
+        lambda x: IncumbencySpec(x, 0.5, MK1(2), Tullock(1.0)), "rounds must be a positive integer"
+    ),
+    "incumbency subcontest k": (
+        lambda x: IncumbencySpec(2, 0.5, MK1(x), Tullock(1.0)),
+        "subcontest parameter must be a positive integer",
+    ),
+}
+
+
 class TestRefusals:
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, None], ids=["nan", "inf", "-inf", "none"]
+    )
+    @pytest.mark.parametrize("site", list(_COUNTS))
+    def test_a_count_that_is_not_a_whole_number_is_refused(self, site, value):
+        call, message = _COUNTS[site]
+        with pytest.raises(DomainError) as refusal:
+            call(value)
+        assert str(refusal.value) == message
+
     @pytest.mark.parametrize("fault", list(_REFUSALS))
     def test_exact_message(self, fault):
         call, error, message = _REFUSALS[fault]

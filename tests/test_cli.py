@@ -476,21 +476,41 @@ class TestExitCodes:
         assert "Warning" not in err and "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_nonconvergence_exit_three(self, tmp_path, monkeypatch):
+    def test_nonconvergence_exit_three(self, tmp_path, monkeypatch, capsys):
         from contestlab.errors import ConvergenceError
 
         def explode(spec, **kw):
             raise ConvergenceError("stalled", residual=0.125)
 
         monkeypatch.setattr("contestlab.cli.solver.solve", explode)
+        argv = ["solve", "--family", "mk1", "--k", "2", "--sf", "tullock:r=1"]
         out = tmp_path / "err.json"
-        code = main(
-            ["solve", "--family", "mk1", "--k", "2", "--sf", "tullock:r=1",
-             "--out", str(out)]
-        )
+        code = main([*argv, "--out", str(out)])
         assert code == 3
         doc = json.loads(out.read_text())
         assert doc["residual"] == 0.125
+        capsys.readouterr()
+        # without --out the report goes to stderr
+        assert main(argv) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert json.loads(stderr) == {"error": "stalled", "residual": 0.125}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--family", "mk1", "--k", "1..x"], "malformed range"),
+            (["solve", "--family", "tug-of-war"], "requires --margin"),
+            (["solve", "--family", "mk1", "--k", "1..3"], "single parameter, not a range"),
+            (["sweep", "--automaton", "f.json"], "sweep requires --family"),
+            (["check", "--family", "mk1", "--k", "2", "--epsilon", "abc"], "malformed epsilon"),
+        ],
+    )
+    def test_documented_refusal_exits_two(self, capsys, argv, message):
+        assert main([*argv, "--sf", "tullock:r=1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 class TestUnreadOptions:

@@ -324,15 +324,24 @@ class TestGuards:
         assert type(summary.paths) is int and type(summary.seed) is int
 
     def test_terminal_start_degenerate(self):
-        from contestlab import ContestAutomaton, solve
-
-        m = ContestAutomaton(start=0, transitions={}, terminal={0: "A"})
-        spec = ContestSpec(m, SF1, 1.0)
-        sol = solve(spec)
-        summary = simulate(sol, spec, 50, seed=0)
-        assert summary.win_freq_a == 1.0
-        assert summary.mean_length == 0.0
-        assert summary.mean_total_effort == 0.0
+        for winner in "AB":
+            m = ContestAutomaton(start=0, transitions={}, terminal={0: winner})
+            spec = ContestSpec(m, SF1, 1.0)
+            for paths in (1, 5):
+                summary = simulate(solve(spec), spec, paths, seed=0)
+                se = 0.0 if paths > 1 else math.inf  # one path carries no standard error
+                assert summary.to_dict() == {
+                    "paths": paths,
+                    "seed": 0,
+                    "mean_total_effort": 0.0,
+                    "se_total_effort": se,
+                    "win_freq_a": 1.0 if winner == "A" else 0.0,
+                    "se_win": se,
+                    "mean_length": 0.0,
+                    "truncated_paths": 0,
+                    "visit_counts": {},
+                    "state_a_wins": {},
+                }
 
     def test_trapped_play_rejected(self):
         spec = ContestSpec(TRAPPED, Serial(0.5), 1.0)

@@ -44,7 +44,7 @@ from contestlab import (
     solve_tow_closed,
 )
 from contestlab.metrics import reinforcement_residuals, win_probabilities
-from contestlab.solver import _Layer, _has_idle_interior, _row_legs, _row_stakes
+from contestlab.solver import _Layer, _row_legs, _row_stakes
 from test_automaton import _random_rule
 
 SF1 = Tullock(1.0)
@@ -414,7 +414,7 @@ class TestCyclicEngine:
             np.allclose(v, [ref[s] for s in range(m.n)], rtol=0.0, atol=1e-8)
             for v, ref in ((va, clo.values_a), (vb, clo.values_b))
         )
-        assert exact or _has_idle_interior(_Layer(spec), va, vb)
+        assert exact or _Layer(spec).verdict(va, vb)[3]
 
 
 class TestResidual:
@@ -439,6 +439,15 @@ class TestResidual:
         spec = ContestSpec(build_tug_of_war(2), SF1, 1.0)
         with pytest.raises(DomainError):
             residual(spec, {0: (0.1, 0.1)})
+
+    @pytest.mark.parametrize("player", [0, 1])
+    @pytest.mark.parametrize("state", [0, 4])  # the start and the 1-1 score
+    def test_a_nan_value_gives_a_nan_residual(self, player, state):
+        spec = ContestSpec(build_best_of(1), SF1, 1.0)
+        sol = solve_finite(spec)
+        pairs = {s: [sol.values_a[s], sol.values_b[s]] for s in spec.automaton.nonterminal_states}
+        pairs[state][player] = math.nan
+        assert math.isnan(residual(spec, pairs))
 
 
 class TestOneSidedBattle:
