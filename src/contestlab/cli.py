@@ -2,14 +2,15 @@
 
 Subcommands: solve, sweep, simulate, check, incumbency.  Exit codes: 0 on
 success, 2 on validation/usage errors, 3 on solver non-convergence (the
-emitted report carries the last residual).  Identical invocations produce
-byte-identical output files.
+emitted report carries the last residual, null where it is not finite).
+Identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import automaton as am
@@ -258,7 +259,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConvergenceError as exc:
-        payload = {"error": str(exc), "residual": exc.residual}
+        residual = float(exc.residual)  # NaN by default; inf before any checkpoint
+        payload = {"error": str(exc), "residual": residual if math.isfinite(residual) else None}
         text = to_json(payload)
         if getattr(args, "out", None):
             write_atomic(args.out, text)

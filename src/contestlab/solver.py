@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +120,15 @@ class ValueSolution:
 # ---------------------------------------------------------------------------
 
 
+class _Verdict(NamedTuple):
+    """``_Layer.verdict`` of one value profile."""
+
+    da: np.ndarray
+    db: np.ndarray
+    residual: float
+    idle: bool
+
+
 class _Layer:
     """The Bellman operator of one automaton, summed over its leg table."""
 
@@ -159,7 +169,7 @@ class _Layer:
         sf = self.spec.sf
         return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da), da, db
 
-    def verdict(self, va, vb):
+    def verdict(self, va, vb) -> _Verdict:
         """The stakes (da, db) at every row, the supremum Bellman residual
         (NaN if any gap is NaN, 0 without rows) and whether the profile idles:
         some row where both stakes vanish while neither value is near the
@@ -169,7 +179,7 @@ class _Layer:
         gaps = np.abs(np.concatenate([ua - va[nt], ub - vb[nt]]))
         idle = (da <= 1e-6 * prize) & (db <= 1e-6 * prize)
         idle &= np.maximum(va[nt], vb[nt]) < 0.9 * prize
-        return da, db, float(np.max(gaps, initial=0.0)), bool(idle.any())
+        return _Verdict(da, db, float(np.max(gaps, initial=0.0)), bool(idle.any()))
 
 
 def _row_legs(layer: _Layer) -> list:
@@ -194,16 +204,19 @@ def _row_stakes(win_a, win_b, va, vb):
     return float(ea_w), float(ea_l), float(eb_w), float(eb_l)
 
 
-def _assemble(layer: _Layer, method: str, iterations: int, va, vb, stakes=None) -> ValueSolution:
+def _assemble(
+    layer: _Layer, method: str, iterations: int, va, vb, verdict=None, stakes=None
+) -> ValueSolution:
     """Build the solution object (detail rows + exact residual) from value vectors.
 
     Rows report the given values and take their stakes from the value
-    differences.  A closed form may pass ``stakes`` (arrays over
+    differences.  A caller that has judged the values passes their
+    ``verdict``.  A closed form may pass ``stakes`` (arrays over
     ``layer.nt``) derived exactly from its own recursion instead.
     """
     spec = layer.spec
     m = spec.automaton
-    da, db, res, _ = layer.verdict(va, vb)
+    da, db, res, _ = layer.verdict(va, vb) if verdict is None else verdict
     if stakes is not None:
         da, db = (np.asarray(x, dtype=float) for x in stakes)
     # per state: the stakes, then the efforts and A's win probability
@@ -579,13 +592,13 @@ def solve_cyclic(
                 continue
             if phase_sweeps >= next_search:
                 next_search *= 2
-            _, _, here, idle = layer.verdict(va, vb)
-            res = min(res, here)
-            if here <= tol:
-                if not idle:
-                    return _assemble(layer, "fixed_point", iterations, va, vb)
+            verdict = layer.verdict(va, vb)
+            res = min(res, verdict.residual)
+            if verdict.residual <= tol:
+                if not verdict.idle:
+                    return _assemble(layer, "fixed_point", iterations, va, vb, verdict)
                 if fallback is None:
-                    fallback = (va.copy(), vb.copy(), here)
+                    fallback = (va.copy(), vb.copy(), verdict)
                 break  # idle basin: restart from the next flat level
             iterate = va[nt] if sigma is not None else np.concatenate([va[nt], vb[nt]])
             found, idle_roots = _newton_search(layer, [iterate, *flat_starts], tol, perm)
@@ -593,13 +606,13 @@ def solve_cyclic(
             if found is not None:
                 return _assemble(layer, "fixed_point", iterations, *found)
             for candidate in idle_roots:
-                if fallback is None or candidate[2] < fallback[2]:
+                if fallback is None or candidate[2].residual < fallback[2].residual:
                     fallback = candidate
         if iterations >= max_iter:
             break
     if fallback is not None:
         # only mutual-discouragement equilibria were found; report the best
-        return _assemble(layer, "fixed_point", iterations, *fallback[:2])
+        return _assemble(layer, "fixed_point", iterations, *fallback)
     raise ConvergenceError(
         f"fixed-point iteration stalled at residual {res:.3e} "
         f"after {iterations} iterations (tol {tol:.3e})",
@@ -639,10 +652,10 @@ def _newton_search(layer: _Layer, starts, tol: float, perm):
 
     A root counts once it is clipped to [0, prize], keeps every state's
     values summing to at most the prize (a NaN fails) and meets ``tol`` under
-    ``_Layer.verdict``.  Returns the first competitive root as (va, vb), or
-    None, and the idle roots found before it as (va, vb, residual).  With a
-    swap involution the unknowns are A's values only, which keeps the search
-    on symmetric profiles.  Deterministic by construction.
+    ``_Layer.verdict``.  Returns the first competitive root as
+    (va, vb, verdict), or None, and the idle roots found before it, alike.
+    With a swap involution the unknowns are A's values only, which keeps the
+    search on symmetric profiles.  Deterministic by construction.
     """
     from scipy.optimize import root
 
@@ -659,12 +672,12 @@ def _newton_search(layer: _Layer, starts, tol: float, perm):
         fa, fb = _expand(layer, np.clip(sol.x, 0.0, prize), perm)
         if not np.all(fa + fb <= prize * (1.0 + 1e-9)):
             continue
-        _, _, res, idle = layer.verdict(fa, fb)
-        if not res <= tol:
+        verdict = layer.verdict(fa, fb)
+        if not verdict.residual <= tol:
             continue
-        if not idle:
-            return (fa, fb), idle_roots
-        idle_roots.append((fa, fb, res))
+        if not verdict.idle:
+            return (fa, fb, verdict), idle_roots
+        idle_roots.append((fa, fb, verdict))
     return None, idle_roots
 
 
@@ -719,7 +732,7 @@ def residual(spec: ContestSpec, values) -> float:
         np.array([pairs[s][0] for s in nt], dtype=float),
         np.array([pairs[s][1] for s in nt], dtype=float),
     )
-    return layer.verdict(va, vb)[2]
+    return layer.verdict(va, vb).residual
 
 
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:

@@ -9,6 +9,7 @@ first-order conditions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ __all__ = [
 # of exactly 1, which keeps downstream ratios well defined.
 _PHI_CAP = 1.0 - 1e-15
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_BRENTQ_RTOL = 4.0 * _EPS
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL, maxiter: int = 100):
@@ -330,6 +332,52 @@ def _powsum_loggrad(x, a, b):
     return (a * x ** (a - 1.0) + b * x ** (b - 1.0)) / (x**a + x**b)
 
 
+def _powsum_loggrad_inverse(y: float, a: float, b: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] where ``_powsum_loggrad(x, a, b)`` is y.
+
+    x g'/g is a + (b - a) s with s = x^b / (x^a + x^b); one step of
+    x = (a + (b - a) s) / y from mid-bracket gives the start.  Newton steps
+    in log x follow: there log(g'/g) has slope
+    (b - a)^2 s (1 - s) / (a + (b - a) s) - 1, which lies in (-1, 0), so
+    each heads for the root.  Each value's sign
+    narrows the bracket.  A step that leaves it, or would grow x e-fold, goes
+    to the end of [lo, hi] it passed if that is not yet evaluated, else to the
+    bracket's midpoint in log x; one shorter than eps x is lengthened to eps x.
+    Stops at a value within ulp(y) of y, or once the bracket is 2 eps x wide,
+    at its evaluated end with the smaller residual: lo or hi itself when the
+    root lies within rounding of it.
+    """
+    d = b - a
+    tol = math.ulp(y)
+    xl, xh, rl, rh = lo, hi, math.inf, -math.inf
+    t = (0.5 * (a + b) / y) ** d
+    x = (a + d * t / (1.0 + t)) / y
+    for _ in range(100):
+        pa, pb = x**a, x**b
+        loggrad = (a * x ** (a - 1.0) + b * x ** (b - 1.0)) / (pa + pb)
+        r = loggrad - y
+        if abs(r) <= tol:
+            return x
+        if r > 0.0:
+            xl, rl = x, r
+        else:
+            xh, rh = x, r
+        delta = _EPS * x
+        if xh - xl <= 2.0 * delta:
+            return xl if rl <= -rh else xh
+        s = pb / (pa + pb)
+        z = math.log(loggrad / y) / (1.0 - d * d * s * (1.0 - s) / (a + d * s))
+        step = x * math.expm1(z) if z < 1.0 else math.inf
+        if abs(step) < delta:
+            step = delta if r > 0.0 else -delta
+        x += step
+        if x <= xl:
+            x = xl if rl == math.inf else math.sqrt(xl) * math.sqrt(xh)
+        elif x >= xh:
+            x = xh if rh == -math.inf else math.sqrt(xl) * math.sqrt(xh)
+    raise ConvergenceError(f"loggrad inversion at target {y:.3e} did not converge")
+
+
 @dataclass(frozen=True)
 class RatioForm(SuccessFunction):
     """Ratio-form technology over a named concave curve.
@@ -379,15 +427,18 @@ class RatioForm(SuccessFunction):
         return lo, hi
 
     def loggrad_inverse(self, y: float) -> float:
-        """Solve g'(x)/g(x) = y for x > 0 by bracketed root finding."""
-        if y <= 0.0:
+        """Solve g'(x)/g(x) = y for x > 0 within [kmin/y, kmax/y]."""
+        if not y > 0.0:
             raise DomainError("loggrad_inverse requires a positive target")
         kmin, kmax = self.loggrad_range
+        y = float(y)
         if kmin == kmax:
             return kmin / y
         lo, hi = kmin / y, kmax / y
-        a, b = self.alpha, self.beta  # only powsum with alpha != beta gets here
-        return _brentq(lambda x: _powsum_loggrad(x, a, b) - y, lo, hi, xtol=1e-300)
+        if not (sys.float_info.min <= lo and hi <= 1.0 / sys.float_info.min):
+            raise ConvergenceError(f"loggrad target {y:.3e} puts the effort outside float range")
+        # only powsum with alpha != beta gets here
+        return _powsum_loggrad_inverse(y, self.alpha, self.beta, lo, hi)
 
     def win_prob(self, x: float, x_other: float) -> float:
         if x == 0.0 and x_other == 0.0:
@@ -528,8 +579,9 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
     probability: the log-derivative of the curve pins each effort as
     loggrad(x) = 1 / (P (1-P) stake), and P must reproduce itself through
     the curve values.  The root is taken in log-odds so both P and 1-P keep
-    full relative precision at lopsided stakes; the inner inversion is a
-    bracketed monotone search.
+    full relative precision at lopsided stakes; the inner inversion of
+    loggrad is closed-form for ``pow`` and a bracketed Newton iteration in
+    log effort for ``powsum`` (``_powsum_loggrad_inverse``).
     """
 
     def probs(log_odds: float) -> tuple[float, float]:

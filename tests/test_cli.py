@@ -496,6 +496,27 @@ class TestExitCodes:
         assert stdout == ""
         assert json.loads(stderr) == {"error": "stalled", "residual": 0.125}
 
+    @pytest.mark.parametrize("residual", [None, math.inf], ids=["default", "inf"])
+    def test_nonconvergence_without_finite_residual_exits_three(self, monkeypatch, capsys, residual):
+        from contestlab.errors import ConvergenceError
+
+        def explode(spec, **kw):
+            if residual is None:
+                raise ConvergenceError("stalled")
+            raise ConvergenceError("stalled", residual=residual)
+
+        monkeypatch.setattr("contestlab.cli.solver.solve", explode)
+        assert main(["solve", "--family", "mk1", "--k", "2", "--sf", "tullock:r=1"]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in stderr
+        assert json.loads(stderr) == {"error": "stalled", "residual": None}
+
+    def test_far_apart_powsum_exponents_solve(self, capsys):
+        # each battle's root lies within rounding of its effort bracket's end
+        argv = ["solve", "--family", "best-of", "--k", "2", "--sf", "ratio:powsum,alpha=0.05,beta=0.99"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "backward"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -17,6 +17,11 @@ seven states and on random family rules (reset rings, best-of, streaks and
 extensions): the certificate is either unsatisfied at 1/4 - 1e-9 or sits at
 its exact frontier, and on rules solved by backward induction a satisfied
 certificate's effort floor lies below the measured effort.
+
+A fourth draws ``ratio:powsum`` exponent pairs, far apart ones included, and
+lopsided stakes: every battle solves and meets its first-order conditions
+to 1e-12, and ``loggrad_inverse`` answers every positive target up to 1e19
+or refuses it with a ``ContestError``.
 """
 
 import copy
@@ -28,6 +33,7 @@ import pytest
 
 from contestlab import (
     ContestSpec,
+    RatioForm,
     automaton_from_dict,
     automaton_to_dict,
     build_best_of,
@@ -36,6 +42,7 @@ from contestlab import (
     build_tug_of_war,
     parse_sf,
     solve,
+    solve_battle,
     transient_dominance,
     transient_dominance_auto,
 )
@@ -227,3 +234,30 @@ def test_certificate_frontier(family):
             floors += 1
     if family:  # rules this small and random almost never certify
         assert satisfied >= 60 and floors >= 30 and at_reach >= 3
+
+
+def test_powsum_battles_meet_their_first_order_conditions():
+    rng = random.Random(24)
+    pairs = [(0.05, 0.99, 1.0, 1.0)]  # the root sits within rounding of kmin/y here
+    for _ in range(400):
+        alpha, beta = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+        pairs += [(alpha, beta, math.exp(rng.uniform(-6.0, 6.0)), math.exp(rng.uniform(-6.0, 6.0)))
+                  for _ in range(5)]
+    for alpha, beta, da, db in pairs:
+        sf = RatioForm("powsum", alpha, beta)
+        eq = solve_battle(sf, da, db)
+        ga, gb = sf.curve_value(eq.effort_a), sf.curve_value(eq.effort_b)
+        s2 = (ga + gb) ** 2
+        assert abs(sf.curve_prime(eq.effort_a) * gb * da / s2 - 1.0) <= 1e-12
+        assert abs(sf.curve_prime(eq.effort_b) * ga * db / s2 - 1.0) <= 1e-12
+    refused = 0
+    for alpha, beta, *_ in pairs[::5]:  # one entry per exponent pair
+        sf = RatioForm("powsum", alpha, beta)
+        for y in [5e-324, 1e-300, 1.0, 1e19] + [10.0 ** rng.uniform(-300.0, 19.0) for _ in range(5)]:
+            try:
+                x = sf.loggrad_inverse(y)
+            except ContestError:
+                refused += 1
+                continue
+            assert 0.0 < x < math.inf
+    assert refused == len(pairs[::5])  # only at 5e-324, whose efforts exceed float range

@@ -231,6 +231,17 @@ class TestSolveBattle:
         for y in points:
             assert abs(sf.loggrad(sf.loggrad_inverse(y)) - y) <= 4.0 * math.ulp(y)
 
+    @pytest.mark.parametrize("sf", [RatioForm("powsum", 0.6, 0.9), RatioForm("powsum", 0.9, 0.2)])
+    def test_loggrad_inverse_matches_scipy_brentq(self, sf):
+        # the Newton inversion against scipy's root on the same bracket
+        kmin, kmax = sf.loggrad_range
+        for y in np.logspace(-4, 4, 17).tolist():
+            x = sf.loggrad_inverse(y)
+            ref = scipy_brentq(lambda t: sf.loggrad(t) - y, kmin / y, kmax / y,
+                               xtol=1e-300, rtol=success._BRENTQ_RTOL)
+            assert abs(sf.loggrad(x) - y) <= 4.0 * math.ulp(y)
+            assert x == pytest.approx(ref, rel=1e-14)
+
     def test_ratio_powsum_foc_residual(self):
         sf = RatioForm("powsum", alpha=0.5, beta=0.9)
         for da, db in [(1.0, 1.0), (5.0, 1.0), (0.3, 2.0)]:
@@ -581,12 +592,6 @@ def checked_brentq(monkeypatch):
 
 
 class TestBrentqCallSites:
-    def test_loggrad_inverse(self, checked_brentq):
-        for sf in (RatioForm("powsum", 0.6, 0.9), RatioForm("powsum", 0.9, 0.2)):
-            for y in np.logspace(-4, 4, 17).tolist():
-                sf.loggrad_inverse(y)
-        assert len(checked_brentq) == 34
-
     def test_ratio_form_battle(self, checked_brentq):
         rng = random.Random(3)
         technologies = [RatioForm("pow", 0.7), RatioForm("powsum", 0.5, 0.9),
