@@ -329,17 +329,12 @@ def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
             if use_logs and math.isfinite(log_ratio):
                 # beyond float range the streak map is identity to first
                 # order, so the ring ratio itself stands in for theta
-                try:
-                    log_ratio += (
-                        sf.log_phi_complement_at_log(log_ratio)
-                        - sf.log_phi_at_log(log_ratio)
-                        + sf.log_phi_complement_at_log(-log_ratio)
-                        - sf.log_phi_at_log(-log_ratio)
-                    )
-                except UnsupportedKindError:
-                    log_ratio = math.inf
-            else:
-                log_ratio = math.inf
+                log_ratio += (
+                    sf.log_phi_complement_at_log(log_ratio)
+                    - sf.log_phi_at_log(log_ratio)
+                    + sf.log_phi_complement_at_log(-log_ratio)
+                    - sf.log_phi_at_log(-log_ratio)
+                )
         else:
             theta_k = psi_inverse(sf, ratio)
             fl = float(sf.phi(theta_k))
@@ -408,7 +403,6 @@ def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
         delta_minus=d_minus[1:],
         ring_theta=thetas[1:],
         ring_log_ratio=ring_log_ratio,
-        gap_scale=span,
     )
     return out
 
@@ -527,9 +521,9 @@ def solve_cyclic(
     zero (the truncated contest's values).  Every candidate, iterate or
     root, is judged by ``_Layer.verdict``: one within ``tol`` (default
     1e-12 x prize) with no idle row is returned at once.  An idle iterate
-    ends its phase and becomes the fallback if none is held yet; an idle
-    root replaces the fallback when its residual is lower.  The fallback is
-    returned only if no phase finds a competitive fixed point.
+    ends its phase; idle iterates and idle roots alike replace the fallback
+    when their residual is lower than its own.  The fallback is returned
+    only if no phase finds a competitive fixed point.
     """
     if tol is None:
         tol = 1e-12 * spec.prize
@@ -597,7 +591,7 @@ def solve_cyclic(
             if verdict.residual <= tol:
                 if not verdict.idle:
                     return _assemble(layer, "fixed_point", iterations, va, vb, verdict)
-                if fallback is None:
+                if fallback is None or verdict.residual < fallback[2].residual:
                     fallback = (va.copy(), vb.copy(), verdict)
                 break  # idle basin: restart from the next flat level
             iterate = va[nt] if sigma is not None else np.concatenate([va[nt], vb[nt]])

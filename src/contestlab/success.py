@@ -131,11 +131,10 @@ class SuccessFunction:
 
     homogeneous = False
 
-    # Limits against a vanishing opponent stake: both efforts vanish and the
-    # win probability tends to 1, so the whole stake is kept.  Every kind
-    # states them exactly, with no numeric probe; ``battle_gain`` pays
-    # gain_limit * d' in every one-sided battle.
-    gain_limit = 1.0
+    # Win probability against a vanishing opponent stake: both efforts
+    # vanish, so the gain is this chance times the stake.  Every kind states
+    # it exactly, with no numeric probe; ``battle_gain`` pays win_limit * d'
+    # in every one-sided battle.
     win_limit = 1.0
 
     # -- homogeneous-kind surface (effort-ratio curve) ----------------------
@@ -328,19 +327,17 @@ class Serial(SuccessFunction):
 # ---------------------------------------------------------------------------
 
 
-def _powsum_loggrad(x, a, b):
-    return (a * x ** (a - 1.0) + b * x ** (b - 1.0)) / (x**a + x**b)
-
-
 def _powsum_loggrad_inverse(y: float, a: float, b: float, lo: float, hi: float) -> float:
-    """The x in [lo, hi] where ``_powsum_loggrad(x, a, b)`` is y.
+    """The x in [lo, hi] where g'(x)/g(x) is y, for g(x) = x^a + x^b.
 
-    x g'/g is a + (b - a) s with s = x^b / (x^a + x^b); one step of
-    x = (a + (b - a) s) / y from mid-bracket gives the start.  Newton steps
-    in log x follow: there log(g'/g) has slope
-    (b - a)^2 s (1 - s) / (a + (b - a) s) - 1, which lies in (-1, 0), so
-    each heads for the root.  Each value's sign
-    narrows the bracket.  A step that leaves it, or would grow x e-fold, goes
+    Each step takes g'/g = (a x^a + b x^b) / x / (x^a + x^b) from its two
+    powers, dividing by x first: x (x^a + x^b) overflows near 1e300 and
+    underflows near 1e-300.  x g'/g is a + (b - a) s with
+    s = x^b / (x^a + x^b); one step of x = (a + (b - a) s) / y from
+    mid-bracket gives the start.  Newton steps in log x follow: there
+    log(g'/g) has slope (b - a)^2 s (1 - s) / (a + (b - a) s) - 1, which
+    lies in (-1, 0), so each heads for the root.  Each value's sign narrows
+    the bracket.  A step that leaves it, or would grow x e-fold, goes
     to the end of [lo, hi] it passed if that is not yet evaluated, else to the
     bracket's midpoint in log x; one shorter than eps x is lengthened to eps x.
     Stops at a value within ulp(y) of y, or once the bracket is 2 eps x wide,
@@ -354,7 +351,7 @@ def _powsum_loggrad_inverse(y: float, a: float, b: float, lo: float, hi: float) 
     x = (a + d * t / (1.0 + t)) / y
     for _ in range(100):
         pa, pb = x**a, x**b
-        loggrad = (a * x ** (a - 1.0) + b * x ** (b - 1.0)) / (pa + pb)
+        loggrad = (a * pa + b * pb) / x / (pa + pb)
         r = loggrad - y
         if abs(r) <= tol:
             return x
@@ -407,15 +404,14 @@ class RatioForm(SuccessFunction):
         return x**self.alpha + x**self.beta
 
     def curve_prime(self, x):
+        """g'(x) from the powers of g itself: (alpha x^alpha + beta x^beta) / x."""
         if self.curve == "pow":
-            return self.alpha * x ** (self.alpha - 1.0)
-        return self.alpha * x ** (self.alpha - 1.0) + self.beta * x ** (self.beta - 1.0)
+            return self.alpha * x**self.alpha / x
+        return (self.alpha * x**self.alpha + self.beta * x**self.beta) / x
 
     def loggrad(self, x: float) -> float:
-        """g'(x)/g(x), strictly decreasing on (0, inf): curve_prime / curve_value, flat."""
-        if self.curve == "pow":
-            return self.alpha * x ** (self.alpha - 1.0) / x**self.alpha
-        return _powsum_loggrad(x, self.alpha, self.beta)
+        """g'(x)/g(x), strictly decreasing on (0, inf)."""
+        return self.curve_prime(x) / self.curve_value(x)
 
     @property
     def loggrad_range(self) -> tuple[float, float]:
@@ -501,10 +497,6 @@ class Noisy(SuccessFunction):
         return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
     @property
-    def gain_limit(self) -> float:
-        return 0.5 * (1.0 - self.q) + self.q * self.base.gain_limit
-
-    @property
     def win_limit(self) -> float:
         return 0.5 * (1.0 - self.q) + self.q * self.base.win_limit
 
@@ -538,22 +530,27 @@ class BattleEquilibrium:
         return 1.0 - self.win_prob_a
 
 
+def _check_ratio(theta) -> None:
+    """Refuse a negative or NaN scalar ratio; +inf is valid, arrays pass."""
+    if np.ndim(theta) == 0 and not theta >= 0.0:
+        raise DomainError("ratio must be nonnegative")
+
+
 def eval_gamma(sf: SuccessFunction, theta):
     """Battle win probability as a function of the effort (or stake) ratio."""
-    if np.ndim(theta) == 0 and theta < 0:
-        raise DomainError("ratio must be nonnegative")
+    _check_ratio(theta)
     return sf.gamma(theta)
 
 
 def phi(sf: SuccessFunction, theta):
     """Gain function: the stake fraction kept as equilibrium battle payoff."""
-    if np.ndim(theta) == 0 and theta < 0:
-        raise DomainError("ratio must be nonnegative")
+    _check_ratio(theta)
     return sf.phi(theta)
 
 
 def phi_complement(sf: SuccessFunction, theta):
     """1 - phi(theta), accurate even when phi is within rounding of 1."""
+    _check_ratio(theta)
     return sf.phi_complement(theta)
 
 
@@ -581,7 +578,10 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
     the curve values.  The root is taken in log-odds so both P and 1-P keep
     full relative precision at lopsided stakes; the inner inversion of
     loggrad is closed-form for ``pow`` and a bracketed Newton iteration in
-    log effort for ``powsum`` (``_powsum_loggrad_inverse``).
+    log effort for ``powsum`` (``_powsum_loggrad_inverse``).  Each log-odds
+    evaluation keeps its efforts and curve values, and the accepted point,
+    always one ``_brentq`` evaluated, is read back from them: two
+    inversions per evaluation and none after the search.
     """
 
     def probs(log_odds: float) -> tuple[float, float]:
@@ -591,16 +591,16 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
         q = math.exp(log_odds)
         return q / (1.0 + q), 1.0 / (1.0 + q)
 
-    def efforts(log_odds: float) -> tuple[float, float]:
+    seen = {}  # log-odds -> (xa, xb, g(xa), g(xb))
+
+    def excess(log_odds: float) -> float:
         p, one_minus = probs(log_odds)
         c = p * one_minus
         xa = sf.loggrad_inverse(1.0 / (c * delta_a))
         xb = sf.loggrad_inverse(1.0 / (c * delta_b))
-        return xa, xb
-
-    def excess(log_odds: float) -> float:
-        xa, xb = efforts(log_odds)
-        return math.log(sf.curve_value(xa) / sf.curve_value(xb)) - log_odds
+        ga, gb = sf.curve_value(xa), sf.curve_value(xb)
+        seen[log_odds] = xa, xb, ga, gb
+        return math.log(ga / gb) - log_odds
 
     span = 45.0  # win probabilities within 1e-19 of the boundary
     try:
@@ -612,8 +612,7 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
             f"ratio-form FOC solve failed at stakes ({delta_a:.3e}, {delta_b:.3e}): {exc}"
         ) from exc
     p_star, one_minus = probs(l_star)
-    xa, xb = efforts(l_star)
-    ga, gb = sf.curve_value(xa), sf.curve_value(xb)
+    xa, xb, ga, gb = seen[l_star]
     s2 = (ga + gb) ** 2
     res = max(
         abs(sf.curve_prime(xa) * gb * delta_a / s2 - 1.0),
@@ -637,9 +636,9 @@ def _solve_battle_ratio(sf: RatioForm, delta_a: float, delta_b: float) -> Battle
 
 
 def solve_battle(sf: SuccessFunction, delta_a: float, delta_b: float) -> BattleEquilibrium:
-    """Equilibrium of one battle with winning stakes delta_a, delta_b > 0."""
-    if not (delta_a > 0.0 and delta_b > 0.0):
-        raise DomainError("battle stakes must be positive")
+    """Equilibrium of one battle with finite winning stakes delta_a, delta_b > 0."""
+    if not (0.0 < delta_a < math.inf and 0.0 < delta_b < math.inf):
+        raise DomainError("battle stakes must be positive and finite")
     if sf.homogeneous:
         return _solve_battle_homogeneous(sf, delta_a, delta_b)
     if isinstance(sf, RatioForm):
@@ -679,7 +678,7 @@ def battle_gain(sf: SuccessFunction, da, db):
 
     * both stakes positive: the equilibrium payoff Pi*(da, db);
     * only da positive: the opponent does not compete and the player keeps
-      da * gain_limit at zero effort;
+      da * win_limit at zero effort;
     * only db positive: the player does not compete and gains nothing;
     * neither positive: a zero-effort fair coin, worth da / 2.
 
@@ -690,13 +689,13 @@ def battle_gain(sf: SuccessFunction, da, db):
     if not isinstance(da, np.ndarray):
         if da > 0.0 and db > 0.0:
             return _competitive_gain(sf, da, db)
-        return da * (sf.gain_limit if da > 0.0 else 0.0 if db > 0.0 else 0.5)
+        return da * (sf.win_limit if da > 0.0 else 0.0 if db > 0.0 else 0.5)
     da = np.asarray(da, dtype=float)
     db = np.asarray(db, dtype=float)
     if da.min(initial=1.0) > 0.0 and db.min(initial=1.0) > 0.0:  # NaN fails too
         return _competitive_gain(sf, da, db)
     # off the both-positive case the gain is linear in da
-    out = np.where(da > 0.0, sf.gain_limit, np.where(db > 0.0, 0.0, 0.5)) * da
+    out = np.where(da > 0.0, sf.win_limit, np.where(db > 0.0, 0.0, 0.5)) * da
     both = (da > 0.0) & (db > 0.0)
     if np.any(both):
         out[both] = _competitive_gain(sf, da[both], db[both])
@@ -729,11 +728,11 @@ def augmented_gain(sf: SuccessFunction, delta_prime: float, delta: float) -> flo
     """Equilibrium battle payoff Pi*(delta_prime, delta), extended to zero stakes.
 
     Continuous on the closed quadrant: against a vanishing opponent stake the
-    payoff is delta_prime * gain_limit, the exact limit for every kind, and
+    payoff is delta_prime * win_limit, the exact limit for every kind, and
     a player without a stake gains nothing.  This is ``battle_gain`` on
     nonnegative stakes.
     """
-    if delta_prime < 0.0 or delta < 0.0:
+    if not (delta_prime >= 0.0 and delta >= 0.0):
         raise DomainError("stakes must be nonnegative")
     return battle_gain(sf, delta_prime, delta)
 
@@ -743,15 +742,15 @@ def psi(sf: SuccessFunction, theta: float) -> float:
 
     Strictly increasing with psi(theta) < theta for theta > 0.
     """
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise DomainError("psi requires theta > 0")
     return theta * sf.phi(theta) / sf.phi_complement(1.0 / theta)
 
 
 def psi_inverse(sf: SuccessFunction, y: float) -> float:
     """Invert the streak map by bracket expansion plus bracketed root finding."""
-    if y <= 0.0:
-        raise DomainError("psi_inverse requires y > 0")
+    if not 0.0 < y < math.inf:
+        raise DomainError("psi_inverse requires a finite y > 0")
     lo = y  # psi(t) < t, so psi(lo) - y < 0
     hi = 2.0 * max(y, 1.0)
     while psi(sf, hi) < y:

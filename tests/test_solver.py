@@ -347,6 +347,27 @@ class TestCyclicEngine:
             assert 0.0 <= va <= 1.0 and 0.0 <= vb <= 1.0
             assert va + vb <= 1.0
 
+    def test_idle_fallback_keeps_the_lowest_residual(self):
+        # Every phase's sweeps end idle within tol: the first, from the
+        # distance start, at V0_A 0.4999999999994 (residual 5.6e-13), the
+        # last, from zero, on the exact idle profile.  Sweep iterates compete
+        # by residual like roots do, so the exact one is reported.
+        m = ContestAutomaton(
+            start=0,
+            transitions={
+                (0, "A"): ((2, 1.0),),
+                (0, "B"): ((0, 1.0),),
+                (1, "A"): ((3, 1.0),),
+                (1, "B"): ((1, 1.0),),
+                (2, "A"): ((4, 1.0),),
+                (2, "B"): ((1, 1.0),),
+            },
+            terminal={3: "A", 4: "B"},
+        )
+        sol = solve_cyclic(ContestSpec(m, Serial(0.5), 1.0))
+        assert (sol.method, sol.residual, sol.v0_a) == ("fixed_point", 0.0, 0.5)
+        assert all(row.effort_a == row.effort_b == 0.0 for row in sol.states.values())
+
     def test_reset_ring_through_json_with_shifted_ids(self, relabel):
         # the sweeps from zero, the truncated contest's values, escape the
         # idle flat plateaus that are also fixed points of this ring
@@ -499,7 +520,7 @@ class TestOneSidedBattle:
         eb_l = 0.5 * sol.values_b[2] + 0.5 * sol.values_b[3]
         da = ea_w - ea_l
         assert da > 0.0 > eb_w - eb_l
-        assert sol.v0_a == pytest.approx(ea_l + sf.gain_limit * da, abs=1e-15)
+        assert sol.v0_a == pytest.approx(ea_l + sf.win_limit * da, abs=1e-15)
         row = sol.states[0]
         assert (row.effort_a, row.effort_b, row.win_prob_a) == (0.0, 0.0, sf.win_limit)
 

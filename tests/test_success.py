@@ -5,8 +5,11 @@ independent numeric oracles (finite differences, best-response grid search,
 bracketed bisection).
 """
 
+import decimal
 import math
 import random
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -242,6 +245,47 @@ class TestSolveBattle:
             assert abs(sf.loggrad(x) - y) <= 4.0 * math.ulp(y)
             assert x == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("a, b", [(0.05, 0.99), (0.5, 0.9), (0.9, 0.2)])
+    def test_loggrad_against_decimal(self, a, b):
+        # 50-digit g'/g with the float exponents taken exactly
+        sf = RatioForm("powsum", a, b)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for x in (m * 10.0**k for m in (1.0, 2.3, 7.1) for k in range(-300, 301, 5)):
+                exact = _decimal_loggrad(Decimal(x).ln(), a, b)[0]
+                assert abs(Decimal(sf.loggrad(x)) - exact) <= 3 * Decimal(math.ulp(float(exact))), x
+
+    @pytest.mark.parametrize("a, b", [(0.05, 0.99), (0.5, 0.9), (0.9, 0.2)])
+    def test_loggrad_inverse_against_decimal(self, a, b):
+        # the exact root by 50-digit Newton steps in log x from mid-bracket
+        sf = RatioForm("powsum", a, b)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for y in (m * 10.0**k for m in (1.0, 3.7) for k in range(-300, 301, 6)):
+                target = Decimal(y).ln()
+                u = Decimal(a * b).ln() / 2 - target  # sqrt(ab)/y, the bracket's mid-point
+                for _ in range(10):
+                    value, slope = _decimal_loggrad(u, a, b)
+                    u -= (value.ln() - target) / slope
+                exact = u.exp()
+                x = sf.loggrad_inverse(y)
+                assert abs(Decimal(x) - exact) <= 4 * Decimal(math.ulp(float(exact))), y
+
+    def test_ratio_battle_inverts_twice_per_evaluation(self, monkeypatch):
+        # the accepted point is read back from the log-odds search's own
+        # evaluations, not solved again
+        evaluations, inversions = [], []
+        inverse = RatioForm.loggrad_inverse
+
+        def counted_brentq(f, *args, **kwargs):
+            return _brentq(lambda l: evaluations.append(l) or f(l), *args, **kwargs)
+
+        monkeypatch.setattr(success, "_brentq", counted_brentq)
+        monkeypatch.setattr(RatioForm, "loggrad_inverse",
+                            lambda sf, y: inversions.append(y) or inverse(sf, y))
+        solve_battle(RatioForm("powsum", 0.5, 0.9), 3.0, 0.7)
+        assert len(inversions) == 2 * len(evaluations) > 0
+
     def test_ratio_powsum_foc_residual(self):
         sf = RatioForm("powsum", alpha=0.5, beta=0.9)
         for da, db in [(1.0, 1.0), (5.0, 1.0), (0.3, 2.0)]:
@@ -357,7 +401,7 @@ class TestBattleGain:
     @pytest.mark.parametrize("sf", KINDS)
     def test_four_cases(self, sf):
         assert battle_gain(sf, 2.0, 1.0) == solve_battle(sf, 2.0, 1.0).payoff_a
-        assert battle_gain(sf, 2.0, 0.0) == battle_gain(sf, 2.0, -1.0) == 2.0 * sf.gain_limit
+        assert battle_gain(sf, 2.0, 0.0) == battle_gain(sf, 2.0, -1.0) == 2.0 * sf.win_limit
         assert battle_gain(sf, 0.0, 1.0) == battle_gain(sf, -1.0, 1.0) == 0.0
         assert battle_gain(sf, -1.0, -3.0) == -0.5
         assert battle_gain(sf, 0.0, 0.0) == 0.0
@@ -389,6 +433,37 @@ class TestPsi:
         vals = [psi(sf, t) for t in grid]
         assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
         assert all(v < t for v, t in zip(vals, grid))
+
+
+STAKES_MSG = "battle stakes must be positive and finite"
+RATIO_MSG = "ratio must be nonnegative"
+REFUSALS = {
+    "battle B stake inf": (lambda sf: solve_battle(sf, 1.0, math.inf), STAKES_MSG),
+    "battle A stake inf": (lambda sf: solve_battle(sf, math.inf, 1.0), STAKES_MSG),
+    "psi_inverse nan": (lambda sf: psi_inverse(sf, math.nan), "psi_inverse requires a finite y > 0"),
+    "psi_inverse inf": (lambda sf: psi_inverse(sf, math.inf), "psi_inverse requires a finite y > 0"),
+    "psi nan": (lambda sf: psi(sf, math.nan), "psi requires theta > 0"),
+    "phi nan": (lambda sf: phi(sf, math.nan), RATIO_MSG),
+    "eval_gamma nan": (lambda sf: eval_gamma(sf, math.nan), RATIO_MSG),
+    "phi_complement -0.5": (lambda sf: success.phi_complement(sf, -0.5), RATIO_MSG),
+    "phi_complement -1": (lambda sf: success.phi_complement(sf, -1.0), RATIO_MSG),
+    "phi_complement nan": (lambda sf: success.phi_complement(sf, math.nan), RATIO_MSG),
+    "augmented_gain nan own": (lambda sf: augmented_gain(sf, math.nan, 1.0), "stakes must be nonnegative"),
+    "augmented_gain nan other": (lambda sf: augmented_gain(sf, 1.0, math.nan), "stakes must be nonnegative"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_typed_refusal(self, case):
+        call, message = REFUSALS[case]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(Tullock(1.0))
+
+    def test_infinite_ratios_stay_valid(self):
+        sf = Tullock(1.0)
+        assert success.phi_complement(sf, math.inf) == 0.0
+        assert psi(sf, math.inf) == math.inf
 
 
 class TestParse:
@@ -469,6 +544,16 @@ class TestNoisyLogForms:
         noisy = log_bias_ratio(MK1(10), parse_sf("noisy:q=1,base=tullock:r=1"))
         assert noisy == log_bias_ratio(MK1(10), Tullock(1.0))
         assert noisy == pytest.approx(959.1976161974644, rel=1e-12)
+
+
+def _decimal_loggrad(u, a: float, b: float):
+    """g'/g of g(x) = x^a + x^b at x = e^u in the context's precision, and
+    the slope of log(g'/g) in u."""
+    da, db = Decimal(a), Decimal(b)
+    pa, pb = (da * u).exp(), (db * u).exp()
+    s = pb / (pa + pb)
+    k = da + (db - da) * s  # x g'/g
+    return k / u.exp(), (db - da) ** 2 * s * (1 - s) / k - 1
 
 
 def _win_prob(sf, xa: float, xb: float) -> float:
