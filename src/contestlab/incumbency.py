@@ -179,8 +179,8 @@ def _mk1_log_gap_recursion(sf: SuccessFunction, k: int) -> float:
 
     Tracks log(1 - V+) and log(V-).  One round maps the incumbent shortfall
     a to a * (1 - phi(a/b)) and the challenger value b to b * phi(b/a).
-    Beyond float range the gain curves are read at the log ratio itself,
-    and a log ratio past the largest float is +inf.
+    The gain curves are read at the log ratio itself, so the step holds
+    beyond float range, and a log ratio past the largest float is +inf.
     """
     la = sf.log_phi_complement(1.0)
     lb = sf.log_phi(1.0)
@@ -188,13 +188,8 @@ def _mk1_log_gap_recursion(sf: SuccessFunction, k: int) -> float:
         lt = la - lb
         if lt == math.inf:
             return lt
-        if lt > 700.0:
-            la += sf.log_phi_complement_at_log(lt)
-            lb += sf.log_phi_at_log(-lt)
-            continue
-        theta = math.exp(lt)
-        la += sf.log_phi_complement(theta)
-        lb += sf.log_phi(1.0 / theta)
+        la += sf.log_phi_complement_at_log(lt)
+        lb += sf.log_phi_at_log(-lt)
     return la - lb
 
 

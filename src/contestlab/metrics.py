@@ -306,28 +306,14 @@ def advantage_profile(
         n = spec.automaton.n // 2
         sol = _tow_closed(spec, reset_p)
         q = win_probabilities(sol, spec)
-        # per-ring win/loss gap ratios from the closed recursion stay exact
-        # far past the point where value differences saturate in floats
-        ring = sol.extras.get("ring_theta", [])
-        pis = {0: float(sf.phi(1.0))}
+        # the closed recursion's gains at each lead's win/loss gap ratio stay
+        # exact far past the point where value differences saturate in floats
+        pis, comps = sol.extras["lead_phi"], sol.extras["lead_phi_complement"]
         # loss-to-gain factors (1 - pi)/pi per position, built from the gain
         # complement so they stay exact where the capped gain saturates
-        fac = {0: float(sf.phi_complement(1.0)) / pis[0]}
-        for k, theta in enumerate(ring, start=1):
-            if math.isinf(theta):
-                pis[k], pis[-k] = 1.0, 0.0
-                fac[k], fac[-k] = 0.0, math.inf
-                continue
-            pis[k] = float(sf.phi(theta))
-            pis[-k] = float(sf.phi(1.0 / theta))
-            fac[k] = float(sf.phi_complement(theta)) / pis[k]
-            fac[-k] = float(sf.phi_complement(1.0 / theta)) / pis[-k] if pis[-k] > 0.0 else math.inf
-        d_plus = sol.extras.get("delta_plus", [])
-        d_minus = sol.extras.get("delta_minus", [])
-        gap_top = sum(d_plus)
-        h = [0.0]
-        for d in d_minus:
-            h.append(h[-1] + d)
+        fac = {i: comps[i] / pi if pi > 0.0 else math.inf for i, pi in pis.items()}
+        d_plus = sol.extras["delta_plus"]
+        gap_top, h = sol.extras["gap"][n], sol.extras["h"]
         tail_plus = [0.0] * (n + 1)  # sum of d_plus above level i
         for i in range(n - 1, -1, -1):
             tail_plus[i] = tail_plus[i + 1] + d_plus[i]
@@ -412,19 +398,19 @@ def reinforcement_residuals(solution: ValueSolution, family: str) -> list:
         if not ring:
             raise DomainError("tug-of-war reinforcement check needs closed-solver diagnostics")
         n = len(ring) + 1
-        sf = _sf_of(solution)
-        theta = {0: 1.0}
-        for k, t in enumerate(ring, start=1):
-            theta[k] = t
+        theta = [1.0, *ring]
+        pis, comps = solution.extras["lead_phi"], solution.extras["lead_phi_complement"]
         gap_ratio = lambda i: theta[i] if i >= 0 else 1.0 / theta[-i]  # noqa: E731
         for i in range(-(n - 2), n - 1):
-            t_next = gap_ratio(i + 1)
-            t_cur = gap_ratio(i)
-            if not (math.isfinite(t_next) and math.isfinite(t_cur)):
+            # a ring saturated on either side, or a gain that underflows,
+            # leaves the identity nothing to compare
+            finite = math.isfinite(theta[abs(i)]) and math.isfinite(theta[abs(i + 1)])
+            if not (finite and pis[i + 1] > 0.0 and pis[-i] > 0.0):
                 rows.append({"i": i, "relative_gap": None, "factor_one": None, "factor_two": None})
                 continue
-            f1 = float(sf.phi_complement(gap_ratio(-i - 1)) / sf.phi(gap_ratio(i + 1)))
-            f2 = float(sf.phi_complement(gap_ratio(i)) / sf.phi(gap_ratio(-i)))
+            t_next, t_cur = gap_ratio(i + 1), gap_ratio(i)
+            f1 = comps[-i - 1] / pis[i + 1]
+            f2 = comps[i] / pis[-i]
             predicted = f1 * f2 * t_cur
             rows.append(
                 {

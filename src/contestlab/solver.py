@@ -310,6 +310,10 @@ def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
     gap = [0.0, 1.0 - phi1]
     h = [0.0, phi1]
     thetas = [math.nan]  # thetas[k] = win/loss gap ratio at ring k
+    # phi and its complement at each signed lead's gap ratio: theta_k at
+    # lead k, 1 / theta_k at lead -k and 1 at the center
+    lead_phi = {0: phi1}
+    lead_comp = {0: sf.phi_complement(1.0)}
     # Without the reset term the increment ratio is a pure product, so a
     # log-space twin keeps it exact long after the increments underflow.
     use_logs = p == 0.0
@@ -349,6 +353,7 @@ def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
                     - sf.log_phi(1.0 / theta_k)
                 )
         thetas.append(theta_k)
+        lead_phi[k], lead_phi[-k], lead_comp[k], lead_comp[-k] = fl, flbar, comp, compbar
         if use_logs:
             ring_log_ratio.append(log_ratio)
         d_plus.append((d_plus[k] * (comp + p * fl) + p * gap[k - 1]) / ((1.0 - p) * fl))
@@ -403,6 +408,10 @@ def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
         delta_minus=d_minus[1:],
         ring_theta=thetas[1:],
         ring_log_ratio=ring_log_ratio,
+        lead_phi=lead_phi,
+        lead_phi_complement=lead_comp,
+        gap=gap,
+        h=h,
     )
     return out
 

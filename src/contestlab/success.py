@@ -209,16 +209,16 @@ class Tullock(SuccessFunction):
         r = self.r
         return _sides(
             theta,
-            lambda t: r * np.power(t, r - 1.0) / (1.0 + np.power(t, r)) ** 2,
-            lambda t: r * np.power(t, -r - 1.0) / (1.0 + np.power(t, -r)) ** 2,
+            lambda t: r * np.power(t, r - 1.0) / np.square(1.0 + np.power(t, r)),
+            lambda t: r * np.power(t, -r - 1.0) / np.square(1.0 + np.power(t, -r)),
         )
 
     def phi(self, theta):
         r = self.r
         return _sides(
             theta,
-            lambda z: z * (1.0 - r + z) / (1.0 + z) ** 2,
-            lambda w: np.minimum((1.0 + (1.0 - r) * w) / (1.0 + w) ** 2, _PHI_CAP),
+            lambda z: z * (1.0 - r + z) / ((1.0 + z) * (1.0 + z)),
+            lambda w: np.minimum((1.0 + (1.0 - r) * w) / ((1.0 + w) * (1.0 + w)), _PHI_CAP),
             at_inf=1.0,
             power=r,
         )
@@ -227,8 +227,8 @@ class Tullock(SuccessFunction):
         r = self.r
         return _sides(
             theta,
-            lambda z: (1.0 + (1.0 + r) * z) / (1.0 + z) ** 2,
-            lambda w: w * (1.0 + r + w) / (1.0 + w) ** 2,
+            lambda z: (1.0 + (1.0 + r) * z) / ((1.0 + z) * (1.0 + z)),
+            lambda w: w * (1.0 + r + w) / ((1.0 + w) * (1.0 + w)),
             at_inf=0.0,
             power=r,
         )
@@ -236,13 +236,13 @@ class Tullock(SuccessFunction):
     def log_phi(self, theta: float) -> float:
         if theta >= 1.0:
             return math.log1p(-self.phi_complement(theta))
-        z = theta**self.r
+        z = np.power(theta, self.r)
         return self.r * math.log(theta) + math.log(1.0 - self.r + z) - 2.0 * math.log1p(z)
 
     def log_phi_complement(self, theta: float) -> float:
         if theta <= 1.0:
             return math.log1p(-self.phi(theta))
-        w = theta ** (-self.r)
+        w = np.power(theta, -self.r)
         return -self.r * math.log(theta) + math.log(1.0 + self.r + w) - 2.0 * math.log1p(w)
 
     def _deep_log_phi(self, log_theta: float) -> float:
@@ -554,14 +554,21 @@ def phi_complement(sf: SuccessFunction, theta):
     return sf.phi_complement(theta)
 
 
+def _homogeneous_battle(sf: SuccessFunction, da, db):
+    """The ratio theta = da / db, the efforts db gamma'(1/theta) and
+    da gamma'(theta), and A's win probability gamma(theta)."""
+    theta = da / db
+    return theta, db * sf.gamma_prime(1.0 / theta), da * sf.gamma_prime(theta), sf.gamma(theta)
+
+
 def _solve_battle_homogeneous(sf: SuccessFunction, delta_a: float, delta_b: float) -> BattleEquilibrium:
-    theta = delta_a / delta_b
+    theta, effort_a, effort_b, win = _homogeneous_battle(sf, delta_a, delta_b)
     ga = sf.phi(theta)
     gb = sf.phi(1.0 / theta)
     return BattleEquilibrium(
-        effort_a=delta_b * sf.gamma_prime(1.0 / theta),
-        effort_b=delta_a * sf.gamma_prime(theta),
-        win_prob_a=sf.gamma(theta),
+        effort_a=effort_a,
+        effort_b=effort_b,
+        win_prob_a=win,
         payoff_a=delta_a * ga,
         payoff_b=delta_b * gb,
         gain_ratio_a=ga,
@@ -683,8 +690,7 @@ def battle_gain(sf: SuccessFunction, da, db):
     * neither positive: a zero-effort fair coin, worth da / 2.
 
     ``battle_detail`` gives the efforts and odds of the same rule.  Scalars
-    take a cheap path; its squares go through libm's ``pow``, so a Tullock
-    gain can differ from the array path's in its last two bits.
+    take a cheap path with the array path's bits.
     """
     if not isinstance(da, np.ndarray):
         if da > 0.0 and db > 0.0:
@@ -713,10 +719,7 @@ def battle_detail(sf: SuccessFunction, da, db):
     win = np.where(da > 0.0, sf.win_limit, np.where(db > 0.0, 1.0 - sf.win_limit, 0.5))
     both = (da > 0.0) & (db > 0.0)
     if sf.homogeneous:
-        theta = da[both] / db[both]
-        effort_a[both] = db[both] * sf.gamma_prime(1.0 / theta)
-        effort_b[both] = da[both] * sf.gamma_prime(theta)
-        win[both] = sf.gamma(theta)
+        _, effort_a[both], effort_b[both], win[both] = _homogeneous_battle(sf, da[both], db[both])
         return effort_a, effort_b, win
     for i in np.flatnonzero(both):
         eq = solve_battle(sf, da[i], db[i])

@@ -22,12 +22,16 @@ A fourth draws ``ratio:powsum`` exponent pairs, far apart ones included, and
 lopsided stakes: every battle solves and meets its first-order conditions
 to 1e-12, and ``loggrad_inverse`` answers every positive target up to 1e19
 or refuses it with a ``ContestError``.
+
+A fifth holds the backward route to exact rational backward induction under
+``tullock:r=1`` on best-of rules, extensions and random acyclic rules.
 """
 
 import copy
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,11 +47,12 @@ from contestlab import (
     parse_sf,
     solve,
     solve_battle,
+    solve_finite,
     transient_dominance,
     transient_dominance_auto,
 )
 from contestlab.cli import main
-from contestlab.errors import ContestError, ConvergenceError, DegenerateChainError
+from contestlab.errors import ContestError, ConvergenceError, CyclicAutomatonError, DegenerateChainError
 from test_automaton import _random_rule
 from test_metrics import assert_frontier
 
@@ -261,3 +266,52 @@ def test_powsum_battles_meet_their_first_order_conditions():
                 continue
             assert 0.0 < x < math.inf
     assert refused == len(pairs[::5])  # only at 5e-324, whose efforts exceed float range
+
+
+def _exact_unit_tullock_values(m):
+    """Backward induction in rationals under ``tullock:r=1`` at prize 1.
+
+    ``battle_gain``'s rule, exactly: da phi(da / db) = da^3 / (da + db)^2
+    when both stakes are positive, da when only da is, 0 when only db is and
+    da / 2 when neither is.
+    """
+
+    def gain(d, d_other):
+        if d > 0 and d_other > 0:
+            return d**3 / (d + d_other) ** 2
+        return d if d > 0 else 0 if d_other > 0 else d / 2
+
+    values = {}
+
+    def value(s):
+        if s not in values:
+            if m.is_terminal(s):
+                values[s] = Fraction(m.winner(s) == "A"), Fraction(m.winner(s) == "B")
+            else:
+                (aw_a, aw_b), (bw_a, bw_b) = (
+                    [sum(Fraction(p) * value(t)[side] for t, p in m.successors(s, w)) for side in (0, 1)]
+                    for w in ("A", "B")
+                )
+                da, db = aw_a - bw_a, bw_b - aw_b
+                values[s] = bw_a + gain(da, db), aw_b + gain(db, da)
+        return values[s]
+
+    return {s: value(s) for s in m.states()}
+
+
+def test_backward_route_against_exact_rationals():
+    sf = parse_sf("tullock:r=1")
+    rules = [build_best_of(k) for k in range(1, 5)]
+    rules += [build_extension(build_best_of(3), n) for n in (2, 3)]
+    solved = [(rule, solve_finite(ContestSpec(rule, sf))) for rule in rules]
+    rng = random.Random(7)
+    while len(solved) < len(rules) + 300:  # the first 300 acyclic random rules
+        rule = _random_rule(rng)
+        try:
+            solved.append((rule, solve_finite(ContestSpec(rule, sf))))
+        except CyclicAutomatonError:
+            continue
+    for rule, sol in solved:
+        for s, (exact_a, exact_b) in _exact_unit_tullock_values(rule).items():
+            assert abs(sol.values_a[s] - exact_a) <= 1e-15
+            assert abs(sol.values_b[s] - exact_b) <= 1e-15

@@ -698,6 +698,27 @@ class TestSelfReinforcement:
         assert all(r["factor_one"] > 1.0 for r in checked)
         assert all(r["factor_two"] > 1.0 for r in checked)
 
+    @pytest.mark.parametrize("reset_p", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "sf",
+        ["tullock:r=1", "tullock:r=0.8", "tullock:r=0.5", "serial:alpha=0.5",
+         "noisy:q=0.7,base=tullock:r=0.8"],
+    )
+    def test_long_rings_give_typed_rows(self, sf, reset_p):
+        # from margin 12 under tullock:r=1 the outer rings saturate and the
+        # gains at their inverse ratios underflow; those rows are all None
+        keys = ("relative_gap", "factor_one", "factor_two")
+        for n in range(2, 81):
+            rows = reinforcement_residuals(solve_tow_closed(n, reset_p, 0, parse_sf(sf)), "tug_of_war")
+            assert [r["i"] for r in rows] == list(range(-(n - 2), n - 1))
+            for r in rows:
+                if r["relative_gap"] is None:
+                    assert r["factor_one"] is None and r["factor_two"] is None
+                    continue
+                assert all(math.isfinite(r[key]) for key in keys)
+                if reset_p == 0.0:  # the identity holds on chance-free rings
+                    assert r["relative_gap"] <= 1e-12
+
     def test_consecutive_identity(self):
         sol = solve_consecutive_closed(10, SF1, 1.0)
         rows = reinforcement_residuals(sol, "consecutive_win")

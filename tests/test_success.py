@@ -383,6 +383,7 @@ class TestBattleGain:
         Noisy(RatioForm("pow", 0.8), 0.5),
     ]
     STAKES = (-2.0, -0.5, 0.0, 1e-3, 0.3, 1.0, 4.0)
+    PAIRS = np.exp(np.random.default_rng(1).uniform(-10.0, 10.0, (2, 20000)))
 
     @pytest.mark.parametrize("sf", KINDS)
     def test_scalar_path_matches_array_path(self, sf):
@@ -391,6 +392,15 @@ class TestBattleGain:
         scalar = [battle_gain(sf, a, b) for a, b in zip(da.tolist(), db.tolist())]
         assert all(isinstance(x, float) for x in scalar)
         assert np.array_equal(array, np.array(scalar))
+        if not sf.homogeneous:
+            return
+        # seeded stake pairs, and the curves at their ratios, bit for bit
+        da, db = self.PAIRS
+        scalar = [battle_gain(sf, a, b) for a, b in zip(da.tolist(), db.tolist())]
+        assert np.array_equal(battle_gain(sf, da, db), np.array(scalar))
+        theta = da / db
+        for curve in (sf.phi, sf.phi_complement, sf.gamma, sf.gamma_prime):
+            assert np.array_equal(curve(theta), np.array([curve(t) for t in theta.tolist()]))
 
     @pytest.mark.parametrize("sf", KINDS)
     def test_all_competitive_array_matches_masked_path(self, sf):
