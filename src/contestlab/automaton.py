@@ -555,10 +555,11 @@ def _canonical(m: ContestAutomaton, mirror: bool = False) -> tuple:
     """The rule's canonical labelling: (visit order, shape, chances).
 
     States are visited breadth-first from the start, A's lottery before B's
-    (B's first with ``mirror``), legs in table order.  The shape holds, at
-    each visit position, a terminal's winner (swapped with ``mirror``) or
-    the target positions of the state's two lotteries; the chances list the
-    legs in visit order.
+    (B's first with ``mirror``).  Each lottery is read as its targets'
+    summed chances (``_lottery``), so the labelling does not depend on how
+    the legs are listed.  The shape holds, at each visit position, a
+    terminal's winner (swapped with ``mirror``) or the target positions of
+    the state's two lotteries; the chances follow the targets in that order.
     """
     winners = WINNERS[::-1] if mirror else WINNERS
     position = {m.start: 0}
@@ -569,7 +570,7 @@ def _canonical(m: ContestAutomaton, mirror: bool = False) -> tuple:
             continue
         lotteries = []
         for w in winners:
-            dist = m.transitions[(s, w)]
+            dist = _lottery(m.transitions[(s, w)], position)
             for t, p in dist:
                 if t not in position:
                     position[t] = len(order)
@@ -580,43 +581,34 @@ def _canonical(m: ContestAutomaton, mirror: bool = False) -> tuple:
     return order, tuple(shape), chances
 
 
+def _lottery(dist: tuple, position: dict) -> tuple:
+    """A lottery as its targets, each once with its summed chance: visited
+    ones first by ``position``, then new ones by chance, largest first (a
+    tie keeps table order)."""
+    summed: dict = {}
+    for t, p in dist:
+        summed[t] = summed.get(t, 0.0) + p
+    return tuple(sorted(summed.items(), key=lambda leg: (position.get(leg[0], math.inf), -leg[1])))
+
+
 def _same_form(form: tuple, other: tuple) -> bool:
     """Whether two canonical labellings have one shape and chances within
-    ``_PROB_TOL``: one table up to state ids and chance rounding."""
+    ``_PROB_TOL``: one table up to state ids, leg order and chance rounding."""
     return form[1] == other[1] and not np.any(np.abs(np.subtract(form[2], other[2])) > _PROB_TOL)
 
 
 def swap_involution(m: ContestAutomaton) -> dict | None:
     """Find the A/B-swapping state involution, or None if the rule is biased.
 
-    The swap fixes the start and maps A's lottery onto B's, so it pairs the
-    i-th state of the canonical labelling with the i-th of the mirrored one
-    and checks the pairing on every leg: up to state ids and chance rounding.
+    The swap fixes the start and maps A's lottery onto B's, so the rule is
+    symmetric when its canonical labelling and the mirrored one agree; the
+    involution pairs the i-th state of one with the i-th of the other.  A
+    tie between new targets can make that pairing an isomorphism onto the
+    mirrored rule that is not its own inverse; it is then not returned.
     """
-    sigma = dict(zip(_canonical(m)[0], _canonical(m, mirror=True)[0]))
-    return sigma if _verify_involution(m, sigma) else None
-
-
-def _verify_involution(m: ContestAutomaton, sigma: dict) -> bool:
-    """Whether ``sigma`` is an involution that fixes the start, swaps the
-    terminals' winners and carries the table onto itself with the battle
-    winners swapped: the summed chance of every (state, winner, target)
-    equals that of its image within ``_PROB_TOL``."""
-    perm = np.array([sigma.get(s, -1) for s in range(m.n)])
-    if np.any((perm < 0) | (perm >= m.n)) or np.any(perm[perm] != np.arange(m.n)):
-        return False
-    legs = m.legs
-    swapped = np.where(legs.outcome >= 0, 1 - legs.outcome, -1)
-    if perm[m.start] != m.start or not np.array_equal(legs.outcome[perm], swapped):
-        return False
-
-    def masses(src, win, tgt):
-        keys, inverse = np.unique((2 * src + win) * m.n + tgt, return_inverse=True)
-        return keys, np.bincount(inverse, legs.prob)
-
-    keys, mass = masses(legs.src, legs.win, legs.tgt)
-    image, image_mass = masses(perm[legs.src], 1 - legs.win, perm[legs.tgt])
-    return np.array_equal(keys, image) and not np.any(np.abs(mass - image_mass) > _PROB_TOL)
+    form, mirror = _canonical(m), _canonical(m, mirror=True)
+    sigma = dict(zip(form[0], mirror[0]))
+    return sigma if _same_form(form, mirror) and all(sigma[sigma[s]] == s for s in sigma) else None
 
 
 def check_symmetric(m: ContestAutomaton) -> bool:

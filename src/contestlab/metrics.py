@@ -386,17 +386,19 @@ def _tail_from_partial_sums(fac: dict, i: int, n: int) -> float:
 def reinforcement_residuals(solution: ValueSolution, family: str) -> list:
     """Win self-reinforcement identity diagnostics per interior position.
 
-    For the tug-of-war the identity links the win/loss stake ratio at one
-    lead to the next through two amplification factors, both above 1; the
-    consecutive-win family has a single factor.  Ratios come from the closed
-    solvers' ring diagnostics (tug-of-war) or the state stakes, so the check
-    stays exact beyond float saturation of the values themselves.
+    For the chance-free tug-of-war the identity links the win/loss stake
+    ratio at one lead to the next through two amplification factors, both
+    above 1; the consecutive-win family has a single factor.  Ratios come
+    from the closed solvers' records (ring diagnostics, or the stakes at each
+    streak's state), so the check stays exact beyond float saturation of the
+    values themselves.  Another solution, or a reset ring, raises
+    ``DomainError``.
     """
     rows = []
     if family == "tug_of_war":
         ring = solution.extras.get("ring_theta")
-        if not ring:
-            raise DomainError("tug-of-war reinforcement check needs closed-solver diagnostics")
+        if not ring or solution.extras["reset_p"] != 0.0:
+            raise DomainError("tug-of-war reinforcement check needs a closed chance-free ring")
         n = len(ring) + 1
         theta = [1.0, *ring]
         pis, comps = solution.extras["lead_phi"], solution.extras["lead_phi_complement"]
@@ -422,11 +424,14 @@ def reinforcement_residuals(solution: ValueSolution, family: str) -> list:
             )
         return rows
     if family == "consecutive_win":
+        at = solution.extras.get("streak_state")
+        if at is None:
+            raise DomainError("consecutive-win reinforcement check needs closed-solver diagnostics")
         sf = _sf_of(solution)
-        k = (len(solution.values_a) - 1) // 2
+        k = max(at)
         ratio = {}
         for i in range(-(k - 1), k):
-            sv = solution.states[i + k]
+            sv = solution.states[at[i]]
             ratio[i] = sv.stake_a / sv.stake_b
         for i in range(0, k - 1):
             f1 = float(sf.phi_complement(ratio[-i - 1]) / sf.phi(ratio[i + 1]))

@@ -404,6 +404,7 @@ def _tow_closed(spec: ContestSpec, reset_p: float, at=None) -> ValueSolution:
     layer = _Layer(spec)
     out = _assemble(layer, "closed_tow", 0, va, vb, stakes=stakes[:, layer.nt])
     out.extras.update(
+        reset_p=p,
         delta_plus=d_plus[1:],
         delta_minus=d_minus[1:],
         ring_theta=thetas[1:],
@@ -494,12 +495,12 @@ def _cw_closed(spec: ContestSpec, at=None) -> ValueSolution:
     va = np.zeros(m.n)
     vb = np.zeros(m.n)
     at = range(m.n) if at is None else at
-    for i in range(-k, k + 1):
-        s = at[i + k]
+    state = {i: at[i + k] for i in range(-k, k + 1)}  # streak i's state
+    for i, s in state.items():
         va[s] = values[i]
         vb[s] = values[-i]
     out = _assemble(_Layer(spec), "closed_cw", 0, va, vb)
-    out.extras.update(streak_root=rho, survival_product=prod)
+    out.extras.update(streak_root=rho, survival_product=prod, streak_state=state)
     return out
 
 
@@ -547,8 +548,7 @@ def solve_cyclic(
     # asymmetric discouragement profiles the operator also admits.
     sigma = swap_involution(m)
     perm = np.array([sigma[s] for s in range(m.n)]) if sigma is not None else None
-    sf = spec.sf
-    prize = spec.prize
+    sf, prize = spec.sf, spec.prize
     rows, start_a, start_b = _distance_start(m, prize)
     row_legs = _row_legs(layer)
     order = [(s, *row_legs[i]) for s, i in zip(nt[rows].tolist(), rows.tolist())]
@@ -558,6 +558,19 @@ def solve_cyclic(
     iterations = 0
     res = math.inf
     fallback = None  # best verified idle-interior fixed point
+
+    def judge(va, vb):
+        """A candidate's verdict and, within ``tol``, its solution if it is
+        competitive; an idle one replaces a fallback of higher residual."""
+        nonlocal fallback
+        verdict = layer.verdict(va, vb)
+        if verdict.residual <= tol:
+            if not verdict.idle:
+                return verdict, _assemble(layer, "fixed_point", iterations, va, vb, verdict)
+            if fallback is None or verdict.residual < fallback[2].residual:
+                fallback = (va.copy(), vb.copy(), verdict)
+        return verdict, None
+
     # the flat starts depend on neither the iterate nor the phase, so only
     # the call's first search runs them
     unknowns = len(nt) if sigma is not None else 2 * len(nt)
@@ -590,29 +603,22 @@ def solve_cyclic(
                     vb[s] = new_b
             phase_sweeps += 1
             iterations += 1
-            checkpoint = sweep_delta <= tol or phase_sweeps >= next_search
-            if not checkpoint:
-                continue
+            if not (sweep_delta <= tol or phase_sweeps >= next_search):
+                continue  # a checkpoint is a stalled sweep or a scheduled search
             if phase_sweeps >= next_search:
                 next_search *= 2
-            verdict = layer.verdict(va, vb)
+            verdict, answer = judge(va, vb)
             res = min(res, verdict.residual)
+            if answer is not None:
+                return answer
             if verdict.residual <= tol:
-                if not verdict.idle:
-                    return _assemble(layer, "fixed_point", iterations, va, vb, verdict)
-                if fallback is None or verdict.residual < fallback[2].residual:
-                    fallback = (va.copy(), vb.copy(), verdict)
                 break  # idle basin: restart from the next flat level
             iterate = va[nt] if sigma is not None else np.concatenate([va[nt], vb[nt]])
-            found, idle_roots = _newton_search(layer, [iterate, *flat_starts], tol, perm)
+            for root in _newton_search(layer, [iterate, *flat_starts], perm):
+                answer = judge(*root)[1]
+                if answer is not None:
+                    return answer
             flat_starts = []
-            if found is not None:
-                return _assemble(layer, "fixed_point", iterations, *found)
-            for candidate in idle_roots:
-                if fallback is None or candidate[2].residual < fallback[2].residual:
-                    fallback = candidate
-        if iterations >= max_iter:
-            break
     if fallback is not None:
         # only mutual-discouragement equilibria were found; report the best
         return _assemble(layer, "fixed_point", iterations, *fallback)
@@ -649,21 +655,18 @@ def _root_residual(x, layer: _Layer, perm):
     return np.concatenate([res_a, x[size:] - (eb_l + battle_gain(sf, db, da))])
 
 
-def _newton_search(layer: _Layer, starts, tol: float, perm):
+def _newton_search(layer: _Layer, starts, perm):
     """Quasi-Newton (``hybr``) roots of the fixed-point system, tried from
-    each start in turn.
+    each start in turn and yielded as full value vectors (va, vb).
 
-    A root counts once it is clipped to [0, prize], keeps every state's
-    values summing to at most the prize (a NaN fails) and meets ``tol`` under
-    ``_Layer.verdict``.  Returns the first competitive root as
-    (va, vb, verdict), or None, and the idle roots found before it, alike.
+    A root is clipped to [0, prize] and yielded only when every state's
+    values sum to at most the prize (a NaN fails); the caller judges it.
     With a swap involution the unknowns are A's values only, which keeps the
     search on symmetric profiles.  Deterministic by construction.
     """
     from scipy.optimize import root
 
     prize = layer.spec.prize
-    idle_roots = []
     for x0 in starts:
         try:
             sol = root(
@@ -673,15 +676,8 @@ def _newton_search(layer: _Layer, starts, tol: float, perm):
         except Exception:  # noqa: BLE001 - the search is best-effort
             continue
         fa, fb = _expand(layer, np.clip(sol.x, 0.0, prize), perm)
-        if not np.all(fa + fb <= prize * (1.0 + 1e-9)):
-            continue
-        verdict = layer.verdict(fa, fb)
-        if not verdict.residual <= tol:
-            continue
-        if not verdict.idle:
-            return (fa, fb, verdict), idle_roots
-        idle_roots.append((fa, fb, verdict))
-    return None, idle_roots
+        if np.all(fa + fb <= prize * (1.0 + 1e-9)):
+            yield fa, fb
 
 
 def _distance_start(m: ContestAutomaton, prize: float):
@@ -761,10 +757,11 @@ def _closed_form(spec: ContestSpec) -> ValueSolution | None:
 
     Both families have 2n + 1 states and one terminal per player.  The
     consecutive-win's canonical position 1 (A's first win) loses straight to
-    position 2; any other candidate is the tug-of-war whose reset chance
-    leads any two-leg lottery, with head start n - d_A if d_A <= d_B, else
-    d_B - n (the start's battle distances to A's and B's terminals).  Equal
-    canonical forms map the candidate's ids onto the rule's.
+    position 2; any other candidate is the tug-of-war whose reset chance is
+    that of the leg to the target every two-leg lottery shares, with head
+    start n - d_A if d_A <= d_B, else d_B - n (the start's battle distances
+    to A's and B's terminals).  Equal canonical forms map the candidate's
+    ids onto the rule's.
     """
     m = spec.automaton
     n = m.n // 2
@@ -776,7 +773,9 @@ def _closed_form(spec: ContestSpec) -> ValueSolution | None:
         if streak:
             twin = build_consecutive_win(n)
         else:
-            reset_p = next((dist[0][1] for dist in m.transitions.values() if len(dist) == 2), 0.0)
+            pairs = [dict(dist) for dist in m.transitions.values() if len(dist) == 2]
+            hub = set.intersection(*map(set, pairs)) if pairs else ()  # the reset target
+            reset_p = next((pairs[0][t] for t in hub), 0.0)
             d_a, d_b = (int(d[m.start]) for d in _terminal_hops(m))
             twin = build_tug_of_war(n, reset_p, n - d_a if d_a <= d_b else d_b - n)
     except DomainError:  # a start or a chance that no family rule has

@@ -34,10 +34,10 @@ from contestlab import (
     sweep,
 )
 from contestlab.automaton import (
+    _PROB_TOL,
     WINNERS,
     _forward_distances,
     _hops,
-    _verify_involution,
     restrict,
     swap_involution,
     terminal_distances,
@@ -194,16 +194,16 @@ class TestFamilyTables:
         )
 
 
-def _random_rule(rng):
-    """A valid rule of at most seven states, its legs drawn at random, about
-    one lottery in ten a fair chance split."""
+def _random_rule(rng, most=7, split=0.1):
+    """A valid rule of at most ``most`` states, its legs drawn at random, a
+    share ``split`` of its lotteries a fair chance split."""
     while True:
-        n = rng.randint(2, 7)
+        n = rng.randint(2, most)
         terminal = {s: rng.choice(WINNERS) for s in rng.sample(range(n), rng.randint(1, n - 1))}
         table = {}
         for s in sorted(set(range(n)) - set(terminal)):
             for w in WINNERS:
-                if rng.random() < 0.1:
+                if rng.random() < split:
                     table[(s, w)] = ((rng.randrange(n), 0.5), (rng.randrange(n), 0.5))
                 else:
                     table[(s, w)] = ((rng.randrange(n), 1.0),)
@@ -211,6 +211,77 @@ def _random_rule(rng):
             return ContestAutomaton(rng.randrange(n), table, terminal)
         except StructureError:
             continue
+
+
+TIE_FREE = ((1.0,), (0.3, 0.7), (0.6, 0.4), (0.1, 0.3, 0.6))  # no two summed chances equal
+
+
+def _mirrored_rule(rng, splits=TIE_FREE):
+    """A symmetric rule of mirrored state pairs (2i + 1, 2i + 2) around a
+    start that is its own mirror: each B-lottery lists the mirrored legs of
+    its A-lottery in random order.  Each A-lottery's chances are one of
+    ``splits``."""
+    while True:
+        n = 2 * rng.randint(1, 4) + 1
+        mirror = [0, *(s + 1 if s % 2 else s - 1 for s in range(1, n))]
+        terminal = {}
+        for s in range(1, 2 * rng.randint(1, n // 2), 2):
+            terminal[s] = rng.choice(WINNERS)
+            terminal[mirror[s]] = WINNERS[1 - WINNERS.index(terminal[s])]
+        table = {}
+        for s in [0, *range(1, n, 2)]:
+            if s in terminal:
+                continue
+            for w in WINNERS[:1] if s == 0 else WINNERS:
+                chances = rng.choice(splits)
+                dist = [(rng.randrange(n), p) for p in chances]
+                image = [(mirror[t], p) for t, p in dist]
+                rng.shuffle(image)
+                table[(s, w)] = tuple(dist)
+                table[(mirror[s], WINNERS[1 - WINNERS.index(w)])] = tuple(image)
+        try:
+            return ContestAutomaton(0, table, terminal)
+        except StructureError:
+            continue
+
+
+def _verify_involution(m, sigma):
+    """Whether ``sigma`` is an involution that fixes the start, swaps the
+    terminals' winners and carries the table onto itself with the battle
+    winners swapped: the summed chance of every (state, winner, target)
+    equals that of its image within ``_PROB_TOL``."""
+    perm = np.array([sigma.get(s, -1) for s in range(m.n)])
+    if np.any((perm < 0) | (perm >= m.n)) or np.any(perm[perm] != np.arange(m.n)):
+        return False
+    legs = m.legs
+    swapped = np.where(legs.outcome >= 0, 1 - legs.outcome, -1)
+    if perm[m.start] != m.start or not np.array_equal(legs.outcome[perm], swapped):
+        return False
+
+    def masses(src, win, tgt):
+        keys, inverse = np.unique((2 * src + win) * m.n + tgt, return_inverse=True)
+        return keys, np.bincount(inverse, legs.prob)
+
+    keys, mass = masses(legs.src, legs.win, legs.tgt)
+    image, image_mass = masses(perm[legs.src], 1 - legs.win, perm[legs.tgt])
+    return np.array_equal(keys, image) and not np.any(np.abs(mass - image_mass) > _PROB_TOL)
+
+
+def _table_order_pairing(m):
+    """The involution candidate of a labelling that reads each lottery's legs
+    in table order: the i-th state of the breadth-first visit with A's
+    lotteries first paired with the i-th with B's first."""
+
+    def visit(winners):
+        order = [m.start]
+        for s in order:
+            for w in () if s in m.terminal else winners:
+                for t, _ in m.transitions[(s, w)]:
+                    if t not in order:
+                        order.append(t)
+        return order
+
+    return dict(zip(visit(WINNERS), visit(WINNERS[::-1])))
 
 
 def _walk_every_history(m, depth):
@@ -327,6 +398,35 @@ class TestSymmetry:
         assert swap_involution(m) is None
         assert not check_symmetric(m)
 
+    @pytest.mark.parametrize(
+        "inner, pairs",
+        [
+            (
+                {"0A": ((1, 1.0),), "0B": ((2, 1.0),), "1A": ((3, 0.5), (4, 0.5)),
+                 "1B": ((0, 1.0),), "2A": ((0, 1.0),), "2B": ((6, 0.5), (5, 0.5))},
+                ((1, 2), (3, 6), (4, 5)),
+            ),
+            # the labellings agree, but the ties pair 3 -> 6 -> 5 -> 4 -> 3:
+            # an isomorphism onto the mirrored rule that is not its own inverse
+            (
+                {"0A": ((0, 0.5), (2, 0.5)), "0B": ((1, 0.5), (0, 0.5)), "1A": ((5, 0.5), (3, 0.5)),
+                 "1B": ((4, 0.5), (6, 0.5)), "2A": ((5, 0.5), (3, 0.5)), "2B": ((6, 0.5), (4, 0.5))},
+                ((1, 2), (3, 4), (5, 6)),
+            ),
+        ],
+    )
+    def test_tied_pairing_is_returned_only_as_an_involution(self, inner, pairs):
+        # states 3-6 are interchangeable leaves; the rule is symmetric
+        table = {(s, w): ((7 if w == "A" else 8, 1.0),) for s in range(3, 7) for w in WINNERS}
+        table.update({(int(key[0]), key[1]): dist for key, dist in inner.items()})
+        m = ContestAutomaton(start=0, transitions=table, terminal={7: "A", 8: "B"})
+        swap = {0: 0}
+        for a, b in pairs + ((7, 8),):
+            swap[a], swap[b] = b, a
+        assert _verify_involution(m, swap)
+        sigma = swap_involution(m)
+        assert sigma is None or _verify_involution(m, sigma)
+
     @pytest.mark.parametrize("chances, symmetric", [((0.5, 0.5), False), ((0.3, 0.7), True)])
     def test_lottery_chances_checked(self, chances, symmetric):
         # A's win lottery {1: 0.3, 2: 0.7} must map onto B's win lottery
@@ -343,6 +443,33 @@ class TestSymmetry:
         assert _verify_involution(m, {0: 0, 1: 2, 2: 1}) is symmetric
         assert (swap_involution(m) is not None) is symmetric
         assert check_symmetric(m) is symmetric
+
+    def test_involution_against_the_oracle(self):
+        # a found involution always passes the oracle, and a pairing the
+        # table-order labelling found is never lost; a mirrored rule is
+        # found whatever order its B-lotteries list their legs in
+        rng = random.Random(5)
+        for _ in range(700):
+            m = _random_rule(rng, most=8, split=0.3)
+            sigma = swap_involution(m)
+            assert sigma is None or _verify_involution(m, sigma)
+            if _verify_involution(m, _table_order_pairing(m)):
+                assert sigma is not None
+        rng = random.Random(11)
+        reordered = 0
+        for _ in range(700):
+            m = _mirrored_rule(rng)
+            sigma = swap_involution(m)
+            assert sigma is not None and _verify_involution(m, sigma)
+            reordered += not _verify_involution(m, _table_order_pairing(m))
+        assert reordered > 100
+        # where two unvisited targets of one lottery tie, table order decides
+        # and the involution can be missed, as it can by a table-order reading
+        rng = random.Random(12)
+        for _ in range(700):
+            m = _mirrored_rule(rng, TIE_FREE + ((0.5, 0.5), (0.25, 0.25, 0.5)))
+            sigma = swap_involution(m)
+            assert sigma is None or _verify_involution(m, sigma)
 
 
 class TestExtension:

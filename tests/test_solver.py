@@ -368,6 +368,11 @@ class TestCyclicEngine:
         assert (sol.method, sol.residual, sol.v0_a) == ("fixed_point", 0.0, 0.5)
         assert all(row.effort_a == row.effort_b == 0.0 for row in sol.states.values())
 
+    def test_rule_without_battles(self):
+        sol = solve_cyclic(ContestSpec(ContestAutomaton(0, {}, {0: "A"}), SF1))
+        assert (sol.method, sol.iterations, sol.residual) == ("fixed_point", 0, 0.0)
+        assert sol.states == {}
+
     def test_reset_ring_through_json_with_shifted_ids(self, relabel):
         # the sweeps from zero, the truncated contest's values, escape the
         # idle flat plateaus that are also fixed points of this ring
@@ -709,15 +714,19 @@ class TestSelfReinforcement:
         # gains at their inverse ratios underflow; those rows are all None
         keys = ("relative_gap", "factor_one", "factor_two")
         for n in range(2, 81):
-            rows = reinforcement_residuals(solve_tow_closed(n, reset_p, 0, parse_sf(sf)), "tug_of_war")
+            sol = solve_tow_closed(n, reset_p, 0, parse_sf(sf))
+            if reset_p:  # the identity holds on chance-free rings only
+                with pytest.raises(DomainError):
+                    reinforcement_residuals(sol, "tug_of_war")
+                continue
+            rows = reinforcement_residuals(sol, "tug_of_war")
             assert [r["i"] for r in rows] == list(range(-(n - 2), n - 1))
             for r in rows:
                 if r["relative_gap"] is None:
                     assert r["factor_one"] is None and r["factor_two"] is None
                     continue
                 assert all(math.isfinite(r[key]) for key in keys)
-                if reset_p == 0.0:  # the identity holds on chance-free rings
-                    assert r["relative_gap"] <= 1e-12
+                assert r["relative_gap"] <= 1e-12
 
     def test_consecutive_identity(self):
         sol = solve_consecutive_closed(10, SF1, 1.0)
@@ -725,6 +734,31 @@ class TestSelfReinforcement:
         assert len(rows) == 9
         assert max(r["relative_gap"] for r in rows) <= 1e-10
         assert all(r["factor_one"] > 1.0 for r in rows)
+
+    @pytest.mark.parametrize("k, seed", [(6, "cw-6"), (2, "cw-2"), (7, "cw-7")])
+    def test_relabelled_consecutive_rule_gives_the_builders_rows(self, k, seed, relabel):
+        rule = build_consecutive_win(k)
+        ids = _shuffled(seed, rule.n)
+        twin = solve(ContestSpec(automaton_from_dict(relabel(automaton_to_dict(rule), ids)), SF1))
+        assert twin.method == "closed_cw"
+        want = reinforcement_residuals(solve(ContestSpec(rule, SF1)), "consecutive_win")
+        assert repr(reinforcement_residuals(twin, "consecutive_win")) == repr(want)
+
+    @pytest.mark.parametrize(
+        "family, make",
+        [
+            ("consecutive_win", lambda: solve(ContestSpec(build_best_of(2), SF1))),
+            ("tug_of_war", lambda: solve(ContestSpec(build_best_of(2), SF1))),
+            ("consecutive_win", lambda: solve_cyclic(ContestSpec(build_consecutive_win(4), SF1))),
+            ("tug_of_war", lambda: solve_cyclic(ContestSpec(build_tug_of_war(4), SF1))),
+            ("consecutive_win", lambda: solve_tow_closed(4, 0.0, 0, SF1)),
+            ("tug_of_war", lambda: solve_consecutive_closed(4, SF1)),
+        ],
+        ids=["best-of-cw", "best-of-tow", "engine-cw", "engine-tow", "tow-as-cw", "cw-as-tow"],
+    )
+    def test_solution_without_the_familys_record_is_refused(self, family, make):
+        with pytest.raises(DomainError):
+            reinforcement_residuals(make(), family)
 
 
 class TestAggregatePayoffShare:
@@ -869,6 +903,28 @@ class TestTableRoute:
         assert sol.v0_a == v0_a
         assert _bits(sol, ids) == _bits(solve(ContestSpec(rule, SF1)))
 
+    @pytest.mark.parametrize(
+        "n, reset_p, head_start, sf_spec",
+        [
+            (15, 0.5, 0, "tullock:r=0.5"), (20, 0.5, 0, "tullock:r=1"),
+            (25, 0.5, 0, "tullock:r=0.8"), (30, 0.5, 0, "tullock:r=1"),
+            (40, 0.5, 0, "tullock:r=1"), (50, 0.3, 0, "tullock:r=0.8"),
+            (100, 0.3, 0, "tullock:r=0.8"), (200, 0.3, 0, "tullock:r=0.8"),
+            (6, 0.3, 2, "tullock:r=1"), (6, 0.7, -3, "tullock:r=1"),
+        ],
+    )
+    def test_reversed_legs_take_the_closed_form(self, n, reset_p, head_start, sf_spec):
+        # the same rule with every lottery's legs listed the other way; the
+        # engine alone ends on wrong idle plateaus on the reset rings
+        rule = build_tug_of_war(n, reset_p, head_start)
+        doc = automaton_to_dict(rule)
+        for edge in doc["edges"]:
+            edge["to"].reverse()
+        sf = parse_sf(sf_spec)
+        sol = solve(ContestSpec(automaton_from_dict(doc), sf))
+        assert sol.method == "closed_tow"
+        assert _bits(sol) == _bits(solve(ContestSpec(rule, sf)))
+
     @staticmethod
     def _edited(rule, transitions=(), terminal=None, start=None):
         table = {**rule.transitions, **dict(transitions)}
@@ -882,11 +938,12 @@ class TestTableRoute:
         [
             "tow-retarget", "tow-swap-terminals", "cw-retarget", "cw-swap-terminals",
             "reset-chance", "reset-retarget", "cw-start", "five-state", "single-state",
-            "reset-legs-reversed",
+            "tie-legs-reversed",
         ],
     )
     def test_one_edit_from_a_family_takes_no_closed_route(self, edit, sf_spec):
         tow, reset, cw = build_tug_of_war(4), build_tug_of_war(3, 0.3), build_consecutive_win(3)
+        tie = build_tug_of_war(5, 0.5, 4)
         five = {
             (2, "A"): ((3, 1.0),), (2, "B"): ((1, 1.0),), (3, "A"): ((4, 1.0),),
             (3, "B"): ((0, 1.0),), (0, "A"): ((2, 1.0),), (0, "B"): ((1, 1.0),),
@@ -902,9 +959,11 @@ class TestTableRoute:
             # state 1 is terminal, so lead -1 has no A-win to probe
             "five-state": lambda: ContestAutomaton(2, five, {1: "B", 4: "A"}),
             "single-state": lambda: ContestAutomaton(0, {}, {0: "A"}),
-            # recognition reads each lottery's legs in table order
-            "reset-legs-reversed": lambda: self._edited(
-                reset, {key: dist[::-1] for key, dist in reset.transitions.items()}
+            # B's first win from the start at lead +4 draws lead 0 or lead
+            # +3 at equal chance, both new to the labelling: table order
+            # decides, so recognition misses the reversed rule
+            "tie-legs-reversed": lambda: self._edited(
+                tie, {key: dist[::-1] for key, dist in tie.transitions.items()}
             ),
         }[edit]
         try:
