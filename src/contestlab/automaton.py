@@ -630,11 +630,20 @@ def minimize(m: ContestAutomaton) -> ContestAutomaton:
             agg[part[t]] = agg.get(part[t], 0.0) + p
         return sorted(agg.items())
 
+    seen: list = []  # the chances keyed so far
+
+    def chance(p):  # the first chance seen within _PROB_TOL of p
+        for q in seen:
+            if abs(p - q) <= _PROB_TOL:
+                return q
+        seen.append(p)
+        return p
+
     def signature(s):
         if s in m.terminal:
             return ("T", m.terminal[s])
         lotteries = (summed(s, w, block) for w in WINNERS)
-        return ("N", block[s], *(tuple((b, round(p, 12)) for b, p in lot) for lot in lotteries))
+        return ("N", block[s], *(tuple((b, chance(p)) for b, p in lot) for lot in lotteries))
 
     # iterative partition refinement; blocks are numbered by first state
     block = {s: WINNERS.index(m.terminal[s]) + 1 if s in m.terminal else 0 for s in range(m.n)}

@@ -9,6 +9,7 @@ closed-form routes double as oracles for the generic engine.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ from .automaton import (
     swap_involution,
 )
 from .errors import (
+    ContestError,
     ConvergenceError,
     CyclicAutomatonError,
     DomainError,
@@ -573,8 +575,8 @@ def solve_cyclic(
 
     # the flat starts depend on neither the iterate nor the phase, so only
     # the call's first search runs them
-    unknowns = len(nt) if sigma is not None else 2 * len(nt)
-    flat_starts = [np.full(unknowns, level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)]
+    system = _RootSystem(layer, perm)
+    flat_starts = [np.full(system.width, level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)]
     for init_level in phase_inits:
         if init_level is None:
             va, vb = layer.full_vectors(start_a, start_b)
@@ -614,7 +616,7 @@ def solve_cyclic(
             if verdict.residual <= tol:
                 break  # idle basin: restart from the next flat level
             iterate = va[nt] if sigma is not None else np.concatenate([va[nt], vb[nt]])
-            for root in _newton_search(layer, [iterate, *flat_starts], perm):
+            for root in _newton_search(system, [iterate, *flat_starts]):
                 answer = judge(*root)[1]
                 if answer is not None:
                     return answer
@@ -629,33 +631,129 @@ def solve_cyclic(
     )
 
 
-def _expand(layer: _Layer, x, perm):
-    """Full value vectors from the root system's unknowns: A's nonterminal
-    values under the swap involution ``perm``, both players' otherwise."""
-    size = len(layer.nt)
-    if perm is None:
-        return layer.full_vectors(x[:size], x[size:])
-    # the involution swaps winners, so it also maps terminal values
-    fa, _ = layer.full_vectors(x[:size], x[:size])
-    return fa, fa[perm]
+# MINPACK fdjac1's forward-difference step at scipy's default epsfcn: the
+# square root of the double epsilon 2^-52
+_FD_STEP = 2.0**-26
+_STACK_LEGS = 1 << 14  # the most legs one stacked evaluation gathers
 
 
-def _root_residual(x, layer: _Layer, perm):
-    """x - T(x) over the unknowns.  With the involution only A's rows are
-    unknowns, so B's battles are skipped; A's rows equal the A half of
-    ``bellman_update``."""
-    size = len(layer.nt)
-    sf = layer.spec.sf
-    ea_w, ea_l, eb_w, eb_l = layer.stakes(*_expand(layer, x, perm))
-    da = ea_w - ea_l
-    db = eb_w - eb_l
-    res_a = x[:size] - (ea_l + battle_gain(sf, da, db))
-    if perm is not None:
-        return res_a
-    return np.concatenate([res_a, x[size:] - (eb_l + battle_gain(sf, db, da))])
+class _RootSystem:
+    """x - T(x) on stacks of the root search's unknowns, one profile a row.
+
+    The unknowns are A's nonterminal values under the swap involution
+    ``perm``, both players' otherwise; with the involution B's battles are
+    skipped, since A's rows equal the A half of ``bellman_update``.  Each
+    unknown sums, in table order, its own player's continuations after its
+    own win and loss and the opponent's after the opponent's win and loss.
+    A stack lays its profiles' legs end to end, so one ``bincount`` a side
+    and one ``battle_gain`` call give every row the bits of a one-profile
+    call.
+    """
+
+    def __init__(self, layer: _Layer, perm):
+        legs, size = layer.legs, len(layer.nt)
+        self.sf, self.prize = layer.spec.sf, layer.spec.prize
+        self.ends = np.array([0.0, self.prize])
+        # each state's value as an index into z = (0, prize, x_0, x_1, ...)
+        nt = legs.row >= 0
+        self.at_a = np.where(nt, 2 + legs.row, legs.outcome == 0)
+        if perm is None:
+            self.at_b = np.where(nt, 2 + size + legs.row, legs.outcome == 1)
+        else:  # the involution swaps winners, so it also maps terminal values
+            self.at_b = self.at_a[perm]
+        row, win, tgt = legs.row[legs.src], legs.win, legs.tgt
+        sides = [(row, win, self.at_a[tgt], self.at_b[tgt])]
+        if perm is None:  # B's unknowns read the same legs the other way round
+            sides.append((size + row, 1 - win, self.at_b[tgt], self.at_a[tgt]))
+        unknown, lost, own, opp = (np.concatenate(column) for column in zip(*sides))
+        self.width = len(sides) * size
+        # each leg's chance, value indices and buckets: 2 * unknown, plus 1
+        # for the own sums after the player's loss and the opponent's sums
+        # after the opponent's loss
+        prob = np.tile(legs.prob, len(sides))
+        self.legs = (prob, own, opp, 2 * unknown + lost, 2 * unknown + 1 - lost)
+        self.stack_rows = max(1, _STACK_LEGS // len(own))
+        self._stacks = {}
+
+    def _stack(self, k: int):
+        """``legs`` repeated for k profiles laid end to end."""
+        if k not in self._stacks:
+            prob, own, opp, b_own, b_opp = self.legs
+            shift = np.arange(k)[:, None]
+            self._stacks[k] = (
+                np.tile(prob, k),
+                (own + shift * self.width * (own >= 2)).ravel(),
+                (opp + shift * self.width * (opp >= 2)).ravel(),
+                (b_own + 2 * self.width * shift).ravel(),
+                (b_opp + 2 * self.width * shift).ravel(),
+            )
+        return self._stacks[k]
+
+    def __call__(self, xs):
+        """x - T(x) at each row of ``xs`` (k x width)."""
+        k = len(xs)
+        flat = xs.ravel()
+        z = np.concatenate((self.ends, flat))
+        prob, own, opp, b_own, b_opp = self._stack(k)
+        buckets = 2 * self.width * k
+        own = np.bincount(b_own, prob * z[own], buckets)
+        opp = np.bincount(b_opp, prob * z[opp], buckets)
+        own_l = own[1::2]
+        gain = battle_gain(self.sf, own[0::2] - own_l, opp[0::2] - opp[1::2])
+        return (flat - (own_l + gain)).reshape(k, self.width)
+
+    def vectors(self, x):
+        """Full value vectors (va, vb) of one profile of unknowns."""
+        z = np.concatenate((self.ends, x))
+        return z[self.at_a], z[self.at_b]
 
 
-def _newton_search(layer: _Layer, starts, perm):
+def _fd_column(v: float) -> float:
+    """MINPACK fdjac1's perturbed coordinate at v."""
+    h = _FD_STEP * abs(v)
+    return v + (h if h != 0.0 else _FD_STEP)
+
+
+class _HybrResidual:
+    """hybr's residual callable.  hybrd takes its forward-difference
+    Jacobian at its current point x, one of its last three evaluations
+    outside a Jacobian, as n calls at x + h_j e_j in order j = 0..n-1
+    (``_fd_column``).  A call at x + h_0 e_0 evaluates all n columns as
+    stacks and answers the next n - 1 calls from them, keyed by the point's
+    bytes.  Every answer is the residual at the point asked, so only the
+    speed depends on this detection."""
+
+    def __init__(self, system: _RootSystem):
+        self.system = system
+        self.recent = deque(maxlen=3)  # (bytes after x_0, x_0) of those evaluations
+        self.stash = {}
+
+    def __call__(self, x):
+        key = x.tobytes()
+        row = self.stash.pop(key, None)
+        if row is not None:
+            return row
+        self.stash = {}
+        tail, head = key[8:], float(x[0])
+        for base_tail, base_head in self.recent:
+            if tail == base_tail and head == _fd_column(base_head):
+                return self._jacobian(x, base_head)
+        self.recent.append((tail, head))
+        return self.system(x[None])[0]
+
+    def _jacobian(self, x, head: float):
+        base = x.copy()
+        base[0] = head
+        xs = np.tile(base, (len(x), 1))
+        for j, v in enumerate(base.tolist()):
+            xs[j, j] = _fd_column(v)
+        step = self.system.stack_rows
+        out = np.concatenate([self.system(xs[i : i + step]) for i in range(0, len(x), step)])
+        self.stash = {p.tobytes(): r for p, r in zip(xs[1:], out[1:])}
+        return out[0]
+
+
+def _newton_search(system: _RootSystem, starts):
     """Quasi-Newton (``hybr``) roots of the fixed-point system, tried from
     each start in turn and yielded as full value vectors (va, vb).
 
@@ -666,16 +764,16 @@ def _newton_search(layer: _Layer, starts, perm):
     """
     from scipy.optimize import root
 
-    prize = layer.spec.prize
+    prize = system.prize
     for x0 in starts:
         try:
             sol = root(
-                _root_residual, x0, args=(layer, perm), method="hybr", tol=1e-14,
+                _HybrResidual(system), x0, method="hybr", tol=1e-14,
                 options={"maxfev": 40 * (len(x0) + 1)},
             )
-        except Exception:  # noqa: BLE001 - the search is best-effort
+        except (ContestError, ValueError, ArithmeticError):  # a start that fails is skipped
             continue
-        fa, fb = _expand(layer, np.clip(sol.x, 0.0, prize), perm)
+        fa, fb = system.vectors(np.clip(sol.x, 0.0, prize))
         if np.all(fa + fb <= prize * (1.0 + 1e-9)):
             yield fa, fb
 

@@ -518,6 +518,17 @@ class TestMinimizeIsomorphic:
         assert len(q.terminal_states) == 2
         assert len(q.nonterminal_states) == len(m.nonterminal_states)
 
+    @pytest.mark.parametrize("chances", [(0.3, 0.3), (0.30000000000050003, 0.30000000000049987)])
+    def test_chances_within_tolerance_share_a_block(self, chances):
+        # the two middle states differ only in A's win chance, by 1.7e-16
+        # at most, which rounding to 12 digits once split apart
+        table = {(0, "A"): ((1, 1.0),), (0, "B"): ((2, 1.0),)}
+        for s, p in zip((1, 2), chances):
+            table[(s, "A")] = ((3, p), (0, 1.0 - p))
+            table[(s, "B")] = ((4, 1.0),)
+        m = ContestAutomaton(0, table, {3: "A", 4: "B"})
+        assert minimize(m).n == 4
+
     def test_isomorphic_negative(self):
         assert not isomorphic(build_best_of(1), build_best_of(2))
         # after (A, B) a margin-2 laggard needs two wins, a streak-2 laggard

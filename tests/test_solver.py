@@ -44,7 +44,9 @@ from contestlab import (
     solve_tow_closed,
 )
 from contestlab.metrics import reinforcement_residuals, win_probabilities
-from contestlab.solver import _Layer, _row_legs, _row_stakes
+from contestlab import solver
+from contestlab.automaton import swap_involution
+from contestlab.solver import _HybrResidual, _Layer, _RootSystem, _row_legs, _row_stakes
 from test_automaton import _random_rule
 
 SF1 = Tullock(1.0)
@@ -678,6 +680,153 @@ class TestOneOperator:
             va, vb = (scale * rng.random(m.n) for _ in range(2))
             want = list(zip(*(column.tolist() for column in layer.stakes(va, vb))))
             assert [_row_stakes(*legs, va, vb) for legs in row_legs] == want
+
+
+def _nan_bits(a):
+    """The bits of an array, every NaN read as one NaN."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestStackedResidual:
+    """The root search's x - T(x) over stacks of profiles, and hybr's
+    Jacobian answered from one stack."""
+
+    TECHNOLOGIES = [
+        "tullock:r=0.8",
+        "serial:alpha=0.5",
+        "ratio:pow,alpha=0.7",
+        "ratio:powsum,alpha=0.5,beta=0.8",
+        "noisy:q=0.5,base=ratio:pow,alpha=0.7",
+    ]
+
+    @staticmethod
+    def _rules():
+        """Rules with a swap involution, under it and without it, and random
+        rules that have none."""
+        rules = []
+        for m in (build_tug_of_war(4, 0.3), build_consecutive_win(4)):
+            sigma = swap_involution(m)
+            rules += [(m, np.array([sigma[s] for s in range(m.n)])), (m, None)]
+        rng = random.Random(7)
+        while len(rules) < 7:
+            m = _random_rule(rng)
+            if swap_involution(m) is None:
+                rules.append((m, None))
+        return rules
+
+    @staticmethod
+    def _expanded(layer, perm, x):
+        """Full value vectors of a profile of the root system's unknowns."""
+        size = len(layer.nt)
+        va, vb = layer.full_vectors(x[:size], x[size:] if perm is None else x)
+        return (va, va[perm]) if perm is not None else (va, vb)
+
+    def _one_profile(self, layer, perm, x):
+        """x - T(x) from ``_Layer.bellman_update`` on the expanded profile,
+        and which of the unknowns' battles have both stakes positive."""
+        ua, ub, da, db = layer.bellman_update(*self._expanded(layer, perm, x))
+        both = (da > 0.0) & (db > 0.0)
+        if perm is not None:
+            return x - ua, both
+        return x - np.concatenate([ua, ub]), np.concatenate([both, both])
+
+    @pytest.mark.parametrize("text", TECHNOLOGIES)
+    def test_rows_equal_the_operator_bit_for_bit(self, text):
+        rng = np.random.default_rng(11)
+        mixed = 0
+        for m, perm in self._rules():
+            layer = _Layer(ContestSpec(m, parse_sf(text), 1.0))
+            system = _RootSystem(layer, perm)
+            width = system.width
+            # competitive rows, flat rows (zero stakes), rows reaching past
+            # the prize both ways (negative stakes) and a row with a NaN
+            nan_row = rng.random(width)
+            nan_row[rng.integers(width)] = math.nan
+            rows = [
+                *rng.random((3, width)),
+                np.full(width, 0.25),
+                np.zeros(width),
+                *rng.uniform(-1.0, 2.0, (2, width)),
+                nan_row,
+            ]
+            rng.shuffle(rows)
+            stack = np.array(rows)
+            got = system(stack)
+            assert got.shape == stack.shape and np.isnan(got).any()
+            competitive = []
+            for x, row in zip(stack, got):
+                want, both = self._one_profile(layer, perm, x)
+                assert _nan_bits(row) == _nan_bits(want)
+                assert _nan_bits(system(x[None])[0]) == _nan_bits(want)
+                competitive += both.tolist()
+            mixed += any(competitive) and not all(competitive)
+        assert mixed  # battle_gain's mixed path ran on part of a stack
+
+    def test_full_vectors_of_a_root(self):
+        for m, perm in self._rules():
+            layer = _Layer(ContestSpec(m, SF1, 1.0))
+            system = _RootSystem(layer, perm)
+            x = np.random.default_rng(5).random(system.width)
+            for got, want in zip(system.vectors(x), self._expanded(layer, perm, x)):
+                assert got.tobytes() == want.tobytes()
+
+    TOW_8 = ContestSpec(build_tug_of_war(8, 0.0), Tullock(0.7445), 1.0)
+
+    @staticmethod
+    def _record(monkeypatch, events):
+        """Log each hybr call as "call" and each evaluation as its stack size."""
+        evaluate, answer = _RootSystem.__call__, _HybrResidual.__call__
+
+        def stack(self, xs):
+            events.append(len(xs))
+            return evaluate(self, xs)
+
+        def call(self, x):
+            events.append("call")
+            return answer(self, x)
+
+        monkeypatch.setattr(_RootSystem, "__call__", stack)
+        monkeypatch.setattr(_HybrResidual, "__call__", call)
+
+    def test_jacobian_columns_come_from_one_stack(self, monkeypatch):
+        events = []
+        self._record(monkeypatch, events)
+        batched = solve_cyclic(self.TOW_8)
+        n = 15  # A's values at the 15 nonterminal states
+        stacks = [i for i, e in enumerate(events) if e == n]
+        assert stacks
+        for i in stacks:
+            # the call that asked for column 0, then n - 1 calls answered
+            # without another evaluation
+            assert events[i - 1] == "call"
+            assert events[i + 1 : i + n] == ["call"] * (n - 1)
+        assert set(events) <= {"call", 1, n}
+
+        # a cap on the legs one evaluation gathers splits the columns into
+        # stacks of 3 (15 rows of 2 legs each)
+        events.clear()
+        monkeypatch.setattr(solver, "_STACK_LEGS", 100)
+        chunked = solve_cyclic(self.TOW_8)
+        assert 3 in events and set(events) <= {"call", 1, 3}
+
+        events.clear()
+        monkeypatch.setattr(solver, "_fd_column", lambda v: math.nan)  # no column is detected
+        plain = solve_cyclic(self.TOW_8)
+        assert set(events) == {"call", 1}
+        assert events.count(1) == events.count("call")
+        for sol in (batched, chunked):
+            assert plain.values_a == sol.values_a and plain.values_b == sol.values_b
+            assert (plain.iterations, plain.residual, plain.method) == (
+                sol.iterations, sol.residual, sol.method
+            )
+
+    def test_a_fault_in_the_residual_surfaces(self, monkeypatch):
+        def broken(self, xs):
+            raise IndexError("stack index out of range")
+
+        monkeypatch.setattr(_RootSystem, "__call__", broken)
+        with pytest.raises(IndexError):
+            solve_cyclic(self.TOW_8)
 
 
 class TestPrizeDomain:
