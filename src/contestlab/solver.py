@@ -203,7 +203,7 @@ def _row_stakes(win_a, win_b, va, vb):
     for p, t in win_b:
         ea_l += p * va[t]
         eb_w += p * vb[t]
-    return float(ea_w), float(ea_l), float(eb_w), float(eb_l)
+    return ea_w, ea_l, eb_w, eb_l
 
 
 def _assemble(
@@ -570,7 +570,7 @@ def solve_cyclic(
             if not verdict.idle:
                 return verdict, _assemble(layer, "fixed_point", iterations, va, vb, verdict)
             if fallback is None or verdict.residual < fallback[2].residual:
-                fallback = (va.copy(), vb.copy(), verdict)
+                fallback = (va, vb, verdict)
         return verdict, None
 
     # the flat starts depend on neither the iterate nor the phase, so only
@@ -584,31 +584,21 @@ def solve_cyclic(
             flat = np.full(len(nt), init_level * prize)
             va, vb = layer.full_vectors(flat, flat.copy())
         if sigma is not None:
-            vb = va[perm].copy()
+            vb = va[perm]
+        # the sweeps run on Python floats; a checkpoint builds fresh arrays
+        la, lb = va.tolist(), vb.tolist()
         phase_sweeps = 0
         next_search = 50
         while phase_sweeps < phase_budget and iterations < max_iter:
             lam = 1.0 if phase_sweeps == 0 else _DAMPING  # pure first sweep seeds the basin
-            sweep_delta = 0.0
-            for s, win_a, win_b in order:
-                ea_w, ea_l, eb_w, eb_l = _row_stakes(win_a, win_b, va, vb)
-                ua = ea_l + battle_gain(sf, ea_w - ea_l, eb_w - eb_l)
-                new_a = (1.0 - lam) * va[s] + lam * ua
-                sweep_delta = max(sweep_delta, abs(new_a - va[s]))
-                va[s] = new_a
-                if sigma is not None:
-                    vb[sigma[s]] = new_a
-                else:
-                    ub = eb_l + battle_gain(sf, eb_w - eb_l, ea_w - ea_l)
-                    new_b = (1.0 - lam) * vb[s] + lam * ub
-                    sweep_delta = max(sweep_delta, abs(new_b - vb[s]))
-                    vb[s] = new_b
+            sweep_delta = _sweep(order, sigma, sf, la, lb, lam)
             phase_sweeps += 1
             iterations += 1
             if not (sweep_delta <= tol or phase_sweeps >= next_search):
                 continue  # a checkpoint is a stalled sweep or a scheduled search
             if phase_sweeps >= next_search:
                 next_search *= 2
+            va, vb = np.array(la), np.array(lb)
             verdict, answer = judge(va, vb)
             res = min(res, verdict.residual)
             if answer is not None:
@@ -631,10 +621,33 @@ def solve_cyclic(
     )
 
 
+def _sweep(order, sigma, sf, va: list, vb: list, lam: float) -> float:
+    """One Gauss-Seidel sweep of ``solve_cyclic`` over ``order``'s rows, in
+    place on the value lists: each value moves a share ``lam`` of the way to
+    its update, B's through the involution ``sigma`` when there is one.
+    Returns the largest move."""
+    keep = 1.0 - lam
+    delta = 0.0
+    for s, win_a, win_b in order:
+        ea_w, ea_l, eb_w, eb_l = _row_stakes(win_a, win_b, va, vb)
+        old = va[s]
+        new = keep * old + lam * (ea_l + battle_gain(sf, ea_w - ea_l, eb_w - eb_l))
+        delta = max(delta, abs(new - old))
+        va[s] = new
+        if sigma is not None:
+            vb[sigma[s]] = new
+        else:
+            old = vb[s]
+            new = keep * old + lam * (eb_l + battle_gain(sf, eb_w - eb_l, ea_w - ea_l))
+            delta = max(delta, abs(new - old))
+            vb[s] = new
+    return delta
+
+
 # MINPACK fdjac1's forward-difference step at scipy's default epsfcn: the
 # square root of the double epsilon 2^-52
 _FD_STEP = 2.0**-26
-_STACK_LEGS = 1 << 14  # the most legs one stacked evaluation gathers
+_STACK_LEGS = 1 << 14  # the most legs one stacked evaluation gathers for a side
 
 
 class _RootSystem:
@@ -645,9 +658,9 @@ class _RootSystem:
     skipped, since A's rows equal the A half of ``bellman_update``.  Each
     unknown sums, in table order, its own player's continuations after its
     own win and loss and the opponent's after the opponent's win and loss.
-    A stack lays its profiles' legs end to end, so one ``bincount`` a side
-    and one ``battle_gain`` call give every row the bits of a one-profile
-    call.
+    A stack lays its profiles' legs end to end, own sides first, so one
+    gather, one ``bincount`` and one ``battle_gain`` call give every row
+    the bits of a one-profile call.
     """
 
     def __init__(self, layer: _Layer, perm):
@@ -676,16 +689,16 @@ class _RootSystem:
         self._stacks = {}
 
     def _stack(self, k: int):
-        """``legs`` repeated for k profiles laid end to end."""
+        """``legs`` for k profiles laid end to end as one chance, value index
+        and bucket array: the own sides, then the opponent sides, whose
+        buckets follow the own sides' 2 * width * k."""
         if k not in self._stacks:
             prob, own, opp, b_own, b_opp = self.legs
-            shift = np.arange(k)[:, None]
+            step = self.width * np.arange(k)[:, None]
             self._stacks[k] = (
-                np.tile(prob, k),
-                (own + shift * self.width * (own >= 2)).ravel(),
-                (opp + shift * self.width * (opp >= 2)).ravel(),
-                (b_own + 2 * self.width * shift).ravel(),
-                (b_opp + 2 * self.width * shift).ravel(),
+                np.tile(prob, 2 * k),
+                np.concatenate([own + step * (own >= 2), opp + step * (opp >= 2)]).ravel(),
+                np.concatenate([b_own + 2 * step, b_opp + 2 * (step + self.width * k)]).ravel(),
             )
         return self._stacks[k]
 
@@ -694,13 +707,12 @@ class _RootSystem:
         k = len(xs)
         flat = xs.ravel()
         z = np.concatenate((self.ends, flat))
-        prob, own, opp, b_own, b_opp = self._stack(k)
-        buckets = 2 * self.width * k
-        own = np.bincount(b_own, prob * z[own], buckets)
-        opp = np.bincount(b_opp, prob * z[opp], buckets)
-        own_l = own[1::2]
-        gain = battle_gain(self.sf, own[0::2] - own_l, opp[0::2] - opp[1::2])
-        return (flat - (own_l + gain)).reshape(k, self.width)
+        prob, at, bucket = self._stack(k)
+        # (own, opponent) x unknowns x (after a win, after a loss)
+        sums = np.bincount(bucket, prob * z[at], 4 * self.width * k).reshape(2, -1, 2)
+        stake = sums[..., 0] - sums[..., 1]
+        gain = battle_gain(self.sf, stake[0], stake[1])
+        return (flat - (sums[0, :, 1] + gain)).reshape(k, self.width)
 
     def vectors(self, x):
         """Full value vectors (va, vb) of one profile of unknowns."""
@@ -720,26 +732,28 @@ class _HybrResidual:
     outside a Jacobian, as n calls at x + h_j e_j in order j = 0..n-1
     (``_fd_column``).  A call at x + h_0 e_0 evaluates all n columns as
     stacks and answers the next n - 1 calls from them, keyed by the point's
-    bytes.  Every answer is the residual at the point asked, so only the
-    speed depends on this detection."""
+    bytes.  A call that repeats the point just evaluated (``root``'s shape
+    probe and hybrd's first calls all ask for the start) is answered from
+    that evaluation.  Every answer is the residual at the point asked, so only the speed
+    depends on this detection."""
 
     def __init__(self, system: _RootSystem):
         self.system = system
-        self.recent = deque(maxlen=3)  # (bytes after x_0, x_0) of those evaluations
+        self.recent = deque(maxlen=3)  # (bytes after x_0, x_0, x_0 + h_0) of those evaluations
         self.stash = {}
 
     def __call__(self, x):
         key = x.tobytes()
-        row = self.stash.pop(key, None)
+        row = self.stash.get(key)
         if row is not None:
             return row
-        self.stash = {}
         tail, head = key[8:], float(x[0])
-        for base_tail, base_head in self.recent:
-            if tail == base_tail and head == _fd_column(base_head):
+        for base_tail, base_head, column in self.recent:
+            if head == column and tail == base_tail:
                 return self._jacobian(x, base_head)
-        self.recent.append((tail, head))
-        return self.system(x[None])[0]
+        self.recent.append((tail, head, _fd_column(head)))
+        self.stash = {key: self.system(x[None])[0]}
+        return self.stash[key]
 
     def _jacobian(self, x, head: float):
         base = x.copy()

@@ -100,27 +100,30 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL, maxi
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _sides(theta, low, high, at_inf=None, power=None):
+def _sides(theta, low, high, at_inf=None, power=None, cap=None):
     """Elementwise ``low`` at ratios up to 1 and ``high`` above 1.
 
     Each branch sees the ratio on its own side and 1 elsewhere, so neither
     overflows or divides by zero on the other side; with ``power`` p, ``low``
     sees z = ratio^p and ``high`` w = ratio^-p instead, each power taken
-    once.  ``at_inf``, when given, is the value at theta = +inf.  A float
-    ratio evaluates its own side only, in the array path's 0-d arithmetic.
+    once.  ``cap``, when given, bounds ``high`` from above, and ``at_inf``
+    is the value at theta = +inf.  A float ratio evaluates its own side
+    only: the power is numpy's, the rest Python-float arithmetic, which
+    gives the array path's bits.
     """
     if isinstance(theta, float):
         if theta <= 1.0:
-            return float(low(theta if power is None else np.power(theta, power)))
+            return float(low(theta if power is None else float(np.power(theta, power))))
         if at_inf is not None and theta == math.inf:
             return at_inf
-        return float(high(theta if power is None else np.power(theta, -power)))
+        out = float(high(theta if power is None else float(np.power(theta, -power))))
+        return out if cap is None else min(out, cap)
     th = np.asarray(theta, dtype=float)
     small = th <= 1.0
     lo, hi = np.where(small, th, 1.0), np.where(small, 1.0, th)
     if power is not None:
         lo, hi = lo**power, hi ** (-power)
-    out = np.where(small, low(lo), high(hi))
+    out = np.where(small, low(lo), high(hi) if cap is None else np.minimum(high(hi), cap))
     if at_inf is not None:
         out = np.where(th == np.inf, at_inf, out)
     return float(out) if np.ndim(theta) == 0 else out
@@ -217,18 +220,19 @@ class Tullock(SuccessFunction):
         r = self.r
         return _sides(
             theta,
-            lambda z: z * (1.0 - r + z) / ((1.0 + z) * (1.0 + z)),
-            lambda w: np.minimum((1.0 + (1.0 - r) * w) / ((1.0 + w) * (1.0 + w)), _PHI_CAP),
+            lambda z: z * (1.0 - r + z) / ((t := 1.0 + z) * t),
+            lambda w: (1.0 + (1.0 - r) * w) / ((t := 1.0 + w) * t),
             at_inf=1.0,
             power=r,
+            cap=_PHI_CAP,
         )
 
     def phi_complement(self, theta):
         r = self.r
         return _sides(
             theta,
-            lambda z: (1.0 + (1.0 + r) * z) / ((1.0 + z) * (1.0 + z)),
-            lambda w: w * (1.0 + r + w) / ((1.0 + w) * (1.0 + w)),
+            lambda z: (1.0 + (1.0 + r) * z) / ((t := 1.0 + z) * t),
+            lambda w: w * (1.0 + r + w) / ((t := 1.0 + w) * t),
             at_inf=0.0,
             power=r,
         )
@@ -290,9 +294,10 @@ class Serial(SuccessFunction):
         return _sides(
             theta,
             lambda z: 0.5 * (1.0 - a) * z,
-            lambda w: np.minimum(1.0 - 0.5 * (1.0 + a) * w, _PHI_CAP),
+            lambda w: 1.0 - 0.5 * (1.0 + a) * w,
             at_inf=1.0,
             power=a,
+            cap=_PHI_CAP,
         )
 
     def phi_complement(self, theta):

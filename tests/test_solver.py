@@ -46,7 +46,17 @@ from contestlab import (
 from contestlab.metrics import reinforcement_residuals, win_probabilities
 from contestlab import solver
 from contestlab.automaton import swap_involution
-from contestlab.solver import _HybrResidual, _Layer, _RootSystem, _row_legs, _row_stakes
+from contestlab.solver import (
+    _DAMPING,
+    _distance_start,
+    _HybrResidual,
+    _Layer,
+    _newton_search,
+    _RootSystem,
+    _row_legs,
+    _row_stakes,
+    _sweep,
+)
 from test_automaton import _random_rule
 
 SF1 = Tullock(1.0)
@@ -672,6 +682,55 @@ class TestOneOperator:
         for seed in range(200):
             self._check_sweep_stakes(_random_rule(random.Random(seed)), rng)
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["sigma", "no-sigma"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "tullock:r=0.8",
+            "serial:alpha=0.5",
+            "ratio:powsum,alpha=0.5,beta=0.8",
+            "noisy:q=0.7,base=tullock:r=0.8",
+        ],
+    )
+    def test_sweeps_equal_a_reference_gauss_seidel_pass(self, text, symmetric):
+        """``_sweep`` on Python floats gives, row for row, the bits of
+        Gauss-Seidel updates through ``bellman_update`` on numpy arrays."""
+        if symmetric:
+            m = build_tug_of_war(4, 0.3)
+        else:
+            rng = random.Random(3)
+            m = _random_rule(rng)
+            while swap_involution(m) is not None or len(m.nonterminal_states) < 4:
+                m = _random_rule(rng)
+        sigma = swap_involution(m)
+        assert (sigma is None) != symmetric
+        layer = _Layer(ContestSpec(m, parse_sf(text), 1.0))
+        rows, start_a, start_b = _distance_start(m, 1.0)
+        va, vb = layer.full_vectors(start_a, start_b)
+        if sigma is not None:
+            vb = va[[sigma[s] for s in range(m.n)]]
+        row_legs = _row_legs(layer)
+        order = [(layer.nt[i].item(), *row_legs[i]) for i in rows.tolist()]
+        la, lb = va.tolist(), vb.tolist()
+        for sweep in range(10):
+            lam = 1.0 if sweep == 0 else _DAMPING
+            moved = 0.0
+            for i in rows.tolist():
+                s = layer.nt[i]
+                ua, ub, _, _ = layer.bellman_update(va, vb, rows=[i])
+                new_a = (1.0 - lam) * va[s] + lam * ua[0]
+                moved = max(moved, abs(new_a - va[s]))
+                if sigma is None:
+                    new_b = (1.0 - lam) * vb[s] + lam * ub[0]
+                    moved = max(moved, abs(new_b - vb[s]))
+                    vb[s] = new_b
+                else:
+                    vb[sigma[s]] = new_a
+                va[s] = new_a
+            assert _sweep(order, sigma, layer.spec.sf, la, lb, lam) == moved > 0.0
+            assert np.array(la).tobytes() == va.tobytes()
+            assert np.array(lb).tobytes() == vb.tobytes()
+
     @staticmethod
     def _check_sweep_stakes(m, rng):
         layer = _Layer(ContestSpec(m, SF1, 1.0))
@@ -811,14 +870,60 @@ class TestStackedResidual:
 
         events.clear()
         monkeypatch.setattr(solver, "_fd_column", lambda v: math.nan)  # no column is detected
+        points, recorded = [], _HybrResidual.__call__  # (callable, point) of each call
+
+        def call(self, x):
+            points.append((self, x.tobytes()))
+            return recorded(self, x)
+
+        monkeypatch.setattr(_HybrResidual, "__call__", call)
         plain = solve_cyclic(self.TOW_8)
         assert set(events) == {"call", 1}
-        assert events.count(1) == events.count("call")
+        # one evaluation a call, but for a repeat of the point just asked
+        repeats = sum(a == b for a, b in zip(points, points[1:]))
+        assert repeats and events.count(1) == events.count("call") - repeats
         for sol in (batched, chunked):
             assert plain.values_a == sol.values_a and plain.values_b == sol.values_b
             assert (plain.iterations, plain.residual, plain.method) == (
                 sol.iterations, sol.residual, sol.method
             )
+
+    def test_the_start_is_evaluated_once(self, monkeypatch):
+        """root's shape probe and hybrd's first calls ask for the start; one
+        evaluation answers them, and the search asks for and finds what it
+        does without the reuse."""
+        m = build_tug_of_war(4, 0.3)
+        sigma = swap_involution(m)
+        layer = _Layer(ContestSpec(m, Tullock(0.8), 1.0))
+        system = _RootSystem(layer, np.array([sigma[s] for s in range(m.n)]))
+        x0 = _distance_start(m, 1.0)[1]
+        evaluate, answer = _RootSystem.__call__, _HybrResidual.__call__
+
+        def run(respond):
+            events, asked = [], []
+
+            def stack(self, xs):
+                events.append(len(xs))
+                return evaluate(self, xs)
+
+            def call(self, x):
+                events.append("call")
+                out = respond(self, x)
+                asked.append((x.tobytes(), out.tobytes()))
+                return out
+
+            monkeypatch.setattr(_RootSystem, "__call__", stack)
+            monkeypatch.setattr(_HybrResidual, "__call__", call)
+            roots = [tuple(v.tobytes() for v in root) for root in _newton_search(system, [x0])]
+            return events, asked, roots
+
+        events, asked, roots = run(answer)
+        assert events[:4] == ["call", 1, "call", "call"]
+        assert asked[0] == asked[1] and asked[0][0] == x0.tobytes()
+        assert len(roots) == 1
+        plain_events, *plain = run(lambda self, x: self.system(x[None])[0])
+        assert plain_events[:4] == ["call", 1, "call", 1]
+        assert [asked, roots] == plain
 
     def test_a_fault_in_the_residual_surfaces(self, monkeypatch):
         def broken(self, xs):

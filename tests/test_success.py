@@ -35,6 +35,7 @@ from contestlab import solver, success
 from contestlab.incumbency import MK1, log_bias_ratio
 from contestlab.solver import streak_root
 from contestlab.success import _brentq, battle_gain
+from test_solver import _nan_bits
 
 THETA_GRID = np.logspace(-6, 6, 121)
 
@@ -137,9 +138,9 @@ class TestPhi:
 
 
 class TestFloatRatioPath:
-    """A float ratio evaluates one side with scalar numpy powers; a 0-d array
-    still takes the array path, whose 0-d arithmetic (libm squares of numpy
-    scalars) the float path must reproduce bit for bit."""
+    """A float ratio evaluates one side, with numpy's power and Python-float
+    arithmetic; 0-d and 1-d arrays take the array path, whose bits the float
+    path must reproduce."""
 
     KINDS = [
         Tullock(1.0),
@@ -164,6 +165,31 @@ class TestFloatRatioPath:
                 got = f(theta)
                 assert type(got) is float
                 assert got == f(np.asarray(theta)), theta
+
+    @pytest.mark.parametrize("method", ["phi", "phi_complement", "gamma", "gamma_prime"])
+    @pytest.mark.parametrize("sf", KINDS)
+    def test_float_equals_1d_array_element(self, sf, method):
+        # the root system's and the verdict's path: one array of every
+        # ratio, a NaN among them
+        f = getattr(sf, method)
+        ratios = self.RATIOS + [math.nan]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = np.array([f(theta) for theta in ratios])
+            assert _nan_bits(got) == _nan_bits(f(np.array(ratios)))
+
+    @pytest.mark.parametrize("sf", KINDS)
+    def test_battle_gain_on_floats_equals_1d_arrays(self, sf):
+        # zeros, one-sided pairs, +inf ratios and a NaN in the same arrays
+        rng = np.random.default_rng(13)
+        stakes = [0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300, math.nan]
+        da, db = (g.ravel() for g in np.meshgrid(stakes, stakes))
+        da = np.concatenate([da, np.exp(rng.uniform(-40.0, 40.0, 400))])
+        db = np.concatenate([db, np.exp(rng.uniform(-40.0, 40.0, 400))])
+        both = (da > 0.0) & (db > 0.0)
+        with np.errstate(all="ignore"):  # overflowing ratios, powers of zero
+            assert np.isposinf(da[both] / db[both]).any() and np.isnan(da).any()
+            scalar = np.array([battle_gain(sf, a, b) for a, b in zip(da.tolist(), db.tolist())])
+            assert _nan_bits(scalar) == _nan_bits(battle_gain(sf, da, db))
 
 
 class TestSolveBattle:
