@@ -507,7 +507,12 @@ def _reached(depth: np.ndarray) -> dict:
 
 
 def default_exchangeability_depth(m: ContestAutomaton) -> int:
-    """Twice the start-state eccentricity of the state graph, capped at 12."""
+    """On an acyclic rule the longest terminal history from the start (its
+    pass under ``_levels``, at least 2), so the verdict is exact; on a
+    cyclic one twice the start-state eccentricity, clamped to [2, 12]."""
+    for passes, ready in enumerate(_levels(m.legs.row < 0, m.legs.src, m.legs.tgt), 1):
+        if ready[m.start]:
+            return max(2, passes)
     ecc = max(_forward_distances(m, m.start).values())
     return max(2, min(12, 2 * ecc))
 

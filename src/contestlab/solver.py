@@ -132,78 +132,106 @@ class _Verdict(NamedTuple):
 
 
 class _Layer:
-    """The Bellman operator of one automaton, summed over its leg table."""
+    """The Bellman operator of one automaton, summed over its leg table.
 
-    def __init__(self, spec: ContestSpec):
+    Its unknowns x are both players' nonterminal values, A's rows then B's,
+    or under a swap involution ``perm`` A's alone, B's value at a state
+    being A's at its image.  Each state's value is an index into
+    z = (0, prize, x_0, x_1, ...), ``at_a`` for A's and ``at_b`` for B's.
+    Each unknown sums, in table order, its own player's continuations after
+    its own win and loss and the opponent's after the opponent's win and
+    loss.  A stack lays its profiles' legs end to end, own sides first, so
+    one gather, one ``bincount`` and one ``battle_gain`` call give every row
+    the bits of a one-profile call.
+    """
+
+    def __init__(self, spec: ContestSpec, perm=None):
         self.spec = spec
-        self.legs = legs = spec.automaton.legs
-        self.nt = np.flatnonzero(legs.row >= 0)  # the nonterminal states
-        # the (row, winner) bucket of each leg: 2 * row + winner code
-        self.bucket = 2 * legs.row[legs.src] + legs.win
-        self.term_a = np.where(legs.outcome == 0, spec.prize, 0.0)
-        self.term_b = np.where(legs.outcome == 1, spec.prize, 0.0)
+        legs = spec.automaton.legs
+        nt = legs.row >= 0
+        self.nt = np.flatnonzero(nt)  # the nonterminal states
+        size = len(self.nt)
+        self.ends = np.array([0.0, spec.prize])
+        self.at_a = np.where(nt, 2 + legs.row, legs.outcome == 0)
+        if perm is None:
+            self.at_b = np.where(nt, 2 + size + legs.row, legs.outcome == 1)
+        else:  # the involution swaps winners, so it also maps terminal values
+            self.at_b = self.at_a[perm]
+        row, win = legs.row[legs.src], legs.win
+        a, b = self.at_a[legs.tgt], self.at_b[legs.tgt]
+        self.legs = (row, win, legs.prob, a, b)  # each leg's row, winner, chance, indices
+        sides = [(row, win, a, b)]
+        if perm is None:  # B's unknowns read the same legs the other way round
+            sides.append((size + row, 1 - win, b, a))
+        unknown, lost, own, opp = (np.concatenate(column) for column in zip(*sides))
+        self.width = len(sides) * size
+        # each leg's chance, value indices and buckets: 2 * unknown, plus 1
+        # for the own sums after the player's loss and the opponent's sums
+        # after the opponent's loss
+        prob = np.tile(legs.prob, len(sides))
+        self.sides = (prob, own, opp, 2 * unknown + lost, 2 * unknown + 1 - lost)
+        self.stack_rows = max(1, _STACK_LEGS // max(1, len(own)))
+        self._stacks = {}
 
-    def full_vectors(self, values_nt_a, values_nt_b):
-        va = self.term_a.copy()
-        vb = self.term_b.copy()
-        va[self.nt] = values_nt_a
-        vb[self.nt] = values_nt_b
-        return va, vb
+    def _stack(self, k: int):
+        """``sides`` for k profiles laid end to end as one chance, value
+        index and bucket array: the own sides, then the opponent sides,
+        whose buckets follow the own sides' 2 * width * k."""
+        if k not in self._stacks:
+            prob, own, opp, b_own, b_opp = self.sides
+            step = self.width * np.arange(k)[:, None]
+            self._stacks[k] = (
+                np.tile(prob, 2 * k),
+                np.concatenate([own + step * (own >= 2), opp + step * (opp >= 2)]).ravel(),
+                np.concatenate([b_own + 2 * step, b_opp + 2 * (step + self.width * k)]).ravel(),
+            )
+        return self._stacks[k]
 
-    def stakes(self, va, vb, rows=None):
-        """Expected continuations (ea_w, ea_l, eb_w, eb_l) at every row or at
-        ``rows``.  Each (row, winner) bucket sums its legs in table order, so
-        a row's stakes do not depend on which other rows are evaluated."""
-        legs = self.legs
-        size = 2 * len(self.nt)
-        cont_a = np.bincount(self.bucket, legs.prob * va[legs.tgt], size).reshape(-1, 2)
-        cont_b = np.bincount(self.bucket, legs.prob * vb[legs.tgt], size).reshape(-1, 2)
-        if rows is not None:
-            cont_a, cont_b = cont_a[rows], cont_b[rows]
-        return cont_a[:, 0], cont_a[:, 1], cont_b[:, 1], cont_b[:, 0]
+    def stakes(self, xs):
+        """Each unknown's own sum after its player's loss and its (own,
+        opponent) stakes, over the rows of ``xs`` (k x width) end to end."""
+        z = np.concatenate((self.ends, xs.ravel()))
+        prob, at, bucket = self._stack(len(xs))
+        # (own, opponent) x unknowns x (after a win, after a loss)
+        sums = np.bincount(bucket, prob * z[at], 4 * xs.size).reshape(2, -1, 2)
+        stake = sums[..., 0] - sums[..., 1]
+        return sums[0, :, 1], stake[0], stake[1]
 
-    def bellman_update(self, va, vb, rows=None):
-        """One application of the equilibrium operator to full value vectors,
-        at every row or at ``rows``, and the stakes (da, db) it read."""
-        ea_w, ea_l, eb_w, eb_l = self.stakes(va, vb, rows)
-        da = ea_w - ea_l
-        db = eb_w - eb_l
-        sf = self.spec.sf
-        return ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da), da, db
+    def __call__(self, xs):
+        """x - T(x) at each row of ``xs`` (k x width)."""
+        loss, own, opp = self.stakes(xs)
+        return (xs.ravel() - (loss + battle_gain(self.spec.sf, own, opp))).reshape(xs.shape)
+
+    def vectors(self, x):
+        """Full value vectors (va, vb) of one profile of unknowns."""
+        z = np.concatenate((self.ends, x))
+        return z[self.at_a], z[self.at_b]
 
     def verdict(self, va, vb) -> _Verdict:
-        """The stakes (da, db) at every row, the supremum Bellman residual
-        (NaN if any gap is NaN, 0 without rows) and whether the profile idles:
-        some row where both stakes vanish while neither value is near the
-        prize (genuine one-sided saturation keeps the leader's at the prize)."""
-        ua, ub, da, db = self.bellman_update(va, vb)
+        """The stakes (da, db) at every row of full value vectors, the
+        supremum Bellman residual (NaN if any gap is NaN, 0 without rows) and
+        whether the profile idles: some row where both stakes vanish while
+        neither value is near the prize (genuine one-sided saturation keeps
+        the leader's at the prize).  Judges B's rows too: no involution."""
         nt, prize = self.nt, self.spec.prize
-        gaps = np.abs(np.concatenate([ua - va[nt], ub - vb[nt]]))
+        x = np.concatenate([va[nt], vb[nt]])
+        loss, own, opp = self.stakes(x[None])
+        gaps = np.abs(x - (loss + battle_gain(self.spec.sf, own, opp)))
+        da, db = own[: len(nt)], opp[: len(nt)]
         idle = (da <= 1e-6 * prize) & (db <= 1e-6 * prize)
         idle &= np.maximum(va[nt], vb[nt]) < 0.9 * prize
         return _Verdict(da, db, float(np.max(gaps, initial=0.0)), bool(idle.any()))
 
-
-def _row_legs(layer: _Layer) -> list:
-    """Each row's A-win and B-win legs, ((chance, target), ...) in table order."""
-    legs = layer.legs
-    out = [([], []) for _ in layer.nt]
-    columns = (legs.row[legs.src], legs.win, legs.tgt, legs.prob)
-    for i, w, t, p in zip(*(column.tolist() for column in columns)):
-        out[i][w].append((p, t))
-    return out
-
-
-def _row_stakes(win_a, win_b, va, vb):
-    """One row of ``_Layer.stakes`` from its ``_row_legs``, summed in the same order."""
-    ea_w = ea_l = eb_w = eb_l = 0.0
-    for p, t in win_a:
-        ea_w += p * va[t]
-        eb_l += p * vb[t]
-    for p, t in win_b:
-        ea_l += p * va[t]
-        eb_w += p * vb[t]
-    return ea_w, ea_l, eb_w, eb_l
+    def sweep_rows(self, order) -> list:
+        """``_sweep``'s rows, at the nonterminal rows ``order``: A's and B's
+        value index into z (B's None under the involution, where it moves
+        with A's), then the A-win and the B-win legs, each (chance, A's
+        index, B's index) in table order."""
+        size = len(self.nt)
+        rows = [(2 + i, 2 + size + i if self.width > size else None, [], []) for i in range(size)]
+        for i, w, *leg in zip(*(column.tolist() for column in self.legs)):
+            rows[i][2 + w].append(tuple(leg))
+        return [rows[i] for i in order]
 
 
 def _assemble(
@@ -254,15 +282,16 @@ def solve_finite(spec: ContestSpec) -> ValueSolution:
     operator's own and the residual is exactly zero.
     """
     layer = _Layer(spec)
-    legs = layer.legs
-    va, vb = layer.full_vectors(0.0, 0.0)
+    legs = spec.automaton.legs
+    x = np.zeros(layer.width)
     done = legs.row < 0  # terminals are solved from the start
     for ready in _levels(done, legs.src, legs.tgt):
-        ready = np.flatnonzero(ready)
-        va[ready], vb[ready] = layer.bellman_update(va, vb, legs.row[ready])[:2]
+        at = np.concatenate([layer.at_a[ready], layer.at_b[ready]]) - 2  # their unknowns
+        loss, own, opp = (column[at] for column in layer.stakes(x[None]))
+        x[at] = loss + battle_gain(spec.sf, own, opp)
     if not done.all():
         raise CyclicAutomatonError("automaton contains cycles; use the cyclic fixed-point solver")
-    return _assemble(layer, "backward", 0, va, vb)
+    return _assemble(layer, "backward", 0, *layer.vectors(x))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +549,13 @@ def solve_cyclic(
 ) -> ValueSolution:
     """Damped sweep iteration of the equilibrium operator.
 
-    Each iteration updates every nonterminal state's battle against the
-    freshest continuation values (chance-averaged over lotteries), sweeping
-    from the states nearest a terminal inward so that boundary information
-    crosses the whole graph every pass.  After a pure first sweep, values
-    move halfway toward each update.  Checkpoints (sweep 50, 100, 200, ... of
+    From start to root the engine works in ``_Layer``'s unknowns, A's values
+    alone under a player-swap involution.  Each iteration updates every
+    nonterminal state's battle against the freshest continuation values
+    (chance-averaged over lotteries), sweeping from the states nearest a
+    terminal inward so that boundary information crosses the whole graph
+    every pass.  After a pure first sweep, values move halfway toward each
+    update.  Checkpoints (sweep 50, 100, 200, ... of
     a phase, or a stalled sweep) run a quasi-Newton candidate search from the
     iterate, the call's first one also from flat profiles.  The operator
     also admits mutual-discouragement fixed points (idle interior battles,
@@ -535,29 +566,38 @@ def solve_cyclic(
     1e-12 x prize) with no idle row is returned at once.  An idle iterate
     ends its phase; idle iterates and idle roots alike replace the fallback
     when their residual is lower than its own.  The fallback is returned
-    only if no phase finds a competitive fixed point.
+    only if no phase finds a competitive fixed point; ``extras["idle"]``
+    says which of the two the answer is.
     """
     if tol is None:
         tol = 1e-12 * spec.prize
     m = spec.automaton
-    layer = _Layer(spec)
-    nt = layer.nt
-    if not len(nt):
-        va, vb = layer.full_vectors(np.zeros(0), np.zeros(0))
-        return _assemble(layer, "fixed_point", 0, va, vb)
+    layer = _Layer(spec)  # the verdict's operator, on both players' values
+    iterations = 0
+
+    def accept(va, vb, verdict=None):
+        out = _assemble(layer, "fixed_point", iterations, va, vb, verdict)
+        out.extras["idle"] = verdict is not None and verdict.idle
+        return out
+
+    if not len(layer.nt):  # no battles: nothing idles
+        return accept(*layer.vectors(np.zeros(0)))
     # With a player-swap involution the symmetric equilibrium satisfies
     # V_B = V_A o sigma; enforcing it keeps the iteration away from the
-    # asymmetric discouragement profiles the operator also admits.
+    # asymmetric discouragement profiles the operator also admits, and
+    # leaves A's values as the only unknowns.
     sigma = swap_involution(m)
-    perm = np.array([sigma[s] for s in range(m.n)]) if sigma is not None else None
+    engine = layer if sigma is None else _Layer(spec, np.array([sigma[s] for s in range(m.n)]))
     sf, prize = spec.sf, spec.prize
-    rows, start_a, start_b = _distance_start(m, prize)
-    row_legs = _row_legs(layer)
-    order = [(s, *row_legs[i]) for s, i in zip(nt[rows].tolist(), rows.tolist())]
+    order, start_a, start_b = _distance_start(m, prize)
+    rows = engine.sweep_rows(order.tolist())
 
-    phase_inits = [None, 0.05, 0.0]  # None = distance-interpolated
+    phase_starts = [  # distance-interpolated, then flat at 0.05 x prize, then zero
+        np.concatenate([start_a, start_b])[: engine.width],  # A's alone under sigma
+        np.full(engine.width, 0.05 * prize),
+        np.zeros(engine.width),
+    ]
     phase_budget = 800
-    iterations = 0
     res = math.inf
     fallback = None  # best verified idle-interior fixed point
 
@@ -568,52 +608,43 @@ def solve_cyclic(
         verdict = layer.verdict(va, vb)
         if verdict.residual <= tol:
             if not verdict.idle:
-                return verdict, _assemble(layer, "fixed_point", iterations, va, vb, verdict)
+                return verdict, accept(va, vb, verdict)
             if fallback is None or verdict.residual < fallback[2].residual:
                 fallback = (va, vb, verdict)
         return verdict, None
 
     # the flat starts depend on neither the iterate nor the phase, so only
     # the call's first search runs them
-    system = _RootSystem(layer, perm)
-    flat_starts = [np.full(system.width, level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)]
-    for init_level in phase_inits:
-        if init_level is None:
-            va, vb = layer.full_vectors(start_a, start_b)
-        else:
-            flat = np.full(len(nt), init_level * prize)
-            va, vb = layer.full_vectors(flat, flat.copy())
-        if sigma is not None:
-            vb = va[perm]
+    flat_starts = [np.full(engine.width, level * prize) for level in (0.2, 0.05, 0.35, 0.02, 0.5)]
+    for start in phase_starts:
         # the sweeps run on Python floats; a checkpoint builds fresh arrays
-        la, lb = va.tolist(), vb.tolist()
+        z = np.concatenate((engine.ends, start)).tolist()
         phase_sweeps = 0
         next_search = 50
         while phase_sweeps < phase_budget and iterations < max_iter:
             lam = 1.0 if phase_sweeps == 0 else _DAMPING  # pure first sweep seeds the basin
-            sweep_delta = _sweep(order, sigma, sf, la, lb, lam)
+            sweep_delta = _sweep(rows, sf, z, lam)
             phase_sweeps += 1
             iterations += 1
             if not (sweep_delta <= tol or phase_sweeps >= next_search):
                 continue  # a checkpoint is a stalled sweep or a scheduled search
             if phase_sweeps >= next_search:
                 next_search *= 2
-            va, vb = np.array(la), np.array(lb)
-            verdict, answer = judge(va, vb)
+            x = np.array(z[2:])
+            verdict, answer = judge(*engine.vectors(x))
             res = min(res, verdict.residual)
             if answer is not None:
                 return answer
             if verdict.residual <= tol:
                 break  # idle basin: restart from the next flat level
-            iterate = va[nt] if sigma is not None else np.concatenate([va[nt], vb[nt]])
-            for root in _newton_search(system, [iterate, *flat_starts]):
+            for root in _newton_search(engine, [x, *flat_starts]):
                 answer = judge(*root)[1]
                 if answer is not None:
                     return answer
             flat_starts = []
     if fallback is not None:
         # only mutual-discouragement equilibria were found; report the best
-        return _assemble(layer, "fixed_point", iterations, *fallback)
+        return accept(*fallback)
     raise ConvergenceError(
         f"fixed-point iteration stalled at residual {res:.3e} "
         f"after {iterations} iterations (tol {tol:.3e})",
@@ -621,26 +652,30 @@ def solve_cyclic(
     )
 
 
-def _sweep(order, sigma, sf, va: list, vb: list, lam: float) -> float:
-    """One Gauss-Seidel sweep of ``solve_cyclic`` over ``order``'s rows, in
-    place on the value lists: each value moves a share ``lam`` of the way to
-    its update, B's through the involution ``sigma`` when there is one.
-    Returns the largest move."""
+def _sweep(rows, sf, z: list, lam: float) -> float:
+    """One Gauss-Seidel sweep of ``solve_cyclic`` over ``_Layer.sweep_rows``,
+    in place on the values z = (0, prize, x_0, ...): each unknown moves a
+    share ``lam`` of the way to its update (under the involution B's values
+    are A's, read through it).  Returns the largest move."""
     keep = 1.0 - lam
     delta = 0.0
-    for s, win_a, win_b in order:
-        ea_w, ea_l, eb_w, eb_l = _row_stakes(win_a, win_b, va, vb)
-        old = va[s]
+    for ia, ib, win_a, win_b in rows:
+        ea_w = ea_l = eb_w = eb_l = 0.0
+        for p, a, b in win_a:
+            ea_w += p * z[a]
+            eb_l += p * z[b]
+        for p, a, b in win_b:
+            ea_l += p * z[a]
+            eb_w += p * z[b]
+        old = z[ia]
         new = keep * old + lam * (ea_l + battle_gain(sf, ea_w - ea_l, eb_w - eb_l))
         delta = max(delta, abs(new - old))
-        va[s] = new
-        if sigma is not None:
-            vb[sigma[s]] = new
-        else:
-            old = vb[s]
+        z[ia] = new
+        if ib is not None:
+            old = z[ib]
             new = keep * old + lam * (eb_l + battle_gain(sf, eb_w - eb_l, ea_w - ea_l))
             delta = max(delta, abs(new - old))
-            vb[s] = new
+            z[ib] = new
     return delta
 
 
@@ -648,76 +683,6 @@ def _sweep(order, sigma, sf, va: list, vb: list, lam: float) -> float:
 # square root of the double epsilon 2^-52
 _FD_STEP = 2.0**-26
 _STACK_LEGS = 1 << 14  # the most legs one stacked evaluation gathers for a side
-
-
-class _RootSystem:
-    """x - T(x) on stacks of the root search's unknowns, one profile a row.
-
-    The unknowns are A's nonterminal values under the swap involution
-    ``perm``, both players' otherwise; with the involution B's battles are
-    skipped, since A's rows equal the A half of ``bellman_update``.  Each
-    unknown sums, in table order, its own player's continuations after its
-    own win and loss and the opponent's after the opponent's win and loss.
-    A stack lays its profiles' legs end to end, own sides first, so one
-    gather, one ``bincount`` and one ``battle_gain`` call give every row
-    the bits of a one-profile call.
-    """
-
-    def __init__(self, layer: _Layer, perm):
-        legs, size = layer.legs, len(layer.nt)
-        self.sf, self.prize = layer.spec.sf, layer.spec.prize
-        self.ends = np.array([0.0, self.prize])
-        # each state's value as an index into z = (0, prize, x_0, x_1, ...)
-        nt = legs.row >= 0
-        self.at_a = np.where(nt, 2 + legs.row, legs.outcome == 0)
-        if perm is None:
-            self.at_b = np.where(nt, 2 + size + legs.row, legs.outcome == 1)
-        else:  # the involution swaps winners, so it also maps terminal values
-            self.at_b = self.at_a[perm]
-        row, win, tgt = legs.row[legs.src], legs.win, legs.tgt
-        sides = [(row, win, self.at_a[tgt], self.at_b[tgt])]
-        if perm is None:  # B's unknowns read the same legs the other way round
-            sides.append((size + row, 1 - win, self.at_b[tgt], self.at_a[tgt]))
-        unknown, lost, own, opp = (np.concatenate(column) for column in zip(*sides))
-        self.width = len(sides) * size
-        # each leg's chance, value indices and buckets: 2 * unknown, plus 1
-        # for the own sums after the player's loss and the opponent's sums
-        # after the opponent's loss
-        prob = np.tile(legs.prob, len(sides))
-        self.legs = (prob, own, opp, 2 * unknown + lost, 2 * unknown + 1 - lost)
-        self.stack_rows = max(1, _STACK_LEGS // len(own))
-        self._stacks = {}
-
-    def _stack(self, k: int):
-        """``legs`` for k profiles laid end to end as one chance, value index
-        and bucket array: the own sides, then the opponent sides, whose
-        buckets follow the own sides' 2 * width * k."""
-        if k not in self._stacks:
-            prob, own, opp, b_own, b_opp = self.legs
-            step = self.width * np.arange(k)[:, None]
-            self._stacks[k] = (
-                np.tile(prob, 2 * k),
-                np.concatenate([own + step * (own >= 2), opp + step * (opp >= 2)]).ravel(),
-                np.concatenate([b_own + 2 * step, b_opp + 2 * (step + self.width * k)]).ravel(),
-            )
-        return self._stacks[k]
-
-    def __call__(self, xs):
-        """x - T(x) at each row of ``xs`` (k x width)."""
-        k = len(xs)
-        flat = xs.ravel()
-        z = np.concatenate((self.ends, flat))
-        prob, at, bucket = self._stack(k)
-        # (own, opponent) x unknowns x (after a win, after a loss)
-        sums = np.bincount(bucket, prob * z[at], 4 * self.width * k).reshape(2, -1, 2)
-        stake = sums[..., 0] - sums[..., 1]
-        gain = battle_gain(self.sf, stake[0], stake[1])
-        return (flat - (sums[0, :, 1] + gain)).reshape(k, self.width)
-
-    def vectors(self, x):
-        """Full value vectors (va, vb) of one profile of unknowns."""
-        z = np.concatenate((self.ends, x))
-        return z[self.at_a], z[self.at_b]
 
 
 def _fd_column(v: float) -> float:
@@ -734,10 +699,10 @@ class _HybrResidual:
     stacks and answers the next n - 1 calls from them, keyed by the point's
     bytes.  A call that repeats the point just evaluated (``root``'s shape
     probe and hybrd's first calls all ask for the start) is answered from
-    that evaluation.  Every answer is the residual at the point asked, so only the speed
-    depends on this detection."""
+    that evaluation.  Every answer is the residual at the point asked, so
+    only the speed depends on this detection."""
 
-    def __init__(self, system: _RootSystem):
+    def __init__(self, system: _Layer):
         self.system = system
         self.recent = deque(maxlen=3)  # (bytes after x_0, x_0, x_0 + h_0) of those evaluations
         self.stash = {}
@@ -767,18 +732,17 @@ class _HybrResidual:
         return out[0]
 
 
-def _newton_search(system: _RootSystem, starts):
+def _newton_search(system: _Layer, starts):
     """Quasi-Newton (``hybr``) roots of the fixed-point system, tried from
     each start in turn and yielded as full value vectors (va, vb).
 
     A root is clipped to [0, prize] and yielded only when every state's
     values sum to at most the prize (a NaN fails); the caller judges it.
-    With a swap involution the unknowns are A's values only, which keeps the
-    search on symmetric profiles.  Deterministic by construction.
+    Deterministic by construction.
     """
     from scipy.optimize import root
 
-    prize = system.prize
+    prize = system.spec.prize
     for x0 in starts:
         try:
             sol = root(
@@ -839,11 +803,8 @@ def residual(spec: ContestSpec, values) -> float:
     missing = [s for s in nt if s not in pairs]
     if missing:
         raise DomainError(f"values missing for nonterminal states {missing}")
-    va, vb = layer.full_vectors(
-        np.array([pairs[s][0] for s in nt], dtype=float),
-        np.array([pairs[s][1] for s in nt], dtype=float),
-    )
-    return layer.verdict(va, vb).residual
+    x = np.array([pairs[s][0] for s in nt] + [pairs[s][1] for s in nt], dtype=float)
+    return layer.verdict(*layer.vectors(x)).residual
 
 
 def solve(spec: ContestSpec, **cyclic_options) -> ValueSolution:

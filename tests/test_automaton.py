@@ -343,6 +343,29 @@ class TestExchangeability:
         assert 2 <= default_exchangeability_depth(build_best_of(1)) <= 12
         assert default_exchangeability_depth(build_tug_of_war(10)) == 12
 
+    def test_depth_default_reaches_past_twelve_on_acyclic_rules(self):
+        # A's first win ends the contest; B's enters a 12-state chain that
+        # either winner steps along, after which AB and BA part ways.  The
+        # longest history has 16 battles; the witnesses have 15.
+        chain = list(range(1, 14))  # the chain, then the state past it
+        table = {(0, "A"): 18, (0, "B"): 1}
+        for s, t in zip(chain, chain[1:]):
+            table[(s, "A")] = table[(s, "B")] = t
+        table.update({
+            (13, "A"): 14, (13, "B"): 15,
+            (14, "A"): 18, (14, "B"): 16,
+            (15, "A"): 17, (15, "B"): 19,
+            (16, "A"): 18, (16, "B"): 18,
+            (17, "A"): 19, (17, "B"): 19,
+        })
+        m = ContestAutomaton(0, {key: ((t, 1.0),) for key, t in table.items()}, {18: "A", 19: "B"})
+        assert m.n == 20
+        assert check_exchangeable(m, 12) == (True, None)  # the old default depth
+        assert default_exchangeability_depth(m) == 16
+        ok, witness = check_exchangeable(m, 16)
+        assert not ok
+        assert witness == (("B", *"A" * 13, "B"), ("B", *"A" * 12, "B", "A"))
+
     def test_depth_validation(self):
         with pytest.raises(DomainError):
             check_exchangeable(build_best_of(1), 1)

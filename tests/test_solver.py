@@ -52,14 +52,45 @@ from contestlab.solver import (
     _HybrResidual,
     _Layer,
     _newton_search,
-    _RootSystem,
-    _row_legs,
-    _row_stakes,
     _sweep,
 )
+from contestlab.success import battle_gain
 from test_automaton import _random_rule
 
 SF1 = Tullock(1.0)
+
+
+def by_hand_vectors(m, x, sigma=None):
+    """Full value lists of a unit-prize profile x: A's nonterminal values in
+    state order, then B's, or under a swap involution ``sigma`` only A's,
+    B's value at a state being A's at its image."""
+    nt = m.nonterminal_states
+    own_a, own_b = dict(zip(nt, x)), dict(zip(nt, x[len(nt):]))
+    va = [own_a[s] if s in own_a else float(m.winner(s) == "A") for s in range(m.n)]
+    if sigma is not None:
+        return va, [va[sigma[s]] for s in range(m.n)]
+    return va, [own_b[s] if s in own_b else float(m.winner(s) == "B") for s in range(m.n)]
+
+
+def oracle_row(m, sf, va, vb, s):
+    """The Bellman operator at state s by hand: its sums (ea_w, ea_l, eb_w,
+    eb_l) over ``m.successors`` in order and A's and B's updates, from the
+    value lists (va, vb) and the scalar ``battle_gain``."""
+    ea_w = ea_l = eb_w = eb_l = 0.0
+    for t, p in m.successors(s, "A"):
+        ea_w += p * va[t]
+        eb_l += p * vb[t]
+    for t, p in m.successors(s, "B"):
+        ea_l += p * va[t]
+        eb_w += p * vb[t]
+    da, db = ea_w - ea_l, eb_w - eb_l
+    return (ea_w, ea_l, eb_w, eb_l), ea_l + battle_gain(sf, da, db), eb_l + battle_gain(sf, db, da)
+
+
+def involution_perm(m):
+    """The swap involution as an array over states, or None."""
+    sigma = swap_involution(m)
+    return None if sigma is None else np.array([sigma[s] for s in range(m.n)])
 
 
 def phi_rational(theta: F) -> F:
@@ -379,11 +410,13 @@ class TestCyclicEngine:
         sol = solve_cyclic(ContestSpec(m, Serial(0.5), 1.0))
         assert (sol.method, sol.residual, sol.v0_a) == ("fixed_point", 0.0, 0.5)
         assert all(row.effort_a == row.effort_b == 0.0 for row in sol.states.values())
+        assert sol.extras["idle"] is True
 
     def test_rule_without_battles(self):
         sol = solve_cyclic(ContestSpec(ContestAutomaton(0, {}, {0: "A"}), SF1))
         assert (sol.method, sol.iterations, sol.residual) == ("fixed_point", 0, 0.0)
         assert sol.states == {}
+        assert sol.extras["idle"] is False
 
     def test_reset_ring_through_json_with_shifted_ids(self, relabel):
         # the sweeps from zero, the truncated contest's values, escape the
@@ -396,6 +429,7 @@ class TestCyclicEngine:
         for s in range(35):
             assert sol.values_a[ids[s]] == pytest.approx(clo.values_a[s], abs=1e-8)
             assert sol.values_b[ids[s]] == pytest.approx(clo.values_b[s], abs=1e-8)
+        assert sol.extras["idle"] is False
 
     def test_only_one_player_has_a_terminal(self):
         # every path that ends ends at A's terminal, so A holds the prize
@@ -452,7 +486,8 @@ class TestCyclicEngine:
             np.allclose(v, [ref[s] for s in range(m.n)], rtol=0.0, atol=1e-8)
             for v, ref in ((va, clo.values_a), (vb, clo.values_b))
         )
-        assert exact or _Layer(spec).verdict(va, vb)[3]
+        assert sol.extras["idle"] == _Layer(spec).verdict(va, vb).idle
+        assert exact or sol.extras["idle"]
 
 
 class TestResidual:
@@ -596,28 +631,21 @@ class TestOneOperator:
         m = race_rule()
         spec = ContestSpec(m, Tullock(0.8), 1.0)
         sol = solve(spec)
-        va = np.array([sol.values_a[s] for s in range(m.n)])
-        vb = np.array([sol.values_b[s] for s in range(m.n)])
-        layer = _Layer(spec)
-
-        def by_hand(rows):
-            sums = []
-            for i in rows:
-                s = layer.nt[i]
-                win_a, win_b = m.successors(s, "A"), m.successors(s, "B")
-                sums.append((
-                    sum(p * va[t] for t, p in win_a),
-                    sum(p * va[t] for t, p in win_b),
-                    sum(p * vb[t] for t, p in win_b),
-                    sum(p * vb[t] for t, p in win_a),
-                ))
-            return list(zip(*sums))
-
-        for rows in (None, [5], [3, 5, 11]):
-            got = layer.stakes(va, vb, rows)
-            want = by_hand(range(len(layer.nt)) if rows is None else rows)
-            for column, expected in zip(got, want):
-                assert column.tolist() == list(expected)
+        nt = m.nonterminal_states
+        perm = involution_perm(m)
+        assert perm is not None
+        x = [sol.values_a[s] for s in nt] + [sol.values_b[s] for s in nt]
+        for sigma in (None, perm):
+            layer = _Layer(spec, sigma)
+            va, vb = by_hand_vectors(m, x, sigma)
+            sums = [oracle_row(m, spec.sf, va, vb, s)[0] for s in nt]
+            ea_w, ea_l, eb_w, eb_l = (np.array(column) for column in zip(*sums))
+            da, db = ea_w - ea_l, eb_w - eb_l
+            # A's unknowns, then B's: each one's sum after its own loss and
+            # its (own, opponent) stakes
+            want = [np.concatenate(pair) for pair in ((ea_l, eb_l), (da, db), (db, da))]
+            got = layer.stakes(np.array(x[: layer.width])[None])
+            assert [c.tobytes() for c in got] == [c[: layer.width].tobytes() for c in want]
 
     def test_leg_table_follows_the_transitions(self):
         m = race_rule()
@@ -693,8 +721,8 @@ class TestOneOperator:
         ],
     )
     def test_sweeps_equal_a_reference_gauss_seidel_pass(self, text, symmetric):
-        """``_sweep`` on Python floats gives, row for row, the bits of
-        Gauss-Seidel updates through ``bellman_update`` on numpy arrays."""
+        """``_sweep`` on the layer's rows gives, row for row, the bits of
+        Gauss-Seidel updates through the by-hand operator."""
         if symmetric:
             m = build_tug_of_war(4, 0.3)
         else:
@@ -704,41 +732,55 @@ class TestOneOperator:
                 m = _random_rule(rng)
         sigma = swap_involution(m)
         assert (sigma is None) != symmetric
-        layer = _Layer(ContestSpec(m, parse_sf(text), 1.0))
-        rows, start_a, start_b = _distance_start(m, 1.0)
-        va, vb = layer.full_vectors(start_a, start_b)
-        if sigma is not None:
-            vb = va[[sigma[s] for s in range(m.n)]]
-        row_legs = _row_legs(layer)
-        order = [(layer.nt[i].item(), *row_legs[i]) for i in rows.tolist()]
-        la, lb = va.tolist(), vb.tolist()
+        sf = parse_sf(text)
+        layer = _Layer(ContestSpec(m, sf, 1.0), involution_perm(m))
+        order, start_a, start_b = _distance_start(m, 1.0)
+        x = np.concatenate([start_a, start_b])[: layer.width].tolist()
+        va, vb = by_hand_vectors(m, x, sigma)
+        z = [0.0, 1.0, *x]
+        rows = layer.sweep_rows(order.tolist())
+        nt = m.nonterminal_states
         for sweep in range(10):
             lam = 1.0 if sweep == 0 else _DAMPING
             moved = 0.0
-            for i in rows.tolist():
-                s = layer.nt[i]
-                ua, ub, _, _ = layer.bellman_update(va, vb, rows=[i])
-                new_a = (1.0 - lam) * va[s] + lam * ua[0]
+            for i in order.tolist():
+                s = nt[i]
+                _, ua, ub = oracle_row(m, sf, va, vb, s)
+                new_a = (1.0 - lam) * va[s] + lam * ua
                 moved = max(moved, abs(new_a - va[s]))
                 if sigma is None:
-                    new_b = (1.0 - lam) * vb[s] + lam * ub[0]
+                    new_b = (1.0 - lam) * vb[s] + lam * ub
                     moved = max(moved, abs(new_b - vb[s]))
                     vb[s] = new_b
                 else:
                     vb[sigma[s]] = new_a
                 va[s] = new_a
-            assert _sweep(order, sigma, layer.spec.sf, la, lb, lam) == moved > 0.0
-            assert np.array(la).tobytes() == va.tobytes()
-            assert np.array(lb).tobytes() == vb.tobytes()
+            assert _sweep(rows, sf, z, lam) == moved > 0.0
+            got = np.array(by_hand_vectors(m, z[2:], sigma))
+            assert got.tobytes() == np.array([va, vb]).tobytes()
 
     @staticmethod
     def _check_sweep_stakes(m, rng):
-        layer = _Layer(ContestSpec(m, SF1, 1.0))
-        row_legs = _row_legs(layer)
-        for scale in (1.0, 1e-8):
-            va, vb = (scale * rng.random(m.n) for _ in range(2))
-            want = list(zip(*(column.tolist() for column in layer.stakes(va, vb))))
-            assert [_row_stakes(*legs, va, vb) for legs in row_legs] == want
+        """Each of the layer's sweep rows, run alone as a pure sweep, moves
+        its state's unknowns to the by-hand updates and nothing else, with
+        the involution and without."""
+        nt = m.nonterminal_states
+        sigma = involution_perm(m)
+        for perm in [None] if sigma is None else [None, sigma]:
+            layer = _Layer(ContestSpec(m, SF1, 1.0), perm)
+            rows = layer.sweep_rows(range(len(nt)))
+            for scale in (1.0, 1e-8):
+                x = (scale * rng.random(layer.width)).tolist()
+                va, vb = by_hand_vectors(m, x, perm)
+                for i, (s, row) in enumerate(zip(nt, rows)):
+                    _, ua, ub = oracle_row(m, SF1, va, vb, s)
+                    z = [0.0, 1.0, *x]
+                    want = list(z)
+                    want[2 + i] = ua
+                    if perm is None:
+                        want[2 + len(nt) + i] = ub
+                    _sweep([row], SF1, z, 1.0)
+                    assert z == want
 
 
 def _nan_bits(a):
@@ -764,8 +806,7 @@ class TestStackedResidual:
         rules that have none."""
         rules = []
         for m in (build_tug_of_war(4, 0.3), build_consecutive_win(4)):
-            sigma = swap_involution(m)
-            rules += [(m, np.array([sigma[s] for s in range(m.n)])), (m, None)]
+            rules += [(m, involution_perm(m)), (m, None)]
         rng = random.Random(7)
         while len(rules) < 7:
             m = _random_rule(rng)
@@ -774,28 +815,23 @@ class TestStackedResidual:
         return rules
 
     @staticmethod
-    def _expanded(layer, perm, x):
-        """Full value vectors of a profile of the root system's unknowns."""
-        size = len(layer.nt)
-        va, vb = layer.full_vectors(x[:size], x[size:] if perm is None else x)
-        return (va, va[perm]) if perm is not None else (va, vb)
-
-    def _one_profile(self, layer, perm, x):
-        """x - T(x) from ``_Layer.bellman_update`` on the expanded profile,
-        and which of the unknowns' battles have both stakes positive."""
-        ua, ub, da, db = layer.bellman_update(*self._expanded(layer, perm, x))
-        both = (da > 0.0) & (db > 0.0)
+    def _one_profile(m, sf, perm, x):
+        """x - T(x) from the by-hand operator on the profile's full value
+        lists, and which of the unknowns' battles have both stakes positive."""
+        va, vb = by_hand_vectors(m, x.tolist(), perm)
+        sums, ua, ub = zip(*(oracle_row(m, sf, va, vb, s) for s in m.nonterminal_states))
+        both = [ea_w > ea_l and eb_w > eb_l for ea_w, ea_l, eb_w, eb_l in sums]
         if perm is not None:
-            return x - ua, both
-        return x - np.concatenate([ua, ub]), np.concatenate([both, both])
+            return x - np.array(ua), both
+        return x - np.array(ua + ub), both + both
 
     @pytest.mark.parametrize("text", TECHNOLOGIES)
     def test_rows_equal_the_operator_bit_for_bit(self, text):
         rng = np.random.default_rng(11)
         mixed = 0
+        sf = parse_sf(text)
         for m, perm in self._rules():
-            layer = _Layer(ContestSpec(m, parse_sf(text), 1.0))
-            system = _RootSystem(layer, perm)
+            system = _Layer(ContestSpec(m, sf, 1.0), perm)
             width = system.width
             # competitive rows, flat rows (zero stakes), rows reaching past
             # the prize both ways (negative stakes) and a row with a NaN
@@ -814,27 +850,26 @@ class TestStackedResidual:
             assert got.shape == stack.shape and np.isnan(got).any()
             competitive = []
             for x, row in zip(stack, got):
-                want, both = self._one_profile(layer, perm, x)
+                want, both = self._one_profile(m, sf, perm, x)
                 assert _nan_bits(row) == _nan_bits(want)
                 assert _nan_bits(system(x[None])[0]) == _nan_bits(want)
-                competitive += both.tolist()
+                competitive += both
             mixed += any(competitive) and not all(competitive)
         assert mixed  # battle_gain's mixed path ran on part of a stack
 
     def test_full_vectors_of_a_root(self):
         for m, perm in self._rules():
-            layer = _Layer(ContestSpec(m, SF1, 1.0))
-            system = _RootSystem(layer, perm)
+            system = _Layer(ContestSpec(m, SF1, 1.0), perm)
             x = np.random.default_rng(5).random(system.width)
-            for got, want in zip(system.vectors(x), self._expanded(layer, perm, x)):
-                assert got.tobytes() == want.tobytes()
+            want = np.array(by_hand_vectors(m, x.tolist(), perm))
+            assert np.array(system.vectors(x)).tobytes() == want.tobytes()
 
     TOW_8 = ContestSpec(build_tug_of_war(8, 0.0), Tullock(0.7445), 1.0)
 
     @staticmethod
     def _record(monkeypatch, events):
         """Log each hybr call as "call" and each evaluation as its stack size."""
-        evaluate, answer = _RootSystem.__call__, _HybrResidual.__call__
+        evaluate, answer = _Layer.__call__, _HybrResidual.__call__
 
         def stack(self, xs):
             events.append(len(xs))
@@ -844,7 +879,7 @@ class TestStackedResidual:
             events.append("call")
             return answer(self, x)
 
-        monkeypatch.setattr(_RootSystem, "__call__", stack)
+        monkeypatch.setattr(_Layer, "__call__", stack)
         monkeypatch.setattr(_HybrResidual, "__call__", call)
 
     def test_jacobian_columns_come_from_one_stack(self, monkeypatch):
@@ -893,11 +928,9 @@ class TestStackedResidual:
         evaluation answers them, and the search asks for and finds what it
         does without the reuse."""
         m = build_tug_of_war(4, 0.3)
-        sigma = swap_involution(m)
-        layer = _Layer(ContestSpec(m, Tullock(0.8), 1.0))
-        system = _RootSystem(layer, np.array([sigma[s] for s in range(m.n)]))
+        system = _Layer(ContestSpec(m, Tullock(0.8), 1.0), involution_perm(m))
         x0 = _distance_start(m, 1.0)[1]
-        evaluate, answer = _RootSystem.__call__, _HybrResidual.__call__
+        evaluate, answer = _Layer.__call__, _HybrResidual.__call__
 
         def run(respond):
             events, asked = [], []
@@ -912,7 +945,7 @@ class TestStackedResidual:
                 asked.append((x.tobytes(), out.tobytes()))
                 return out
 
-            monkeypatch.setattr(_RootSystem, "__call__", stack)
+            monkeypatch.setattr(_Layer, "__call__", stack)
             monkeypatch.setattr(_HybrResidual, "__call__", call)
             roots = [tuple(v.tobytes() for v in root) for root in _newton_search(system, [x0])]
             return events, asked, roots
@@ -929,7 +962,7 @@ class TestStackedResidual:
         def broken(self, xs):
             raise IndexError("stack index out of range")
 
-        monkeypatch.setattr(_RootSystem, "__call__", broken)
+        monkeypatch.setattr(_Layer, "__call__", broken)
         with pytest.raises(IndexError):
             solve_cyclic(self.TOW_8)
 

@@ -169,7 +169,7 @@ class TestFloatRatioPath:
     @pytest.mark.parametrize("method", ["phi", "phi_complement", "gamma", "gamma_prime"])
     @pytest.mark.parametrize("sf", KINDS)
     def test_float_equals_1d_array_element(self, sf, method):
-        # the root system's and the verdict's path: one array of every
+        # the stacked operator's path: one array of every
         # ratio, a NaN among them
         f = getattr(sf, method)
         ratios = self.RATIOS + [math.nan]
