@@ -450,6 +450,12 @@ def terminal_distances(m: ContestAutomaton) -> dict:
     return _reached(_hops(m.n, np.flatnonzero(m.legs.outcome >= 0), m.legs.tgt, m.legs.src))
 
 
+def _terminal_hops(m: ContestAutomaton) -> list:
+    """Battles from every state to A's and to B's nearest terminal (-1: unreached)."""
+    legs = m.legs
+    return [_hops(m.n, np.flatnonzero(legs.outcome == code), legs.tgt, legs.src) for code in (0, 1)]
+
+
 def min_length(m: ContestAutomaton) -> int:
     """Battles in the shortest terminal history (every rule has one)."""
     return terminal_distances(m)[m.start]
@@ -560,40 +566,47 @@ def _canonical(m: ContestAutomaton, mirror: bool = False) -> tuple:
     """The rule's canonical labelling: (visit order, shape, chances).
 
     States are visited breadth-first from the start, A's lottery before B's
-    (B's first with ``mirror``).  Each lottery is read as its targets'
-    summed chances (``_lottery``), so the labelling does not depend on how
-    the legs are listed.  The shape holds, at each visit position, a
-    terminal's winner (swapped with ``mirror``) or the target positions of
-    the state's two lotteries; the chances follow the targets in that order.
+    (B's first with ``mirror``).  A lottery lists its targets once with
+    summed chances: visited ones by position, new ones by chance, largest
+    first, then by bisimulation class (``_classes``), then by table order.
+    The shape holds by position a terminal's winner (swapped with ``mirror``)
+    or the target positions of a state's two lotteries; the chances follow.
     """
     winners = WINNERS[::-1] if mirror else WINNERS
     position = {m.start: 0}
-    order, shape, chances = [m.start], [], []
+    order, shape, chances, classes = [m.start], [], [], None
     for s in order:  # the visit order is the search's queue
         if s in m.terminal:
             shape.append(winners[WINNERS.index(m.terminal[s])])
             continue
         lotteries = []
         for w in winners:
-            dist = _lottery(m.transitions[(s, w)], position)
-            for t, p in dist:
+            summed = _summed(m.transitions[(s, w)])
+            targets = list(summed)
+            if len(targets) > 1:
+                targets.sort(key=lambda t: (position.get(t, math.inf), -summed[t]))
+            old = len(order)  # the states visited before this lottery
+            for t in targets:
                 if t not in position:
                     position[t] = len(order)
                     order.append(t)
-                chances.append(p)
-            lotteries.append(tuple(position[t] for t, _ in dist))
+            if len(order) - old > 1 and len(set(map(summed.get, new := order[old:]))) < len(new):
+                classes = classes or _classes(m, mirror)  # found at the first tie
+                new.sort(key=lambda t: (-summed[t], classes[t]))
+                order[old:] = targets[old - len(order):] = new
+                position.update(zip(new, range(old, len(order))))
+            chances += map(summed.get, targets)
+            lotteries.append(tuple(map(position.get, targets)))
         shape.append(tuple(lotteries))
     return order, tuple(shape), chances
 
 
-def _lottery(dist: tuple, position: dict) -> tuple:
-    """A lottery as its targets, each once with its summed chance: visited
-    ones first by ``position``, then new ones by chance, largest first (a
-    tie keeps table order)."""
+def _summed(dist: tuple, key=None) -> dict:
+    """A lottery's chances summed by target, or by ``key[target]``."""
     summed: dict = {}
-    for t, p in dist:
+    for t, p in dist if key is None else ((key[t], p) for t, p in dist):
         summed[t] = summed.get(t, 0.0) + p
-    return tuple(sorted(summed.items(), key=lambda leg: (position.get(leg[0], math.inf), -leg[1])))
+    return summed
 
 
 def _same_form(form: tuple, other: tuple) -> bool:
@@ -605,11 +618,10 @@ def _same_form(form: tuple, other: tuple) -> bool:
 def swap_involution(m: ContestAutomaton) -> dict | None:
     """Find the A/B-swapping state involution, or None if the rule is biased.
 
-    The swap fixes the start and maps A's lottery onto B's, so the rule is
-    symmetric when its canonical labelling and the mirrored one agree; the
-    involution pairs the i-th state of one with the i-th of the other.  A
-    tie between new targets can make that pairing an isomorphism onto the
-    mirrored rule that is not its own inverse; it is then not returned.
+    The swap fixes the start and maps A's lottery onto B's: the rule is
+    symmetric when its canonical and mirrored labellings agree, and the
+    involution pairs them position by position, unless bisimilar new targets
+    tie and make that pairing an isomorphism that is not its own inverse.
     """
     form, mirror = _canonical(m), _canonical(m, mirror=True)
     sigma = dict(zip(form[0], mirror[0]))
@@ -626,53 +638,46 @@ def check_symmetric(m: ContestAutomaton) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def minimize(m: ContestAutomaton) -> ContestAutomaton:
-    """Behavioral quotient: merge states with identical continuation rules."""
+def _classes(m: ContestAutomaton, mirror: bool = False) -> list:
+    """Each state's probabilistic bisimulation class (Larsen & Skou, 1991),
+    numbered by its signature's rank, which does not depend on state ids.
 
-    def summed(s, w, part):  # the lottery's chances summed by part
-        agg: dict = {}
-        for t, p in m.successors(s, w):
-            agg[part[t]] = agg.get(part[t], 0.0) + p
-        return sorted(agg.items())
-
-    seen: list = []  # the chances keyed so far
-
-    def chance(p):  # the first chance seen within _PROB_TOL of p
-        for q in seen:
-            if abs(p - q) <= _PROB_TOL:
-                return q
-        seen.append(p)
-        return p
-
-    def signature(s):
-        if s in m.terminal:
-            return ("T", m.terminal[s])
-        lotteries = (summed(s, w, block) for w in WINNERS)
-        return ("N", block[s], *(tuple((b, chance(p)) for b, p in lot) for lot in lotteries))
-
-    # iterative partition refinement; blocks are numbered by first state
-    block = {s: WINNERS.index(m.terminal[s]) + 1 if s in m.terminal else 0 for s in range(m.n)}
+    The first colours are the battles to A's and to B's terminals (swapped
+    with ``mirror``): bisimilar states share them, and they spare the rounds
+    that refining from the terminals' winners takes on a ring.  A round's
+    signature is a state's colour, then, per battle winner (B first with
+    ``mirror``), its summed chance into each colour, keyed by rank among the
+    round's chances, a gap over ``_PROB_TOL`` starting a new key.  It leads
+    with the colour, so the numbers repeat once no class splits.
+    """
+    winners = WINNERS[::-1] if mirror else WINNERS
+    colour = list(zip(*(d.tolist() for d in _terminal_hops(m)[::-1 if mirror else 1])))
     while True:
-        ids: dict = {}
-        new_block = {s: ids.setdefault(signature(s), len(ids)) for s in range(m.n)}
-        if new_block == block:
-            break
-        block = new_block
-    # the quotient reads each block at its first state
+        sums = {k: _summed(dist, colour) for k, dist in m.transitions.items()}
+        key, last = {}, -math.inf
+        for p in sorted({p for lot in sums.values() for p in lot.values()}):
+            key[p], last = key.get(last, -1) + (p - last > _PROB_TOL), p
+        keyed = {k: tuple(sorted((b, key[p]) for b, p in lot.items())) for k, lot in sums.items()}
+        signature = [(c, *(keyed.get((s, w)) for w in winners)) for s, c in enumerate(colour)]
+        rank = {x: i for i, x in enumerate(sorted(set(signature)))}
+        colour, previous = [rank[x] for x in signature], colour
+        if colour == previous:
+            return colour
+
+
+def minimize(m: ContestAutomaton) -> ContestAutomaton:
+    """Behavioral quotient: bisimilar states (``_classes``) merged at the first."""
     first: dict = {}
-    part = {s: first.setdefault(block[s], s) for s in range(m.n)}
+    part = {s: first.setdefault(c, s) for s, c in enumerate(_classes(m))}
     return _rule(
-        sorted(first.values()), part[m.start], m.winner, lambda s, w: summed(s, w, part),
-        lambda s: m.labels[s],
+        sorted(first.values()), part[m.start], m.winner,
+        lambda s, w: sorted(_summed(m.successors(s, w), part).items()), lambda s: m.labels[s],
     )
 
 
 def isomorphic(a: ContestAutomaton, b: ContestAutomaton, up_to_bisimulation: bool = True) -> bool:
-    """Decide structural equality (one canonical labelling) of two chance-free rules.
-
-    With ``up_to_bisimulation`` the comparison quotients out behaviorally
-    duplicate states first, so rules that play identically compare equal.
-    """
+    """Whether two chance-free rules have one canonical labelling, bisimilar
+    states merged first (``minimize``) with ``up_to_bisimulation``."""
     if up_to_bisimulation:
         a, b = minimize(a), minimize(b)
     if not (a.deterministic and b.deterministic):

@@ -19,9 +19,10 @@ from .automaton import (
     ContestAutomaton,
     ContestSpec,
     _canonical,
-    _hops,
     _levels,
     _same_form,
+    _summed,
+    _terminal_hops,
     build_consecutive_win,
     build_tug_of_war,
     swap_involution,
@@ -776,12 +777,6 @@ def _distance_start(m: ContestAutomaton, prize: float):
     return order, half, half.copy()
 
 
-def _terminal_hops(m: ContestAutomaton):
-    """Battles from every state to A's and to B's nearest terminal (-1: unreached)."""
-    legs = m.legs
-    return [_hops(m.n, np.flatnonzero(legs.outcome == code), legs.tgt, legs.src) for code in (0, 1)]
-
-
 # ---------------------------------------------------------------------------
 # Residual and dispatch
 # ---------------------------------------------------------------------------
@@ -831,7 +826,7 @@ def _closed_form(spec: ContestSpec) -> ValueSolution | None:
     Both families have 2n + 1 states and one terminal per player.  The
     consecutive-win's canonical position 1 (A's first win) loses straight to
     position 2; any other candidate is the tug-of-war whose reset chance is
-    that of the leg to the target every two-leg lottery shares, with head
+    the summed chance of the target every two-target lottery shares, with head
     start n - d_A if d_A <= d_B, else d_B - n (the start's battle distances
     to A's and B's terminals).  Equal canonical forms map the candidate's
     ids onto the rule's.
@@ -846,7 +841,7 @@ def _closed_form(spec: ContestSpec) -> ValueSolution | None:
         if streak:
             twin = build_consecutive_win(n)
         else:
-            pairs = [dict(dist) for dist in m.transitions.values() if len(dist) == 2]
+            pairs = [dist for dist in map(_summed, m.transitions.values()) if len(dist) == 2]
             hub = set.intersection(*map(set, pairs)) if pairs else ()  # the reset target
             reset_p = next((pairs[0][t] for t in hub), 0.0)
             d_a, d_b = (int(d[m.start]) for d in _terminal_hops(m))

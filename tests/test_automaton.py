@@ -36,6 +36,7 @@ from contestlab import (
 from contestlab.automaton import (
     _PROB_TOL,
     WINNERS,
+    _classes,
     _forward_distances,
     _hops,
     restrict,
@@ -486,13 +487,19 @@ class TestSymmetry:
             assert sigma is not None and _verify_involution(m, sigma)
             reordered += not _verify_involution(m, _table_order_pairing(m))
         assert reordered > 100
-        # where two unvisited targets of one lottery tie, table order decides
-        # and the involution can be missed, as it can by a table-order reading
+        # two unvisited targets of one lottery can tie: their bisimulation
+        # classes order them, and only where those tie too (bisimilar
+        # targets) does table order decide, so an involution can be missed
         rng = random.Random(12)
+        found = 0
         for _ in range(700):
             m = _mirrored_rule(rng, TIE_FREE + ((0.5, 0.5), (0.25, 0.25, 0.5)))
             sigma = swap_involution(m)
             assert sigma is None or _verify_involution(m, sigma)
+            if _verify_involution(m, _table_order_pairing(m)):
+                assert sigma is not None
+            found += sigma is not None
+        assert found >= 699
 
 
 class TestExtension:
@@ -541,16 +548,40 @@ class TestMinimizeIsomorphic:
         assert len(q.terminal_states) == 2
         assert len(q.nonterminal_states) == len(m.nonterminal_states)
 
-    @pytest.mark.parametrize("chances", [(0.3, 0.3), (0.30000000000050003, 0.30000000000049987)])
+    @pytest.mark.parametrize(
+        "chances",
+        [(0.3, 0.3), (0.30000000000050003, 0.30000000000049987), (0.1234567882, 0.1234567888)],
+    )
     def test_chances_within_tolerance_share_a_block(self, chances):
-        # the two middle states differ only in A's win chance, by 1.7e-16
-        # at most, which rounding to 12 digits once split apart
+        # the two middle states differ only in A's win chance, by 6e-10 at
+        # most, within _PROB_TOL: rounding to 12 digits once split the
+        # second pair apart, and rounding to 9 digits would split the third
         table = {(0, "A"): ((1, 1.0),), (0, "B"): ((2, 1.0),)}
         for s, p in zip((1, 2), chances):
             table[(s, "A")] = ((3, p), (0, 1.0 - p))
             table[(s, "B")] = ((4, 1.0),)
         m = ContestAutomaton(0, table, {3: "A", 4: "B"})
         assert minimize(m).n == 4
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_classes_do_not_depend_on_state_ids(self, mirror, relabel):
+        # a relabelled twin with rounded chances gives each state's image
+        # its class, both give one partition, the quotient's, and on a
+        # symmetric rule the mirrored numbering is the swapped rule's
+        rng = random.Random(4)
+        rules = [build_tug_of_war(5, 0.5, 2), build_tug_of_war(4, 0.7), build_best_of(2)]
+        rules += [_mirrored_rule(rng, TIE_FREE + ((0.5, 0.5),)) for _ in range(20)]
+        rules += [_random_rule(rng, most=9, split=0.4) for _ in range(20)]
+        for rule in rules:
+            ids = list(range(rule.n))
+            rng.shuffle(ids)
+            twin = automaton_from_dict(relabel(automaton_to_dict(rule), ids, 12))
+            classes, twin_classes = _classes(rule, mirror), _classes(twin, mirror)
+            assert [twin_classes[ids[s]] for s in range(rule.n)] == classes
+            assert len(set(classes)) == minimize(rule).n
+            sigma = swap_involution(rule)
+            if mirror and sigma is not None:  # mirrored, a state reads as its image
+                assert [classes[sigma[s]] for s in range(rule.n)] == _classes(rule)
 
     def test_isomorphic_negative(self):
         assert not isomorphic(build_best_of(1), build_best_of(2))

@@ -1198,15 +1198,52 @@ class TestTableRoute:
             (40, 0.5, 0, "tullock:r=1"), (50, 0.3, 0, "tullock:r=0.8"),
             (100, 0.3, 0, "tullock:r=0.8"), (200, 0.3, 0, "tullock:r=0.8"),
             (6, 0.3, 2, "tullock:r=1"), (6, 0.7, -3, "tullock:r=1"),
+            # B's first win from lead +4 draws lead 0 or lead +3 at equal
+            # chance, both new to the labelling: their classes order them
+            (5, 0.5, 4, "tullock:r=1"), (5, 0.5, 4, "serial:alpha=0.5"),
+            (20, 0.5, 3, "tullock:r=1"),
         ],
     )
     def test_reversed_legs_take_the_closed_form(self, n, reset_p, head_start, sf_spec):
         # the same rule with every lottery's legs listed the other way; the
         # engine alone ends on wrong idle plateaus on the reset rings
         rule = build_tug_of_war(n, reset_p, head_start)
+        self._takes_the_closed_form(rule, sf_spec, lambda legs: legs[::-1])
+
+    def test_reversed_even_reset_rules_take_the_closed_form(self):
+        # at reset 0.5 the reset leg and the next lead tie in every lottery
+        # that can reset, wherever the ring starts
+        for n in range(1, 13):
+            for head_start in range(1 - n, n):
+                rule = build_tug_of_war(n, 0.5, head_start)
+                self._takes_the_closed_form(rule, "tullock:r=1", lambda legs: legs[::-1])
+
+    @pytest.mark.parametrize(
+        "n, reset_p, head_start, sf_spec",
+        [
+            (20, 0.5, 0, "tullock:r=1"), (3, 0.3, 0, "tullock:r=1"), (6, 0.3, 2, "tullock:r=1"),
+            (10, 0.3, 0, "tullock:r=1"), (6, 0.3, 2, "serial:alpha=0.5"),
+        ],
+    )
+    def test_split_reset_legs_take_the_closed_form(self, n, reset_p, head_start, sf_spec):
+        # each reset leg listed as two legs of half its chance, one on
+        # either side of the leg to the next lead; the engine alone ends on
+        # a wrong idle plateau at 20/0.5 (V0 0.3498 against 0.0342)
+        def split(legs):
+            if len(legs) == 1:
+                return legs
+            half = {**legs[0], "prob": 0.5 * legs[0]["prob"]}
+            return [half, legs[1], dict(half)]
+
+        self._takes_the_closed_form(build_tug_of_war(n, reset_p, head_start), sf_spec, split)
+
+    @staticmethod
+    def _takes_the_closed_form(rule, sf_spec, rewrite):
+        """The rule with each lottery's legs rewritten by ``rewrite`` takes
+        the tug-of-war's closed form with the builder rule's bits."""
         doc = automaton_to_dict(rule)
         for edge in doc["edges"]:
-            edge["to"].reverse()
+            edge["to"] = rewrite(edge["to"])
         sf = parse_sf(sf_spec)
         sol = solve(ContestSpec(automaton_from_dict(doc), sf))
         assert sol.method == "closed_tow"
@@ -1225,12 +1262,10 @@ class TestTableRoute:
         [
             "tow-retarget", "tow-swap-terminals", "cw-retarget", "cw-swap-terminals",
             "reset-chance", "reset-retarget", "cw-start", "five-state", "single-state",
-            "tie-legs-reversed",
         ],
     )
     def test_one_edit_from_a_family_takes_no_closed_route(self, edit, sf_spec):
         tow, reset, cw = build_tug_of_war(4), build_tug_of_war(3, 0.3), build_consecutive_win(3)
-        tie = build_tug_of_war(5, 0.5, 4)
         five = {
             (2, "A"): ((3, 1.0),), (2, "B"): ((1, 1.0),), (3, "A"): ((4, 1.0),),
             (3, "B"): ((0, 1.0),), (0, "A"): ((2, 1.0),), (0, "B"): ((1, 1.0),),
@@ -1246,12 +1281,6 @@ class TestTableRoute:
             # state 1 is terminal, so lead -1 has no A-win to probe
             "five-state": lambda: ContestAutomaton(2, five, {1: "B", 4: "A"}),
             "single-state": lambda: ContestAutomaton(0, {}, {0: "A"}),
-            # B's first win from the start at lead +4 draws lead 0 or lead
-            # +3 at equal chance, both new to the labelling: table order
-            # decides, so recognition misses the reversed rule
-            "tie-legs-reversed": lambda: self._edited(
-                tie, {key: dist[::-1] for key, dist in tie.transitions.items()}
-            ),
         }[edit]
         try:
             spec = ContestSpec(make(), parse_sf(sf_spec))
