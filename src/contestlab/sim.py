@@ -1,11 +1,19 @@
 """Seeded Monte Carlo play-out of a solved contest.
 
 Random numbers come from numpy's Philox4x64 counter-based generator keyed by
-the seed.  Each battle step draws one block of 2k uniforms for the k
-still-running paths: the first k decide the battles and the next k pick the
-lottery legs.  Philox buffers its 64-bit words, so this is the same stream as
-a block of k for the battles followed by one for the legs.  The same seed
-therefore reproduces the same summary bit for bit.
+the seed, which must lie in [0, 2**128).  Each battle step takes two blocks of
+k uniforms for the k still-running paths, one after the other through one
+reused buffer: the first decides the battles and the second picks the lottery
+legs.  Philox buffers its 64-bit words, one a uniform, so this is the stream
+of one block of 2k.  Where every lottery has one leg the second block is
+passed over unread (``_skip``).  The same seed therefore reproduces the same
+summary bit for bit.
+
+The step loop holds the running paths' state only: index, state and accrued
+effort, compacted as paths end, beside each path's total effort, the draw
+buffer, one float scratch for every gather and the winner codes.  Lengths and
+A's wins are counted, not stored.  At 2*10**5 paths the traced peak is about
+60 bytes a path.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ def simulate(
         raise DomainError("paths must be a positive integer")
     if not _whole(seed) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
+    if seed >= 1 << 128:
+        raise DomainError("seed must be below 2**128, the range of a Philox key")
     if not _whole(max_steps) or max_steps < 1:
         raise DomainError("max_steps must be a positive integer")
     paths, seed = int(paths), int(seed)
@@ -72,70 +82,89 @@ def simulate(
         raise DomainError("solution does not match the automaton's nonterminal states")
     _absorbed_chain(solution, spec)
 
+    # a path carries its state s as 2s, the code of A's lottery there: a
+    # battle's lottery code is that plus the winner code, and the per-state
+    # tables are read at 2s
     n = m.n
-    p_a = np.zeros(n)
-    step_cost = np.zeros(n)
+    p_a = np.zeros(2 * n)
+    step_cost = np.zeros(2 * n)
     for s, sv in solution.states.items():
-        p_a[s] = sv.win_prob_a
-        step_cost[s] = sv.effort_a + sv.effort_b
-    # padded lottery tables, one row per (state, winner) at 2 * state + winner code
+        p_a[2 * s] = sv.win_prob_a
+        step_cost[2 * s] = sv.effort_a + sv.effort_b
     legs = m.legs
+    outcome = np.repeat(legs.outcome, 2)  # the winner code at a terminal, -1 elsewhere
+    # padded lottery tables, one row per (state, winner) at 2 * state + winner code
     group = 2 * legs.src + legs.win  # legs of one lottery are adjacent
     pos = np.arange(len(group)) - np.searchsorted(group, group)
     at = (group, pos)
     width = pos.max(initial=0) + 1
-    targets = np.zeros((2 * n, width), dtype=np.int64)
-    targets[at] = legs.tgt
+    targets = np.zeros((2 * n, width), dtype=np.intp)
+    targets[at] = 2 * legs.tgt
     chance = np.zeros(targets.shape)
     chance[at] = legs.prob
     cumprob = np.full(targets.shape, 2.0)  # padding above any uniform draw
     cumprob[at] = np.cumsum(chance, axis=1)[at]  # a running sum, leg by leg
     top = np.diff(pos, append=0) <= 0  # the next leg starts a lottery, or none follows
     cumprob[group[top], pos[top]] = 1.0 + 1e-12  # guard the top leg
-    # no draw passes the last column (a top guard or padding), so only the
-    # columns below it are compared, each as one contiguous row
-    bounds = np.ascontiguousarray(cumprob[:, :-1].T)
-    targets = targets.ravel()
+    bounds, targets = cumprob.ravel(), targets.ravel()
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-
-    effort = np.empty(paths)
-    length = np.empty(paths, dtype=np.int64)
-    winner = np.full(paths, -1, dtype=np.int8)  # 0 = A, 1 = B, -1 = truncated
+    try:
+        effort = np.empty(paths)  # each path's total, written when it ends
+        # the running paths, compacted: index, state and accrued effort travel
+        # together
+        alive = np.arange(paths)
+        cur = np.full(paths, 2 * m.start, dtype=np.intp)
+        accrued = np.zeros(paths)
+        draws = np.empty(paths)  # the battles' block, then the legs' block
+        gathered = np.empty(paths)  # float scratch for every gather
+        won = np.empty(paths, dtype=np.int8)
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"too many paths: arrays for {paths} paths cannot be allocated") from exc
     tally = np.zeros(2 * n, dtype=np.int64)  # battles per lottery code
-
-    # the running paths, compacted: index, state and accrued effort travel
-    # together, and a path's effort and length are written when it ends
-    alive = np.arange(paths)
-    cur = np.full(paths, m.start, dtype=np.int64)
-    accrued = np.zeros(paths)
-    draws = np.empty(2 * paths)
-    steps = 0
+    # A's wins, the summed lengths of the ended paths, the words drawn
+    wins_a = ended = steps = drawn = 0
+    # every gather indexes in range; mode="clip" lets np.take write into its
+    # out unbuffered, where the default mode="raise" buffers it
     while True:
-        won = legs.outcome[cur]  # winner code of each terminal, -1 elsewhere
-        done = np.flatnonzero(won >= 0)
-        if done.size:
-            out = alive[done]
-            winner[out] = won[done]
-            effort[out] = accrued[done]
-            length[out] = steps
-            keep = np.flatnonzero(won < 0)
-            alive, cur, accrued = alive[keep], cur[keep], accrued[keep]
-        if not alive.size or steps >= max_steps:
-            break
         k = alive.size
-        rng.random(out=draws[: 2 * k])
-        u_battle, u_chance = draws[:k], draws[k : 2 * k]
-        lottery = 2 * cur + (u_battle >= p_a[cur])
-        tally += np.bincount(lottery, minlength=2 * n)
-        accrued += step_cost[cur]
-        leg = lottery * width
-        for column in bounds:
-            leg += u_chance > column[lottery]
-        cur = targets[leg]
+        code = np.take(outcome, cur, out=won[:k], mode="clip")  # -1 while running
+        done = np.flatnonzero(code >= 0)
+        if done.size:
+            effort[alive[done]] = np.take(accrued, done, out=gathered[: done.size], mode="clip")
+            wins_a += int(np.count_nonzero(code == 0))
+            ended += done.size * steps
+            keep = np.flatnonzero(code < 0)
+            del done  # freed before the copies, which are made one at a time
+            alive = np.take(alive, keep, mode="clip")
+            cur = np.take(cur, keep, mode="clip")
+            accrued = np.take(accrued, keep, mode="clip")
+            del keep  # freed before the step's arrays
+            k = alive.size
+        if not k or steps >= max_steps:
+            break
+        u, scratch = draws[:k], gathered[:k]
+        rng.random(out=u)  # the battles' block
+        leg = np.add(cur, u >= np.take(p_a, cur, out=scratch, mode="clip"))  # lottery code
+        tally += np.bincount(leg, minlength=2 * n)
+        accrued += np.take(step_cost, cur, out=scratch, mode="clip")
+        if width == 1:  # one-leg lotteries: the legs' block is passed over unread
+            _skip(rng.bit_generator, drawn + k, k)
+        else:
+            rng.random(out=u)  # the legs' block
+            # a row's running sums rise and its top guard and padding exceed
+            # every draw, so the draw passes the bounds of a prefix of the
+            # legs: stepping the index while it passes the next bound counts
+            # the bounds below it
+            leg *= width
+            for _ in range(width - 1):
+                leg += u > np.take(bounds, leg, out=scratch, mode="clip")
+        np.take(targets, leg, out=cur, mode="clip")
+        del leg  # released before the next compaction
+        drawn += 2 * k
         steps += 1
     effort[alive] = accrued
-    length[alive] = steps
+    ended += alive.size * steps
     a_wins = tally[0::2]
     visit_counts = a_wins + tally[1::2]
 
@@ -144,7 +173,6 @@ def simulate(
     se_effort = (
         float(np.std(effort, ddof=1) / math.sqrt(paths)) if paths > 1 else math.inf
     )
-    wins_a = int(np.sum(winner == 0))
     freq_a = wins_a / paths
     se_win = (
         math.sqrt(freq_a * (1.0 - freq_a) / paths) if paths > 1 else math.inf
@@ -156,11 +184,23 @@ def simulate(
         se_total_effort=se_effort,
         win_freq_a=freq_a,
         se_win=se_win,
-        mean_length=float(np.mean(length)),
+        mean_length=ended / paths,
         truncated_paths=truncated,
         visit_counts={s: int(c) for s, c in enumerate(visit_counts) if c},
         state_a_wins={s: int(c) for s, c in enumerate(a_wins) if visit_counts[s]},
     )
+
+
+def _skip(bitgen: np.random.Philox, drawn: int, k: int) -> None:
+    """Pass over the next ``k`` words of a Philox stream that has given
+    ``drawn``: those left in its four-word buffer, then whole counter blocks
+    (``advance`` moves the counter and empties the buffer), then the rest."""
+    head = min(-drawn % 4, k)
+    blocks, tail = divmod(k - head, 4)
+    bitgen.random_raw(head, output=False)
+    if blocks:
+        bitgen.advance(blocks)
+    bitgen.random_raw(tail, output=False)
 
 
 def compare_sim_analytic(

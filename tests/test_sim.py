@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from contestlab import (
@@ -27,6 +28,7 @@ from contestlab import (
     win_probabilities,
 )
 from contestlab.cli import main
+from contestlab.sim import _skip
 
 SF1 = Tullock(1.0)
 
@@ -223,6 +225,42 @@ class TestPinnedSummaries:
         }
 
 
+class TestSkippedLegBlocks:
+    """Where every lottery has one leg the step loop passes over the legs'
+    block unread; the summaries stay those of the loop that drew it."""
+
+    @pytest.mark.parametrize("drawn", range(8))
+    def test_skip_equals_drawing(self, drawn):
+        for k in [*range(14), 1001]:
+            read, skipped = (np.random.Generator(np.random.Philox(key=5)) for _ in "ab")
+            read.random(drawn)
+            skipped.random(drawn)
+            read.random(k)
+            _skip(skipped.bit_generator, drawn, k)
+            assert read.random(9).tobytes() == skipped.random(9).tobytes()
+
+    def test_summary_at_the_top_key(self):
+        # recorded with the loop that drew one block of 2k uniforms a step and
+        # stored every path's length and winner; at an odd path count most
+        # skips start inside a part-used four-word buffer
+        spec = ContestSpec(build_consecutive_win(3), SF1, 1.0)
+        summary = simulate(solve(spec), spec, 999, seed=2**128 - 1)
+        expected = {
+            "mean_total_effort": "0x1.9453c44cf589bp-1",
+            "se_total_effort": "0x1.7d8f8f36f43e7p-7",
+            "win_freq_a": "0x1.00c4ce07b00c5p-1",
+            "se_win": "0x1.032ea75eedf62p-6",
+            "mean_length": "0x1.140d53488540dp+2",
+            "truncated_paths": 0,
+            "visit_counts": {1: 667, 2: 1005, 3: 999, 4: 990, 5: 648},
+            "state_a_wins": {1: 169, 2: 338, 3: 483, 4: 648, 5: 501},
+        }
+        got = {k: getattr(summary, k) for k in expected}
+        assert got == {
+            k: float.fromhex(v) if isinstance(v, str) else v for k, v in expected.items()
+        }
+
+
 class TestStatisticalAgreement:
     def test_best_of_three_effort(self, best_of_three):
         sol, spec = best_of_three
@@ -297,6 +335,33 @@ class TestGuards:
         other = ContestSpec(build_tug_of_war(3), SF1, 1.0)
         with pytest.raises(DomainError):
             simulate(sol, other, 10, seed=1)
+
+    def test_seed_below_the_philox_key_range(self, best_of_three):
+        sol, spec = best_of_three
+        assert simulate(sol, spec, 3, seed=2**128 - 1).seed == 2**128 - 1
+        with pytest.raises(DomainError, match=r"seed must be below 2\*\*128"):
+            simulate(sol, spec, 3, seed=2**128)
+        # refused before the chain is checked or anything is drawn
+        trapped = ContestSpec(TRAPPED, Serial(0.5), 1.0)
+        with pytest.raises(DomainError, match="seed"):
+            simulate(solve(trapped), trapped, 3, seed=2**128)
+
+    def test_unallocatable_paths_refused(self, best_of_three):
+        # one float a path is 8 PB: past any 48-bit address space, so the
+        # allocation fails at once
+        sol, spec = best_of_three
+        with pytest.raises(DomainError, match="cannot be allocated"):
+            simulate(sol, spec, 10**15, seed=1)
+
+    @pytest.mark.parametrize(
+        "paths, seed", [(10, 2**128), (10**15, 1)], ids=["seed", "paths"]
+    )
+    def test_refusals_cli_exit_two(self, capsys, paths, seed):
+        argv = ["simulate", "--family", "best-of", "--k", "1", "--sf", "tullock:r=1"]
+        assert main([*argv, "--paths", str(paths), "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "name, value",

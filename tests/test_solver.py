@@ -36,6 +36,7 @@ from contestlab import (
     build_tug_of_war,
     parse_sf,
     residual,
+    simulate,
     solve,
     solve_battle,
     solve_consecutive_closed,
@@ -689,6 +690,29 @@ class TestOneOperator:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ContestSpec(build_tug_of_war(3, 0.3), Tullock(0.8), 1.0),
+            ContestSpec(build_consecutive_win(3), Tullock(1.0), 1.0),
+            ContestSpec(build_best_of(1), Tullock(1.0), 1.0),
+        ],
+        ids=["tow-3-0.3", "cw-3", "best-of-1"],
+    )
+    def test_simulator_memory_per_path(self, spec):
+        # the step loop holds the running paths' index, state and accrued
+        # effort, each path's total, one draw buffer, one float scratch and
+        # the winner codes: no per-path length or winner arrays
+        sol = solve(spec)
+        paths = 200_000
+        tracemalloc.start()
+        try:
+            simulate(sol, spec, paths, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / paths <= 72
 
     @pytest.mark.parametrize(
         "make",
